@@ -88,6 +88,41 @@ def test_projector_overlaps_on_bell_inputs():
         project_and_normalize(bell_state(reg, BellId.PSI_MINUS), projs[BellId.PHI_PLUS])
 
 
+def test_detector_patterns_realize_bell_projectors():
+    # The analyzer (PBS, then HWP(pi/8) on each line, detectors 3h = b.H,
+    # 3v = b.V, 4h = c.H, 4v = c.V) acts on the photons alone, so its
+    # pattern POVM on the one-photon-per-path sector fixes the herald
+    # probabilities of every plan.  Cutoff 2 keeps bunched pairs.
+    reg = ModeRegistry(
+        [optical("b", "H"), optical("b", "V"), optical("c", "H"), optical("c", "V")],
+        [2, 2, 2, 2])
+    inputs = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    columns = []
+    for occ in inputs:
+        psi = StateVector.from_occupation(reg, occ)
+        for op in (elements.pbs(reg, "b", "c"),
+                   elements.half_wave_plate(reg, "b", np.pi / 8),
+                   elements.half_wave_plate(reg, "c", np.pi / 8)):
+            psi = apply(op, psi)
+        columns.append(psi.amplitudes)
+    routed = np.column_stack(columns)
+
+    def povm(patterns):
+        rows = routed[[reg.index_of_occupation(p) for p in patterns]]
+        return rows.conj().T @ rows
+
+    sector = [reg.index_of_occupation(occ) for occ in inputs]
+    projs = {bid: p.matrix[np.ix_(sector, sector)]
+             for bid, p in bell_projectors(reg, "b", "c").items()}
+    phi_plus = povm([(1, 0, 1, 0), (0, 1, 0, 1)])        # (3h,4h), (3v,4v)
+    phi_minus = povm([(1, 0, 0, 1), (0, 1, 1, 0)])       # (3h,4v), (3v,4h)
+    bunched = povm([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+    assert np.abs(phi_plus - projs[BellId.PHI_PLUS]).max() < 1e-12
+    assert np.abs(phi_minus - projs[BellId.PHI_MINUS]).max() < 1e-12
+    assert np.abs(bunched - projs[BellId.PSI_PLUS]
+                  - projs[BellId.PSI_MINUS]).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # project_and_normalize
 
