@@ -15,8 +15,6 @@ from .fock import (
     StateError,
     StateVector,
     apply,
-    embed_cutoffs,
-    expm_apply,
     fidelity,
     magnon,
     optical,
@@ -32,17 +30,11 @@ from .elements import (
     pdc_evolution,
     phase_shift,
     quarter_wave_plate,
-    solve_preparation_angles,
     stokes_scatter,
 )
 from .measurement import (
     BellId,
-    BellOutcome,
-    DetectionNetwork,
-    DetectorLabel,
     bell_projectors,
-    project_and_normalize,
-    simulate_detection,
 )
 from .protocols import (
     InputQubit,
@@ -53,8 +45,6 @@ from .protocols import (
     concurrence_dual_rail,
     entanglement_swap,
     genuine_threshold,
-    prepare_epr,
-    prepare_thermal,
     readout,
     retrieved_qubit_fidelity,
     sweep_fidelity,

@@ -4,8 +4,7 @@ execution of `.omx` circuit files.
 Exit codes: 0 success, 1 usage error, 2 simulation error, 3 parse or
 semantic error in a circuit file.  Identical invocations produce
 byte-identical output; the only nondeterminism is behind an explicit
---sample/--seed pair, and the seed pins it.  OMX_THREADS caps sweep
-parallelism (default 1).
+--sample/--seed pair, and the seed pins it.
 """
 
 from __future__ import annotations
@@ -96,10 +95,8 @@ def _emit(text: str, output: Path | None):
 def _report_json(report, sample: int | None, seed: int | None) -> str:
     payload = report.to_dict()
     if sample:
-        outs = [measurement.BellOutcome(o.outcome, frozenset(), o.probability, None)
-                for o in report.outcomes]
-        outs.append(measurement.BellOutcome(measurement.BellId.NO_HERALD, frozenset(),
-                                            report.no_herald_probability, None))
+        outs = [(o.outcome.value, o.probability) for o in report.outcomes]
+        outs.append((measurement.BellId.NO_HERALD.value, report.no_herald_probability))
         payload["sampled_heralds"] = measurement.sample_outcomes(outs, sample, seed)
     return json.dumps(payload, indent=2) + "\n"
 

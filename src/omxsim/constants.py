@@ -11,18 +11,8 @@ NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 
-# Most negative eigenvalue a density matrix may carry and still count as
-# positive semidefinite (floating-point dust from conjugations).
-PSD_EIGENVALUE_TOL = -1e-10
-
 # Operator flavor checks: ||U U^dag - I|| / ||V^dag V - I|| tolerance.
 UNITARITY_TOL = 1e-10
-
-# Hermiticity tolerance for evolution generators passed to expm_apply.
-GENERATOR_HERMITICITY_TOL = 1e-10
-
-# Projectors must satisfy P^2 = P to this tolerance.
-PROJECTOR_IDEMPOTENCE_TOL = 1e-10
 
 # Measurement outcomes with probability below this are reported as
 # unreachable rather than as true zeros carrying floating-point dust.
@@ -30,6 +20,18 @@ UNREACHABLE_PROBABILITY = 1e-14
 
 # Residual imaginary part allowed when a fidelity is cast to a real number.
 FIDELITY_IMAG_TOL = 1e-12
+
+# Readout of a mixed magnon state: eigen-components with weight below this
+# are rounding dust of the eigendecomposition and are not propagated.
+READOUT_EIGENVALUE_FLOOR = 1e-14
+
+# Readout input weight beyond the qubit sector (a magnon holding two or more
+# excitations) above which the retrieval is flagged as partial.
+PARTIAL_READOUT_TOL = 1e-12
+
+# Concurrence: eigenvalues of rho (Y x Y) rho* (Y x Y) below this fraction of
+# the largest are zeroed; the square root would amplify their rounding dust.
+CONCURRENCE_EIGENVALUE_FLOOR = 1e-14
 
 # Hard ceiling on the dimension of any mode registry (product of per-mode
 # Fock dimensions).  Dense complex vectors of this length stay cheap.
@@ -40,6 +42,3 @@ MAX_DIMENSION = 1 << 20
 # truncation so a single added excitation is always representable.
 DEFAULT_OPTICAL_CUTOFF = 1
 DEFAULT_THERMAL_CUTOFF = 2
-
-# Root finding (genuine-teleportation threshold) bisection tolerance.
-BISECTION_TOL = 1e-10

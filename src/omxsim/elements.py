@@ -26,7 +26,6 @@ import enum
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import constants
 from .fock import (
@@ -236,39 +235,3 @@ def pdc_evolution(registry: ModeRegistry, photon: int, mag: int, gt: float) -> E
     gen = down + down.conj().T
     matrix = scipy.linalg.expm(-1j * gt * gen)
     return ElementOp((photon, mag), matrix, OpFlavor.UNITARY, label="pdc")
-
-
-# ---------------------------------------------------------------------------
-# input-qubit preparation
-
-def solve_preparation_angles(alpha: complex, beta: complex) -> tuple[float, float]:
-    """Wave-plate angles (theta_hwp, theta_qwp) preparing alpha|H> + beta|V>.
-
-    The plates act in sequence, HWP first, on an H-polarized photon; the
-    target is reached up to a global phase.  Solved numerically on the 2x2
-    Jones matrices: a coarse angle grid seeds a Nelder-Mead refinement.
-    """
-    target = np.array([alpha, beta], dtype=complex)
-    nrm = np.linalg.norm(target)
-    if nrm < 1e-12:
-        raise OperatorError("degenerate target polarization")
-    target = target / nrm
-    h_in = np.array([1.0, 0.0], dtype=complex)
-
-    def infidelity(angles):
-        th, tq = angles
-        out = qwp_jones(tq) @ (hwp_jones(th) @ h_in)
-        return 1.0 - abs(np.vdot(target, out)) ** 2
-
-    grid = np.linspace(0.0, np.pi, 25)
-    seeds = sorted(((infidelity((th, tq)), (th, tq)) for th in grid for tq in grid),
-                   key=lambda item: item[0])
-    best = None
-    for _, seed in seeds[:4]:
-        res = scipy.optimize.minimize(infidelity, seed, method="Nelder-Mead",
-                                      options={"xatol": 1e-12, "fatol": 1e-15})
-        if best is None or res.fun < best.fun:
-            best = res
-    if best.fun > 1e-9:
-        raise OperatorError(f"preparation solver stalled (infidelity {best.fun:.3e})")
-    return float(best.x[0]), float(best.x[1])

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import constants
 
@@ -173,14 +172,6 @@ def destroy(dim: int) -> np.ndarray:
     return a
 
 
-def create(dim: int) -> np.ndarray:
-    return destroy(dim).conj().T
-
-
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=complex))
-
-
 def embed_local(ops: dict[int, np.ndarray], dims: Sequence[int]) -> np.ndarray:
     """Kron-embed single-mode operators into the joint space of `dims`.
 
@@ -234,13 +225,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalize(self) -> tuple[float, "StateVector"]:
-        """Return (squared norm, normalized copy)."""
-        n2 = self.norm() ** 2
-        if n2 < constants.UNREACHABLE_PROBABILITY:
-            raise StateError("cannot normalize a (numerically) zero state")
-        return n2, StateVector(self.registry, self.amplitudes / np.sqrt(n2))
-
     def amplitude(self, occupation: Sequence[int]) -> complex:
         return complex(self.amplitudes[self.registry.index_of_occupation(occupation)])
 
@@ -275,23 +259,16 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(self.matrix.trace().real)
 
-    def normalize(self) -> tuple[float, "DensityMatrix"]:
-        tr = self.trace()
-        if tr < constants.UNREACHABLE_PROBABILITY:
-            raise StateError("cannot normalize a (numerically) zero density matrix")
-        return tr, DensityMatrix(self.registry, self.matrix / tr)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def assert_physical(self):
-        """Check positive semidefiniteness (not done at construction: O(D^3))."""
-        lo = self.eigenvalues().min()
-        if lo < constants.PSD_EIGENVALUE_TOL:
-            raise StateError(f"density matrix has negative eigenvalue {lo:.3e}")
-
 
 State = StateVector | DensityMatrix
+
+
+def _require_pure(state: State, operation: str):
+    """Operators act on state vectors only; a mixture goes through as its
+    pure components (see `protocols.readout`)."""
+    if not isinstance(state, StateVector):
+        raise StateError(f"{operation}: expects a StateVector, got "
+                         f"{type(state).__name__}; propagate a mixture's pure components")
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +367,9 @@ def _contract_vector(amps: np.ndarray, dims: Sequence[int], targets: Sequence[in
     return out.reshape(-1, order="F")
 
 
-def _contract_columns(block: np.ndarray, dims: Sequence[int], targets: Sequence[int],
-                      matrix: np.ndarray) -> np.ndarray:
-    """Apply `matrix` to the row (ket) index of every column of `block`."""
-    k = len(targets)
-    tdims = [dims[t] for t in targets]
-    psi = block.reshape(tuple(dims) + (block.shape[1],), order="F")
-    op = matrix.reshape(tdims + tdims, order="F")
-    out = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), list(targets)))
-    out = np.moveaxis(out, list(range(k)), list(targets))
-    return out.reshape(block.shape, order="F")
-
-
-def apply(op: ElementOp, state: State) -> State:
+def apply(op: ElementOp, state: StateVector) -> StateVector:
     """Apply an element, lifted with identity on untouched modes."""
+    _require_pure(state, "apply")
     registry = state.registry
     n = len(registry)
     for t in op.targets:
@@ -411,83 +377,47 @@ def apply(op: ElementOp, state: State) -> State:
             raise OperatorError(f"{op.label or 'op'}: target index {t} outside registry")
     tdims = op.target_dims(registry)
     square = _square_matrix(op, tdims)
-
-    if isinstance(state, StateVector):
-        if op.domain is not None:
-            bad = _domain_violation(state.amplitudes, registry.dims, op.targets, op.domain)
-            if bad > constants.UNREACHABLE_PROBABILITY:
-                raise OperatorError(
-                    f"{op.label or 'op'}: state has weight {bad:.3e} outside the "
-                    "operator domain (occupation would overflow a cutoff)")
-        out = _contract_vector(state.amplitudes, registry.dims, op.targets, square)
-        if op.flavor is OpFlavor.KRAUS:
-            return StateVector(registry, out, normalized=False)
-        return StateVector(registry, out, normalized=state.normalized)
-
     if op.domain is not None:
-        # support check via the diagonal's occupation weights
-        diag_weights = np.sqrt(np.abs(np.diag(state.matrix)).clip(min=0.0))
-        bad = _domain_violation(diag_weights.astype(complex), registry.dims,
-                                op.targets, op.domain)
+        bad = _domain_violation(state.amplitudes, registry.dims, op.targets, op.domain)
         if bad > constants.UNREACHABLE_PROBABILITY:
             raise OperatorError(
                 f"{op.label or 'op'}: state has weight {bad:.3e} outside the "
                 "operator domain (occupation would overflow a cutoff)")
-    # rho -> A rho A^dag:  B = A rho, then A B^dag = (B A^dag)^dag
-    b = _contract_columns(state.matrix, registry.dims, op.targets, square)
-    out = _contract_columns(b.conj().T, registry.dims, op.targets, square).conj().T
-    # conjugation keeps Hermiticity up to rounding; symmetrize the dust away
-    out = 0.5 * (out + out.conj().T)
+    out = _contract_vector(state.amplitudes, registry.dims, op.targets, square)
     if op.flavor is OpFlavor.KRAUS:
-        return DensityMatrix(registry, out, normalized=False)
-    return DensityMatrix(registry, out, normalized=state.normalized)
+        return StateVector(registry, out, normalized=False)
+    return StateVector(registry, out, normalized=state.normalized)
 
 
 # ---------------------------------------------------------------------------
 # spec operations
 
-def tensor(a: State, b: State) -> State:
+def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor composition; combined registry is the concatenation."""
+    _require_pure(a, "tensor")
+    _require_pure(b, "tensor")
     registry = a.registry.concat(b.registry)
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        # little-endian: first factor varies fastest -> kron(b, a)
-        amps = np.kron(b.amplitudes, a.amplitudes)
-        return StateVector(registry, amps, normalized=a.normalized and b.normalized)
-    ra = a if isinstance(a, DensityMatrix) else a.to_density_matrix()
-    rb = b if isinstance(b, DensityMatrix) else b.to_density_matrix()
-    mat = np.kron(rb.matrix, ra.matrix)
-    return DensityMatrix(registry, mat, normalized=ra.normalized and rb.normalized)
+    # little-endian: first factor varies fastest -> kron(b, a)
+    amps = np.kron(b.amplitudes, a.amplitudes)
+    return StateVector(registry, amps, normalized=a.normalized and b.normalized)
 
 
-def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
+def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduce to the kept modes (registry order preserved); trace preserved."""
+    _require_pure(state, "partial_trace")
     keep = sorted(set(keep))
     n = len(state.registry)
     if not keep:
         raise StateError("partial_trace: keep set must be nonempty")
     if any(not 0 <= k < n for k in keep):
         raise StateError("partial_trace: keep index outside registry")
-    if isinstance(state, StateVector):
-        # pure state: reduce without forming the full outer product
-        k = len(keep)
-        tens = np.moveaxis(state.amplitudes.reshape(state.registry.dims, order="F"),
-                           keep, range(k))
-        sub = state.registry.reduced(keep)
-        m = tens.reshape(sub.dimension, -1, order="F")
-        return DensityMatrix(sub, m @ m.conj().T, normalized=state.normalized)
-    rho = state
-    dims = rho.registry.dims
-    tensor_form = rho.matrix.reshape(dims + dims, order="F")
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    if 2 * n > len(letters):
-        raise StateError("partial_trace: too many modes for einsum path")
-    ket = list(letters[:n])
-    bra = [letters[n + i] if i in keep else ket[i] for i in range(n)]
-    out = "".join(ket[i] for i in keep) + "".join(bra[i] for i in keep)
-    reduced = np.einsum("".join(ket) + "".join(bra) + "->" + out, tensor_form)
-    sub = rho.registry.reduced(keep)
-    return DensityMatrix(sub, reduced.reshape(sub.dimension, sub.dimension, order="F"),
-                         normalized=rho.normalized)
+    # reduce without forming the full outer product
+    k = len(keep)
+    tens = np.moveaxis(state.amplitudes.reshape(state.registry.dims, order="F"),
+                       keep, range(k))
+    sub = state.registry.reduced(keep)
+    m = tens.reshape(sub.dimension, -1, order="F")
+    return DensityMatrix(sub, m @ m.conj().T, normalized=state.normalized)
 
 
 def fidelity(state: State, target: StateVector) -> float:
@@ -502,45 +432,3 @@ def fidelity(state: State, target: StateVector) -> float:
     if abs(val.imag) > constants.FIDELITY_IMAG_TOL:
         raise StateError(f"fidelity has imaginary residue {val.imag:.3e}")
     return float(val.real)
-
-
-def expm_apply(generator: np.ndarray, t: float, state: State,
-               targets: Sequence[int], label: str = "expm") -> State:
-    """Evolve by exp(-i t G) for a Hermitian generator G on `targets`."""
-    op = evolution_op(state.registry, generator, t, targets, label=label)
-    return apply(op, state)
-
-
-def evolution_op(registry: ModeRegistry, generator: np.ndarray, t: float,
-                 targets: Sequence[int], label: str = "expm") -> ElementOp:
-    generator = np.asarray(generator, dtype=complex)
-    res = np.abs(generator - generator.conj().T).max()
-    if res > constants.GENERATOR_HERMITICITY_TOL:
-        raise OperatorError(f"{label}: generator not Hermitian (residual {res:.3e})")
-    unitary = scipy.linalg.expm(-1j * t * generator)
-    return ElementOp(tuple(targets), unitary, OpFlavor.UNITARY, label=label)
-
-
-def embed_cutoffs(state: State, new_cutoffs: Sequence[int]) -> State:
-    """Isometric embedding into a registry with enlarged per-mode cutoffs."""
-    old = state.registry
-    new_cutoffs = tuple(int(c) for c in new_cutoffs)
-    if len(new_cutoffs) != len(old):
-        raise RegistryError("embed_cutoffs: one cutoff per mode required")
-    if any(nc < oc for nc, oc in zip(new_cutoffs, old.cutoffs)):
-        raise RegistryError("embed_cutoffs: cutoffs may only grow")
-    new = ModeRegistry(old.modes, new_cutoffs)
-    index = np.arange(old.dimension)
-    mapped = np.zeros(old.dimension, dtype=np.int64)
-    stride = 1
-    for d_old, s_new in zip(old.dims, new.strides):
-        digits = (index // stride) % d_old
-        mapped += digits * s_new
-        stride *= d_old
-    if isinstance(state, StateVector):
-        amps = np.zeros(new.dimension, dtype=complex)
-        amps[mapped] = state.amplitudes
-        return StateVector(new, amps, normalized=state.normalized)
-    mat = np.zeros((new.dimension, new.dimension), dtype=complex)
-    mat[np.ix_(mapped, mapped)] = state.matrix
-    return DensityMatrix(new, mat, normalized=state.normalized)

@@ -1,41 +1,33 @@
-"""Bell-state projectors, detector coincidence patterns, and post-selection.
+"""Bell-state vectors and projectors for two dual-rail photons, and the
+seeded demonstration sampler.
 
-The coincidence measurement routes two dual-rail photons through a polarizing
-beam splitter, a half-wave plate at pi/8 on each output line, and a final
+The coincidence analyzer routes the two photons through a polarizing beam
+splitter, a half-wave plate at pi/8 on each output line, and a final
 polarizing splitter per line whose ports are the four detectors (3h, 3v, 4h,
 4v).  The two even-parity Bell states map onto distinct coincidence pairs:
 
     (HH + VV)/sqrt(2)  ->  (3h,4h) or (3v,4v)
     (HH - VV)/sqrt(2)  ->  (3h,4v) or (3v,4h)
 
+so their pattern probabilities equal the projector values computed here.
 The odd-parity pair (HV +- VH)/sqrt(2) bunches both photons onto a single
-detector, so its two members share one pattern set, distinguishable from the
-even-parity events only with photon-number resolution; their individual
-probabilities are computed by projection.  Outcomes below the unreachable
-threshold are dropped from reports.
+detector: its two members share one pattern set, which registers at all
+only with photon-number resolution.  Reports therefore flag those heralds
+as requiring number resolution.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants, elements
 from .fock import (
-    DensityMatrix,
     ElementOp,
     ModeRegistry,
-    OperatorError,
     OpFlavor,
     Polarization,
-    State,
     StateError,
-    StateVector,
-    apply,
-    embed_cutoffs,
-    partial_trace,
 )
 
 
@@ -47,46 +39,7 @@ class BellId(enum.Enum):
     NO_HERALD = "no_herald"
 
 
-@dataclass(frozen=True, order=True)
-class DetectorLabel:
-    pbs_id: int   # 3 or 4
-    port: str     # "h" or "v"
-
-    def __post_init__(self):
-        if self.pbs_id not in (3, 4) or self.port not in ("h", "v"):
-            raise StateError(f"bad detector label ({self.pbs_id},{self.port})")
-
-    def __str__(self) -> str:
-        return f"{self.pbs_id}{self.port}"
-
-
-def _pattern(*labels: str) -> tuple[DetectorLabel, ...]:
-    return tuple(sorted(DetectorLabel(int(s[0]), s[1]) for s in labels))
-
-
-# Detector pair fired per outcome; the odd-parity states share the bunched
-# (same detector twice) set and need number resolution to register at all.
-COINCIDENCE_PATTERNS: dict[BellId, frozenset] = {
-    BellId.PHI_PLUS: frozenset({_pattern("3h", "4h"), _pattern("3v", "4v")}),
-    BellId.PHI_MINUS: frozenset({_pattern("3h", "4v"), _pattern("3v", "4h")}),
-    BellId.PSI_PLUS: frozenset({_pattern("3h", "3h"), _pattern("3v", "3v"),
-                                _pattern("4h", "4h"), _pattern("4v", "4v")}),
-    BellId.PSI_MINUS: frozenset({_pattern("3h", "3h"), _pattern("3v", "3v"),
-                                 _pattern("4h", "4h"), _pattern("4v", "4v")}),
-    BellId.NO_HERALD: frozenset(),
-}
-
 BELL_IDS = (BellId.PHI_PLUS, BellId.PHI_MINUS, BellId.PSI_PLUS, BellId.PSI_MINUS)
-
-
-@dataclass(frozen=True)
-class BellOutcome:
-    id: BellId
-    coincidence_patterns: frozenset
-    probability: float
-    post_state: DensityMatrix | None
-    requires_number_resolution: bool = False
-    included_in_fidelity: bool = True
 
 
 def _pair_indices(registry: ModeRegistry, path: str) -> tuple[int, int]:
@@ -140,174 +93,14 @@ def bell_projectors(registry: ModeRegistry, path1: str, path2: str
             for bell_id, v in vecs.items()}
 
 
-def project_and_normalize(state: State, projector: ElementOp
-                          ) -> tuple[float, State]:
-    """Apply a projector; return (probability, normalized post state)."""
-    m = projector.matrix
-    if m.shape[0] != m.shape[1]:
-        raise OperatorError("projector must be square")
-    idem = np.abs(m @ m - m).max()
-    herm = np.abs(m - m.conj().T).max()
-    if idem > constants.PROJECTOR_IDEMPOTENCE_TOL or herm > constants.PROJECTOR_IDEMPOTENCE_TOL:
-        raise OperatorError(f"not a projector (idempotence residual {idem:.3e}, "
-                            f"hermiticity residual {herm:.3e})")
-    projected = apply(ElementOp(projector.targets, m, OpFlavor.KRAUS,
-                                label=projector.label), state)
-    if isinstance(projected, StateVector):
-        prob = projected.norm() ** 2
-    else:
-        prob = projected.trace()
-    if prob < constants.UNREACHABLE_PROBABILITY:
-        raise UnreachableOutcomeError(
-            f"outcome {projector.label or ''} unreachable (probability {prob:.3e})")
-    _, post = projected.normalize()
-    return float(prob), post
+def sample_outcomes(outcomes: list[tuple[str, float]], trials: int,
+                    seed: int) -> list[str]:
+    """Draw a demonstration herald sequence from (label, probability) pairs.
 
-
-class UnreachableOutcomeError(StateError):
-    """Projection probability below the unreachable threshold."""
-
-
-@dataclass(frozen=True)
-class DetectionNetwork:
-    """Two dual-rail photon paths routed into the coincidence analyzer.
-
-    `path1` continues into output line 3, `path2` into line 4.
+    Never feeds any acceptance path.
     """
-
-    path1: str
-    path2: str
-
-
-def _detector_of(net: DetectionNetwork, path: str, pol: Polarization) -> DetectorLabel:
-    line = 3 if path == net.path1 else 4
-    return DetectorLabel(line, "h" if pol is Polarization.H else "v")
-
-
-def simulate_detection(state: State, net: DetectionNetwork) -> list[BellOutcome]:
-    """Propagate through the analyzer and project onto detector patterns.
-
-    Returns one outcome per Bell id (plus NO_HERALD for everything that does
-    not form a usable coincidence), dropping outcomes whose probability falls
-    below the unreachable threshold.  Post states live on the non-detector
-    modes, normalized.
-    """
-    registry = state.registry
-    h1, v1 = _pair_indices(registry, net.path1)
-    h2, v2 = _pair_indices(registry, net.path2)
-    photon_modes = [h1, v1, h2, v2]
-
-    # psi_+- probabilities and post states come from projectors: their
-    # detector patterns coincide, so patterns alone cannot split them.
-    projs = bell_projectors(registry, net.path1, net.path2)
-    psi_results: dict[BellId, tuple[float, DensityMatrix | None]] = {}
-    keep = [i for i in range(len(registry)) if i not in photon_modes]
-    for bell_id in (BellId.PSI_PLUS, BellId.PSI_MINUS):
-        try:
-            p, post = project_and_normalize(state, projs[bell_id])
-            psi_results[bell_id] = (p, partial_trace(post, keep) if keep else None)
-        except UnreachableOutcomeError:
-            psi_results[bell_id] = (0.0, None)
-
-    # route through PBS2 + per-line HWP(pi/8); detector modes need cutoff 2
-    # so bunched pairs stay representable
-    new_cutoffs = [max(c, 2) if i in photon_modes else c
-                   for i, c in enumerate(registry.cutoffs)]
-    routed = embed_cutoffs(state, new_cutoffs)
-    wide = routed.registry
-    for op in (elements.pbs(wide, net.path1, net.path2),
-               elements.half_wave_plate(wide, net.path1, np.pi / 8),
-               elements.half_wave_plate(wide, net.path2, np.pi / 8)):
-        routed = apply(op, routed)
-
-    # pattern bookkeeping: move detector axes to the front and weigh each
-    # joint detector occupation
-    det_labels = [_detector_of(net, net.path1, Polarization.H),
-                  _detector_of(net, net.path1, Polarization.V),
-                  _detector_of(net, net.path2, Polarization.H),
-                  _detector_of(net, net.path2, Polarization.V)]
-    dims = wide.dims
-    tdims = [dims[t] for t in photon_modes]
-    dt = int(np.prod(tdims))
-    rest = [i for i in range(len(wide)) if i not in photon_modes]
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-
-    if isinstance(routed, StateVector):
-        tens = np.moveaxis(routed.amplitudes.reshape(dims, order="F"),
-                           photon_modes, range(4))
-        rows = tens.reshape(dt, rest_dim, order="F")
-        pattern_probs = np.sum(np.abs(rows) ** 2, axis=1)
-    else:
-        tens = routed.matrix.reshape(dims + dims, order="F")
-        n = len(wide)
-        tens = np.moveaxis(tens, photon_modes + [n + t for t in photon_modes],
-                           list(range(4)) + list(range(n, n + 4)))
-        blocks = tens.reshape((dt, rest_dim, dt, rest_dim), order="F")
-        pattern_probs = np.einsum("iaia->i", blocks).real
-
-    def occ_of(idx):
-        occ = []
-        for d in tdims:
-            idx, n = divmod(idx, d)
-            occ.append(n)
-        return tuple(occ)
-
-    phi_masses = {BellId.PHI_PLUS: 0.0, BellId.PHI_MINUS: 0.0}
-    phi_rho = {BellId.PHI_PLUS: None, BellId.PHI_MINUS: None}
-    reduced_registry = wide.reduced(rest) if rest else None
-    for idx in range(dt):
-        occ = occ_of(idx)
-        if sum(occ) != 2 or max(occ) != 1:
-            continue
-        fired = tuple(sorted(lbl for lbl, n in zip(det_labels, occ) if n == 1))
-        for bell_id, patterns in ((BellId.PHI_PLUS, COINCIDENCE_PATTERNS[BellId.PHI_PLUS]),
-                                  (BellId.PHI_MINUS, COINCIDENCE_PATTERNS[BellId.PHI_MINUS])):
-            if fired not in patterns:
-                continue
-            p = float(pattern_probs[idx])
-            phi_masses[bell_id] += p
-            if p <= constants.UNREACHABLE_PROBABILITY or not rest:
-                continue
-            if isinstance(routed, StateVector):
-                cond = rows[idx]
-                block = np.outer(cond, cond.conj())
-            else:
-                block = blocks[idx, :, idx, :]
-            phi_rho[bell_id] = block if phi_rho[bell_id] is None else phi_rho[bell_id] + block
-
-    outcomes = []
-    assigned = 0.0
-    for bell_id in (BellId.PHI_PLUS, BellId.PHI_MINUS):
-        p = phi_masses[bell_id]
-        assigned += p
-        if p < constants.UNREACHABLE_PROBABILITY:
-            continue
-        post = None
-        if phi_rho[bell_id] is not None:
-            mat = phi_rho[bell_id] / np.trace(phi_rho[bell_id]).real
-            post = DensityMatrix(reduced_registry, 0.5 * (mat + mat.conj().T))
-        outcomes.append(BellOutcome(bell_id, COINCIDENCE_PATTERNS[bell_id], p, post))
-    for bell_id in (BellId.PSI_PLUS, BellId.PSI_MINUS):
-        p, post = psi_results[bell_id]
-        assigned += p
-        if p < constants.UNREACHABLE_PROBABILITY:
-            continue
-        outcomes.append(BellOutcome(bell_id, COINCIDENCE_PATTERNS[bell_id], p, post,
-                                    requires_number_resolution=True,
-                                    included_in_fidelity=False))
-    total = (routed.norm() ** 2 if isinstance(routed, StateVector)
-             else routed.trace())
-    no_herald = max(0.0, total - assigned)
-    if no_herald >= constants.UNREACHABLE_PROBABILITY or not outcomes:
-        outcomes.append(BellOutcome(BellId.NO_HERALD, frozenset(), no_herald, None,
-                                    included_in_fidelity=False))
-    return outcomes
-
-
-def sample_outcomes(outcomes: list[BellOutcome], trials: int, seed: int) -> list[str]:
-    """Draw a demonstration herald sequence; never feeds any acceptance path."""
     rng = np.random.default_rng(seed)
-    ids = [o.id.value for o in outcomes]
-    probs = np.array([max(o.probability, 0.0) for o in outcomes])
+    ids = [label for label, _ in outcomes]
+    probs = np.array([max(p, 0.0) for _, p in outcomes])
     probs = probs / probs.sum()
     return [ids[i] for i in rng.choice(len(ids), size=trials, p=probs)]

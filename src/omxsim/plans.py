@@ -9,6 +9,7 @@ plan determines the basis layout completely and runs are deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -94,6 +95,8 @@ class PlanSettings:
     def __post_init__(self):
         if self.protocol not in ("teleport", "swap"):
             raise PlanError(f"unknown protocol {self.protocol!r}")
+        if not math.isfinite(self.n_bar):
+            raise PlanError(f"thermal occupation must be finite, got {self.n_bar}")
         if self.n_bar < 0:
             raise PlanError("thermal occupation must be >= 0")
         if self.thermal_cutoff < 1:
@@ -101,6 +104,8 @@ class PlanSettings:
         if self.photon_cutoff < 1:
             raise PlanError("photon cutoff must be >= 1")
         for path, value in self.n_bar_overrides:
+            if not math.isfinite(value):
+                raise PlanError(f"override for {path!r} must be finite, got {value}")
             if value < 0:
                 raise PlanError(f"override for {path!r} must be >= 0")
 
@@ -130,7 +135,12 @@ def thermal_weights(n_bar: float, cutoff: int, renormalize: bool) -> np.ndarray:
     s = n_bar / (n_bar + 1.0)
     weights = (1.0 - s) * s ** np.arange(cutoff + 1)
     if renormalize:
-        weights = weights / weights.sum()
+        total = weights.sum()
+        if total == 0.0:
+            # s rounds to 1 (n_bar beyond ~1e16), so every weight is 0; the
+            # renormalized weights s^n / sum_k s^k then take their limit
+            return np.full(cutoff + 1, 1.0 / (cutoff + 1))
+        weights = weights / total
     return weights
 
 

@@ -21,8 +21,7 @@ so the truncation sensitivity stays visible.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +38,11 @@ from .fock import (
     StateVector,
     apply,
     fidelity,
-    magnon,
     optical,
     partial_trace,
     tensor,
 )
-from .measurement import BellId
+from .measurement import BELL_IDS, BellId
 from .plans import (
     BellMeasure,
     CircuitPlan,
@@ -96,6 +94,8 @@ class ThermalConfig:
     renormalize: bool = True
 
     def __post_init__(self):
+        if not math.isfinite(self.n_bar):
+            raise ProtocolError(f"n_bar must be finite, got {self.n_bar}")
         if self.n_bar < 0:
             raise ProtocolError("n_bar must be >= 0")
         if self.cutoff < 1:
@@ -107,14 +107,6 @@ class ThermalConfig:
 
     def weights(self) -> np.ndarray:
         return plans.thermal_weights(self.n_bar, self.cutoff, self.renormalize)
-
-
-def prepare_thermal(cfg: ThermalConfig) -> DensityMatrix:
-    """Truncated thermal state of a single magnon mode, diagonal weights (1-s) s^n."""
-    registry = ModeRegistry([magnon("m")], [cfg.cutoff])
-    weights = cfg.weights()
-    return DensityMatrix(registry, np.diag(weights).astype(complex),
-                         normalized=cfg.renormalize)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +125,8 @@ def closed_form_f2(n_bar: float) -> float:
 
 def full_thermal_f1(n_bar: float) -> float:
     """Untruncated-mixture teleport fidelity (1-s)^2."""
-    return 1.0 / (1.0 + n_bar) ** 2
+    s = n_bar / (n_bar + 1.0)
+    return (1.0 - s) ** 2
 
 
 def full_thermal_f2(n_bar: float) -> float:
@@ -143,27 +136,17 @@ def full_thermal_f2(n_bar: float) -> float:
 def genuine_threshold(target: float = 2.0 / 3.0) -> float:
     """Thermal occupation at which the teleport closed form crosses `target`.
 
-    Bisection to 1e-10; the closed form decreases from 1 toward 1/9, so
-    targets outside (1/9, 1] are unreachable.
+    Inverts 1/(1+s+s^2)^2 = target exactly: with c = target^(-1/2),
+    s = (-1 + sqrt(4c - 3))/2 and n_bar = s/(1 - s).  The closed form
+    decreases from 1 toward 1/9, so targets outside (1/9, 1] are unreachable.
     """
     if not 0.0 < target <= 1.0:
         raise ProtocolError("target fidelity must lie in (0, 1]")
     if target <= 1.0 / 9.0:
         raise ProtocolError("target below the large-occupation limit 1/9 is unreachable")
-    if target == 1.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while closed_form_f1(hi) > target:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ProtocolError("threshold search diverged")
-    while hi - lo > constants.BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if closed_form_f1(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    c = 1.0 / math.sqrt(target)
+    s = (-1.0 + math.sqrt(4.0 * c - 3.0)) / 2.0
+    return s / (1.0 - s)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +231,6 @@ def _config_echo(settings: PlanSettings) -> dict:
 
 # ---------------------------------------------------------------------------
 # plan execution
-
-_BELL_ORDER = (BellId.PHI_PLUS, BellId.PHI_MINUS, BellId.PSI_PLUS, BellId.PSI_MINUS)
-
 
 def _magnon_targets(plan: CircuitPlan, registry: ModeRegistry) -> list[int]:
     idx = [i for i, m in enumerate(registry.modes) if m.kind is ModeKind.MAGNON]
@@ -363,7 +343,7 @@ class _Propagator:
                            self.bell_targets, range(n_targets))
         rows = tens.reshape(dt, -1, order="F")
         rec = _ComponentRecord(total, {}, {}, {}, {})
-        for bell_id in _BELL_ORDER:
+        for bell_id in BELL_IDS:
             cond = self.bell_vecs[bell_id].conj() @ rows
             cond_t = np.moveaxis(cond.reshape(self.rest_dims, order="F"),
                                  self.mag_pos, range(len(self.mag_pos)))
@@ -395,17 +375,17 @@ def _report_from(prop: _Propagator, n_bar: float,
     settings = plan.settings
     weights = prop.weights(n_bar)
 
-    masses = {b: 0.0 for b in _BELL_ORDER}
-    raw_num = {b: 0.0 for b in _BELL_ORDER}
-    corr_num = {b: 0.0 for b in _BELL_ORDER}
-    cols = {b: [] for b in _BELL_ORDER} if want_post_states else None
+    masses = {b: 0.0 for b in BELL_IDS}
+    raw_num = {b: 0.0 for b in BELL_IDS}
+    corr_num = {b: 0.0 for b in BELL_IDS}
+    cols = {b: [] for b in BELL_IDS} if want_post_states else None
     total_mass = 0.0
     for w, occs in zip(weights, prop.components):
         if w == 0.0:
             continue
         rec = prop.record(occs)
         total_mass += w * rec.total
-        for bell_id in _BELL_ORDER:
+        for bell_id in BELL_IDS:
             masses[bell_id] += w * rec.mass[bell_id]
             raw_num[bell_id] += w * rec.f_raw[bell_id]
             corr_num[bell_id] += w * rec.f_corr[bell_id]
@@ -415,7 +395,7 @@ def _report_from(prop: _Propagator, n_bar: float,
         raise ProtocolError("plan produced a zero-mass ensemble")
 
     outcomes = []
-    for bell_id in _BELL_ORDER:
+    for bell_id in BELL_IDS:
         p = masses[bell_id] / total_mass
         if masses[bell_id] > constants.UNREACHABLE_PROBABILITY:
             f_raw = raw_num[bell_id] / masses[bell_id]
@@ -559,7 +539,7 @@ def entanglement_swap(cfg: ThermalConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# EPR preparation and readout as standalone stages
+# readout
 
 def _project_vacuum(state: StateVector, drop: list[int]) -> StateVector:
     """Slice away modes that are exactly in vacuum (post-selected ports)."""
@@ -572,71 +552,6 @@ def _project_vacuum(state: StateVector, drop: list[int]) -> StateVector:
     if residue > constants.UNREACHABLE_PROBABILITY:
         raise StateError(f"dropped modes carry weight {residue:.3e}, not vacuum")
     return StateVector(registry.reduced(keep), rows[0], normalized=state.normalized)
-
-
-def prepare_epr(model: ScatterModel = ScatterModel.PAPER_UNIFORM,
-                thermal: ThermalConfig | None = None,
-                upper: str = "A", lower: str = "B") -> State:
-    """Heralded photon-magnon Bell pair over {photon dual-rail, two magnons}.
-
-    Ground-state magnons give exactly (|H>|lower> + |V>|upper>)/sqrt(2); a
-    thermal configuration returns the corresponding mixture with one added
-    excitation entangled with the photon polarization.  The scattered photon
-    leaves on the lower path's continuation; its H and V modes are the
-    registry's first two entries, followed by the upper and lower magnons.
-    """
-    cfg = thermal or ThermalConfig(0.0)
-    registry = ModeRegistry(
-        [optical(upper, "H"), optical(upper, "V"),
-         optical(lower, "H"), optical(lower, "V"),
-         magnon(upper), magnon(lower)],
-        [1, 1, 1, 1, cfg.cutoff + 1, cfg.cutoff + 1])
-    ops = [
-        elements.beam_splitter_50_50(registry, registry.optical_index(upper, "V"),
-                                     registry.optical_index(lower, "V")),
-        elements.stokes_scatter(registry, registry.optical_index(upper, "V"),
-                                registry.optical_index(upper, "H"),
-                                registry.magnon_index(upper), model),
-        elements.stokes_scatter(registry, registry.optical_index(lower, "V"),
-                                registry.optical_index(lower, "H"),
-                                registry.magnon_index(lower), model),
-        elements.half_wave_plate(registry, upper, np.pi / 4),
-        elements.pbs(registry, upper, lower),
-    ]
-    dump = [registry.optical_index(upper, "H"), registry.optical_index(upper, "V")]
-    weights = cfg.weights()
-
-    def run(n_u: int, n_l: int) -> StateVector:
-        occ = [0] * len(registry)
-        occ[registry.optical_index(upper, "V")] = 1
-        occ[registry.magnon_index(upper)] = n_u
-        occ[registry.magnon_index(lower)] = n_l
-        psi = StateVector.from_occupation(registry, occ)
-        psi = StateVector(registry, psi.amplitudes, normalized=False)
-        for op in ops:
-            psi = apply(op, psi)
-        return _project_vacuum(psi, dump)
-
-    if thermal is None:
-        _, pure = run(0, 0).normalize()
-        return pure
-
-    reduced = None
-    mat = None
-    total = 0.0
-    for n_u in range(cfg.cutoff + 1):
-        for n_l in range(cfg.cutoff + 1):
-            w = float(weights[n_u] * weights[n_l])
-            if w == 0.0:
-                continue
-            psi = run(n_u, n_l)
-            if reduced is None:
-                reduced = psi.registry
-                mat = np.zeros((reduced.dimension, reduced.dimension), dtype=complex)
-            mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-            total += w * psi.norm() ** 2
-    # post-selected ensemble: occupation-weighted scattering renormalizes here
-    return DensityMatrix(reduced, mat / total)
 
 
 @dataclass
@@ -713,7 +628,7 @@ def readout(state: State, apply_correction: bool = False) -> ReadoutResult:
         port_dim = (c + 1) ** 2
         acc = np.zeros((port_dim, port_dim), dtype=complex)
         for val, vec in zip(vals, vecs.T):
-            if val < 1e-14:
+            if val < constants.READOUT_EIGENVALUE_FLOOR:
                 continue
             pure = StateVector(in_reg, vec, normalized=False)
             acc += val * partial_trace(run_pure(pure), port).matrix
@@ -724,7 +639,7 @@ def readout(state: State, apply_correction: bool = False) -> ReadoutResult:
         upper_rail=optical(upper, "H"),
         lower_rail=optical(upper, "V"),
         qubit_sector_weight=qubit_w,
-        partial_readout=beyond > 1e-12,
+        partial_readout=beyond > constants.PARTIAL_READOUT_TOL,
     )
 
 
@@ -753,17 +668,17 @@ DEFAULT_SWEEP_QUBIT = InputQubit(complex(1 / np.sqrt(2)), complex(1 / np.sqrt(2)
 
 def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
                    model: ScatterModel = ScatterModel.PAPER_UNIFORM,
-                   qubit: InputQubit | None = None,
-                   threads: int | None = None) -> list[SweepRow]:
+                   qubit: InputQubit | None = None) -> list[SweepRow]:
     """Heralded fidelity against the closed form over a thermal-occupation grid.
 
     The circuit is propagated once (conditional amplitudes are independent of
-    n_bar); each grid point only reweights the thermal mixture.  Rows come
-    back in grid order regardless of thread scheduling.
+    n_bar); each grid point only reweights the thermal mixture.
     """
     cfg = cfg or ThermalConfig()
     qubit = qubit or DEFAULT_SWEEP_QUBIT
     grid = [float(g) for g in grid]
+    if not all(math.isfinite(g) and g >= 0 for g in grid):
+        raise ProtocolError("sweep grid values must be finite and >= 0")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ProtocolError("sweep grid must be monotone nondecreasing")
     if protocol == "teleport":
@@ -784,11 +699,6 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
         cf = closed(n_bar)
         return SweepRow(n_bar, sim, cf, abs(sim - cf))
 
-    if threads is None:
-        threads = max(1, int(os.environ.get("OMX_THREADS", "1")))
-    if threads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(point, grid))
     return [point(g) for g in grid]
 
 
@@ -831,6 +741,6 @@ def _spin_flip_concurrence(rho4: np.ndarray) -> float:
     rt = rho4 @ yy @ rho4.conj() @ yy
     ev = np.abs(np.sort(np.linalg.eigvals(rt).real)[::-1])
     # the square root amplifies eigenvalue dust; floor it relative to the top
-    ev[ev < 1e-14 * max(ev[0], 1e-300)] = 0.0
+    ev[ev < constants.CONCURRENCE_EIGENVALUE_FLOOR * max(ev[0], 1e-300)] = 0.0
     lam = np.sqrt(ev)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from omxsim.fock import DensityMatrix, ModeRegistry, StateVector
+from omxsim.fock import ModeRegistry, StateVector
 
 
 @pytest.fixture
@@ -13,16 +13,6 @@ def rng():
 def random_pure(registry: ModeRegistry, rng) -> StateVector:
     amps = rng.normal(size=registry.dimension) + 1j * rng.normal(size=registry.dimension)
     return StateVector(registry, amps / np.linalg.norm(amps))
-
-
-def random_mixed(registry: ModeRegistry, rng, rank: int = 3) -> DensityMatrix:
-    mat = np.zeros((registry.dimension, registry.dimension), dtype=complex)
-    weights = rng.random(rank)
-    weights /= weights.sum()
-    for w in weights:
-        psi = random_pure(registry, rng)
-        mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(registry, mat)
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

@@ -60,6 +60,34 @@ def test_invalid_qubit_is_simulation_error(capsys):
     assert "simulation error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("teleport", "--n-bar", "nan"),
+    ("swap", "--n-bar", "inf", "--cutoff", "1"),
+])
+def test_non_finite_occupation_is_simulation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_huge_occupation_reports_the_large_occupation_limit(capsys):
+    # s = n_bar/(n_bar+1) rounds to 1: the renormalized truncated weights
+    # take their uniform limit and the fidelity its 1/9 limit
+    code, out, _ = run_cli(capsys, "teleport", "--n-bar", "1e308")
+    assert code == 0
+    assert "NaN" not in out and "Infinity" not in out
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["aggregate_fidelity"] == pytest.approx(1 / 9, abs=1e-12)
+    assert payload["closed_form"]["full_thermal"] == 0.0
+    # without renormalization every weight is 0
+    code, out, err = run_cli(capsys, "teleport", "--n-bar", "1e308", "--no-renormalize")
+    assert code == 2
+    assert out == ""
+    assert err == "omxsim: simulation error: plan produced a zero-mass ensemble\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -136,6 +164,18 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "second mode argument" in err
 
 
+def test_circuit_with_infinite_occupation_exits_2(tmp_path, capsys):
+    # the circuit language reads 1e999 as inf
+    source = (CIRCUITS / "teleport.omx").read_text()
+    assert "set n_bar = 0.2\n" in source
+    bad = tmp_path / "hot.omx"
+    bad.write_text(source.replace("set n_bar = 0.2\n", "set n_bar = 1e999\n"))
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_semantic_error_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.omx"
     bad.write_text("mode photon A\napply bs50(A.V, Z.V)\nmeasure bell(A, A)\n")
@@ -185,15 +225,6 @@ def test_module_entry_point_runs_as_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     jsonschema.validate(payload, SCHEMA)
-
-
-def test_omx_threads_env_does_not_change_output(monkeypatch, capsys):
-    args = ("sweep", "--protocol", "teleport", "--from", "0", "--to", "0.3",
-            "--steps", "13")
-    _, sequential, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("OMX_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert sequential == threaded
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

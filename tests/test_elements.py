@@ -13,7 +13,6 @@ from omxsim.elements import (
     phase_shift,
     quarter_wave_plate,
     qwp_jones,
-    solve_preparation_angles,
     stokes_scatter,
 )
 from omxsim.fock import (
@@ -118,24 +117,6 @@ def test_qwp_diagonal_angle_makes_circular():
     out = qwp_jones(np.pi / 4) @ np.array([1, 0], dtype=complex)
     assert out[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert out[1] == pytest.approx(1j / np.sqrt(2), abs=1e-12)
-
-
-def test_preparation_solver_reaches_circular_target():
-    alpha, beta = 1 / np.sqrt(2), 1j / np.sqrt(2)
-    th, tq = solve_preparation_angles(alpha, beta)
-    out = qwp_jones(tq) @ hwp_jones(th) @ np.array([1, 0], dtype=complex)
-    overlap = abs(np.conj([alpha, beta]) @ out) ** 2
-    assert overlap == pytest.approx(1.0, abs=1e-9)
-
-
-def test_preparation_solver_covers_sphere(rng):
-    for _ in range(6):
-        theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-        alpha = np.cos(theta / 2)
-        beta = np.exp(1j * phi) * np.sin(theta / 2)
-        th, tq = solve_preparation_angles(alpha, beta)
-        out = qwp_jones(tq) @ hwp_jones(th) @ np.array([1, 0], dtype=complex)
-        assert abs(np.conj([alpha, beta]) @ out) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_wave_plates_need_both_polarizations():

@@ -12,8 +12,6 @@ from omxsim.fock import (
     StateError,
     StateVector,
     apply,
-    embed_cutoffs,
-    expm_apply,
     fidelity,
     magnon,
     optical,
@@ -22,7 +20,7 @@ from omxsim.fock import (
 )
 from omxsim.elements import beam_splitter_50_50
 
-from conftest import brute_partial_trace, random_mixed, random_pure, random_unitary
+from conftest import brute_partial_trace, random_pure, random_unitary
 
 
 def two_magnons(cutoff=1):
@@ -103,24 +101,6 @@ def test_tensor_builds_joint_bell_qubit_state():
     assert np.count_nonzero(joint.amplitudes) == 4
 
 
-def test_tensor_thermal_pair_gives_nine_term_mixture():
-    s = 0.2 / 1.2
-    reg1 = ModeRegistry([magnon("A")], [2])
-    weights = (1 - s) * s ** np.arange(3)
-    rho = DensityMatrix(reg1, np.diag(weights).astype(complex), normalized=False)
-    reg2 = ModeRegistry([magnon("B")], [2])
-    rho2 = DensityMatrix(reg2, np.diag(weights).astype(complex), normalized=False)
-    joint = tensor(rho, rho2)
-    assert joint.matrix.shape == (9, 9)
-    for na in range(3):
-        for nb in range(3):
-            idx = joint.registry.index_of_occupation([na, nb])
-            assert joint.matrix[idx, idx] == pytest.approx(
-                (1 - s) ** 2 * s ** (na + nb), abs=1e-15)
-    off = joint.matrix - np.diag(np.diag(joint.matrix))
-    assert np.abs(off).max() == 0.0
-
-
 def test_tensor_rejects_duplicate_labels():
     a = StateVector.vacuum(ModeRegistry([magnon("A")], [1]))
     with pytest.raises(RegistryError, match="duplicate"):
@@ -144,14 +124,6 @@ def test_apply_beam_splitter_single_photon():
     out = apply(beam_splitter_50_50(reg, 0, 1), psi)
     assert out.amplitude([1, 0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert out.amplitude([0, 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-
-def test_apply_unitary_preserves_density_trace(rng):
-    reg = two_magnons(cutoff=2)
-    rho = random_mixed(reg, rng)
-    u = random_unitary(3, rng)
-    out = apply(ElementOp((1,), u, OpFlavor.UNITARY), rho)
-    assert out.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_rejects_out_of_range_target():
@@ -196,11 +168,24 @@ def test_partial_trace_of_joint_state_matches_brute_force():
 
 def test_partial_trace_keep_all_and_empty():
     reg = two_magnons()
-    rho = StateVector.from_occupation(reg, [1, 1]).to_density_matrix()
-    same = partial_trace(rho, [0, 1])
-    assert np.allclose(same.matrix, rho.matrix)
+    psi = StateVector.from_occupation(reg, [1, 1])
+    same = partial_trace(psi, [0, 1])
+    assert np.allclose(same.matrix, psi.to_density_matrix().matrix)
     with pytest.raises(StateError):
-        partial_trace(rho, [])
+        partial_trace(psi, [])
+
+
+def test_operators_reject_density_matrices():
+    reg = two_magnons()
+    rho = StateVector.vacuum(reg).to_density_matrix()
+    other = StateVector.vacuum(ModeRegistry([magnon("C")], [1]))
+    op = ElementOp((0,), np.eye(2, dtype=complex), OpFlavor.UNITARY)
+    with pytest.raises(StateError, match="apply: expects a StateVector"):
+        apply(op, rho)
+    with pytest.raises(StateError, match="tensor: expects a StateVector"):
+        tensor(other, rho)
+    with pytest.raises(StateError, match="partial_trace: expects a StateVector"):
+        partial_trace(rho, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,45 +234,6 @@ def test_fidelity_rejects_registry_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# expm_apply
-
-def test_expm_zero_time_is_identity(rng):
-    reg = two_magnons(cutoff=2)
-    psi = random_pure(reg, rng)
-    gen = np.diag(np.arange(9.0))
-    out = expm_apply(gen, 0.0, psi, (0, 1))
-    assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-14)
-
-
-def test_expm_two_mode_squeezer_amplitude():
-    reg = ModeRegistry([optical("b", "H"), magnon("m")], [4, 4])
-    dims = [5, 5]
-    b = fock.embed_local({0: fock.destroy(5)}, dims)
-    m = fock.embed_local({1: fock.destroy(5)}, dims)
-    gen = b @ m + (b @ m).conj().T
-    out = expm_apply(gen, 0.1, StateVector.vacuum(reg), (0, 1))
-    amp = abs(out.amplitude([1, 1]))
-    assert amp == pytest.approx(np.tanh(0.1) / np.cosh(0.1), abs=1e-4)
-
-
-def test_expm_half_period_beam_splitter_swap():
-    reg = ModeRegistry([optical("a", "H"), magnon("m")], [1, 1])
-    dims = [2, 2]
-    a = fock.embed_local({0: fock.destroy(2)}, dims)
-    m = fock.embed_local({1: fock.destroy(2)}, dims)
-    gen = a.conj().T @ m + a @ m.conj().T
-    out = expm_apply(gen, np.pi / 2, StateVector.from_occupation(reg, [0, 1]), (0, 1))
-    assert out.amplitude([1, 0]) == pytest.approx(-1j, abs=1e-12)
-
-
-def test_expm_rejects_non_hermitian():
-    reg = two_magnons()
-    gen = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(OperatorError, match="Hermitian"):
-        expm_apply(gen, 1.0, StateVector.vacuum(reg), (0,))
-
-
-# ---------------------------------------------------------------------------
 # invariants
 
 def test_unitary_preserves_norm_and_spectrum(rng):
@@ -296,78 +242,39 @@ def test_unitary_preserves_norm_and_spectrum(rng):
     op = ElementOp((0, 1), u, OpFlavor.UNITARY)
     psi = random_pure(reg, rng)
     assert apply(op, psi).norm() == pytest.approx(1.0, abs=1e-10)
-    rho = random_mixed(reg, rng)
-    out = apply(op, rho)
-    assert out.trace() == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(np.sort(out.eigenvalues()), np.sort(rho.eigenvalues()),
+    # a mixture goes through the operator as its pure components
+    weights = np.array([0.5, 0.3, 0.2])
+    comps = [random_pure(reg, rng) for _ in weights]
+    before = sum(w * np.outer(c.amplitudes, c.amplitudes.conj())
+                 for w, c in zip(weights, comps))
+    outs = [apply(op, c).amplitudes for c in comps]
+    after = sum(w * np.outer(o, o.conj()) for w, o in zip(weights, outs))
+    assert np.trace(after).real == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(np.linalg.eigvalsh(after), np.linalg.eigvalsh(before),
                        atol=1e-10)
 
 
 def test_tensor_then_partial_trace_recovers_factors(rng):
     rega = ModeRegistry([magnon("A")], [2])
     regb = ModeRegistry([magnon("B"), magnon("C")], [1, 1])
-    rho_a = random_mixed(rega, rng)
-    rho_b = random_mixed(regb, rng)
-    joint = tensor(rho_a, rho_b)
+    psi_a = random_pure(rega, rng)
+    psi_b = random_pure(regb, rng)
+    joint = tensor(psi_a, psi_b)
     back_a = partial_trace(joint, [0])
     back_b = partial_trace(joint, [1, 2])
-    assert np.allclose(back_a.matrix, rho_a.matrix, atol=1e-12)
-    assert np.allclose(back_b.matrix, rho_b.matrix, atol=1e-12)
-
-
-def test_density_apply_matches_spectral_decomposition(rng):
-    reg = two_magnons(cutoff=2)
-    rho = random_mixed(reg, rng, rank=4)
-    u = random_unitary(3, rng)
-    op = ElementOp((0,), u, OpFlavor.UNITARY)
-    direct = apply(op, rho)
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    recombined = np.zeros_like(rho.matrix)
-    for val, vec in zip(vals, vecs.T):
-        if val < 1e-14:
-            continue
-        out = apply(op, StateVector(reg, vec, normalized=False))
-        recombined += val * np.outer(out.amplitudes, out.amplitudes.conj())
-    assert np.abs(direct.matrix - recombined).max() < 1e-10
-
-
-def test_expm_composes_additively(rng):
-    reg = ModeRegistry([optical("b", "H"), magnon("m")], [3, 3])
-    dims = [4, 4]
-    b = fock.embed_local({0: fock.destroy(4)}, dims)
-    m = fock.embed_local({1: fock.destroy(4)}, dims)
-    gen = b @ m + (b @ m).conj().T
-    psi = random_pure(reg, rng)
-    one = expm_apply(gen, 0.3, psi, (0, 1))
-    two = expm_apply(gen, 0.2, expm_apply(gen, 0.1, psi, (0, 1)), (0, 1))
-    assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-10
+    assert np.allclose(back_a.matrix, psi_a.to_density_matrix().matrix, atol=1e-12)
+    assert np.allclose(back_b.matrix, psi_b.to_density_matrix().matrix, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# embedding and state validation
-
-def test_embed_cutoffs_preserves_occupation_amplitudes(rng):
-    reg = two_magnons(cutoff=1)
-    psi = random_pure(reg, rng)
-    wide = embed_cutoffs(psi, [3, 2])
-    for idx in range(reg.dimension):
-        occ = reg.occupation_of(idx)
-        assert wide.amplitude(occ) == psi.amplitudes[idx]
-    assert wide.norm() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(RegistryError):
-        embed_cutoffs(psi, [1])
-    with pytest.raises(RegistryError):
-        embed_cutoffs(wide, [1, 1])
-
+# state validation
 
 def test_state_normalization_flags():
     reg = two_magnons()
     with pytest.raises(StateError, match="norm"):
         StateVector(reg, np.array([0.5, 0, 0, 0]))
     flagged = StateVector(reg, np.array([0.5, 0, 0, 0]), normalized=False)
-    prob, unit = flagged.normalize()
-    assert prob == pytest.approx(0.25)
-    assert unit.norm() == pytest.approx(1.0)
+    assert flagged.norm() == pytest.approx(0.5)
     with pytest.raises(StateError, match="Hermitian"):
         DensityMatrix(reg, np.triu(np.ones((4, 4))))
     with pytest.raises(StateError, match="trace"):

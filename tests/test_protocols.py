@@ -4,15 +4,14 @@ import pytest
 from omxsim import elements, protocols
 from omxsim.elements import ScatterModel
 from omxsim.fock import (
-    DensityMatrix,
     ModeRegistry,
     StateVector,
     apply,
-    fidelity,
     magnon,
     optical,
 )
 from omxsim.measurement import BellId
+from omxsim.plans import PlanError
 from omxsim.protocols import (
     InputQubit,
     ProtocolError,
@@ -23,8 +22,6 @@ from omxsim.protocols import (
     entanglement_swap,
     full_thermal_f1,
     genuine_threshold,
-    prepare_epr,
-    prepare_thermal,
     readout,
     retrieved_qubit_fidelity,
     sweep_fidelity,
@@ -57,74 +54,12 @@ def test_input_qubit_validation():
 def test_thermal_config_validation():
     with pytest.raises(ProtocolError):
         ThermalConfig(-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ProtocolError, match="finite"):
+            ThermalConfig(bad)
     with pytest.raises(ProtocolError):
         ThermalConfig(0.1, cutoff=0)
     assert ThermalConfig(0.2).s == pytest.approx(1 / 6)
-
-
-# ---------------------------------------------------------------------------
-# thermal preparation
-
-def test_prepare_thermal_ground_state():
-    rho = prepare_thermal(ThermalConfig(0.0))
-    assert rho.matrix[0, 0] == pytest.approx(1.0)
-    assert np.abs(rho.matrix).sum() == pytest.approx(1.0)
-
-
-def test_prepare_thermal_renormalized_weights():
-    rho = prepare_thermal(ThermalConfig(0.2, cutoff=2))
-    diag = np.real(np.diag(rho.matrix))
-    assert np.allclose(diag, [36 / 43, 6 / 43, 1 / 43], atol=1e-12)
-    assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_prepare_thermal_high_cutoff_matches_geometric_law():
-    cfg = ThermalConfig(0.2, cutoff=25, renormalize=False)
-    rho = prepare_thermal(cfg)
-    s = cfg.s
-    diag = np.real(np.diag(rho.matrix))
-    assert np.allclose(diag, (1 - s) * s ** np.arange(26), atol=1e-15)
-    assert rho.trace() == pytest.approx(1.0, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# EPR preparation
-
-def test_prepare_epr_ground_state_is_bell_pair():
-    psi = prepare_epr()
-    reg = psi.registry
-    target = np.zeros(reg.dimension, dtype=complex)
-    # H photon with the lower-arm magnon, V photon with the upper-arm magnon
-    occ_h = [0] * len(reg)
-    occ_h[reg.optical_index("B", "H")] = 1
-    occ_h[reg.magnon_index("B")] = 1
-    occ_v = [0] * len(reg)
-    occ_v[reg.optical_index("B", "V")] = 1
-    occ_v[reg.magnon_index("A")] = 1
-    target[reg.index_of_occupation(occ_h)] = 1 / np.sqrt(2)
-    target[reg.index_of_occupation(occ_v)] = 1 / np.sqrt(2)
-    assert fidelity(psi.to_density_matrix(), StateVector(reg, target)) == \
-        pytest.approx(1.0, abs=1e-12)
-
-
-def test_prepare_epr_thermal_mixture_weights():
-    cfg = ThermalConfig(0.2, cutoff=2)
-    rho = prepare_epr(thermal=cfg)
-    reg = rho.registry
-    s = cfg.s
-    # every diagonal pair (H, n_A, n_B+1) and (V, n_A+1, n_B) carries half the
-    # component weight s^(nA+nB) (1-s)^2 / norm
-    wsum = sum(s ** (na + nb) for na in range(3) for nb in range(3))
-    for na in range(3):
-        for nb in range(3):
-            occ = [0] * len(reg)
-            occ[reg.optical_index("B", "H")] = 1
-            occ[reg.magnon_index("A")] = na
-            occ[reg.magnon_index("B")] = nb + 1
-            idx = reg.index_of_occupation(occ)
-            expected = 0.5 * s ** (na + nb) / wsum
-            assert rho.matrix[idx, idx] == pytest.approx(expected, abs=1e-12)
-    assert rho.trace() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unsuccessful_scattering_exits_other_port():
@@ -216,6 +151,9 @@ def test_teleport_per_mode_thermal_overrides():
                       * sum(s_b ** n for n in range(3)))
     assert rep.aggregate_fidelity == pytest.approx(expected, abs=1e-12)
     assert rep.config["n_bar_overrides"] == {"A": 0.3, "B": 0.1}
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(PlanError, match="finite"):
+            teleport(InputQubit(0.6, 0.8), n_bar_overrides={"A": bad})
 
 
 def test_include_odd_parity_switch():
@@ -342,6 +280,9 @@ def test_closed_forms_reference_values():
     assert closed_form_f1(0.2) == pytest.approx(F1_AT_02, abs=1e-15)
     assert closed_form_f2(0.2) == pytest.approx(F1_AT_02 ** 2, abs=1e-15)
     assert full_thermal_f1(0.2) == pytest.approx(25 / 36, abs=1e-15)
+    # s rounds to 1: the large-occupation limits, without overflow
+    assert closed_form_f1(1e308) == pytest.approx(1 / 9, abs=1e-15)
+    assert full_thermal_f1(1e308) == 0.0
 
 
 def test_closed_form_is_monotone_decreasing():
@@ -350,13 +291,15 @@ def test_closed_form_is_monotone_decreasing():
 
 
 def test_threshold_against_algebraic_inversion():
-    target = 2 / 3
-    # invert 1/(1+s+s^2)^2 = t by the quadratic formula
-    c = 1 / np.sqrt(target)
-    s_star = (-1 + np.sqrt(4 * c - 3)) / 2
-    expected = s_star / (1 - s_star)
-    assert genuine_threshold(target) == pytest.approx(expected, abs=1e-8)
-    assert genuine_threshold(target) == pytest.approx(0.2331, abs=1e-4)
+    for target in (2 / 3, 0.6667, 0.99999, 0.1111112):
+        # invert 1/(1+s+s^2)^2 = t by the quadratic formula
+        c = 1 / np.sqrt(target)
+        s_star = (-1 + np.sqrt(4 * c - 3)) / 2
+        expected = s_star / (1 - s_star)
+        value = genuine_threshold(target)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert closed_form_f1(value) == pytest.approx(target, rel=1e-12)
+    assert genuine_threshold(2 / 3) == pytest.approx(0.2331, abs=1e-4)
 
 
 def test_threshold_edge_cases():
@@ -366,6 +309,8 @@ def test_threshold_edge_cases():
         genuine_threshold(0.05)
     with pytest.raises(ProtocolError):
         genuine_threshold(1.5)
+    # the smallest reachable target still gives s < 1 and a finite root
+    assert 4e15 < genuine_threshold(np.nextafter(1 / 9, 1)) < 5e15
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +338,14 @@ def test_sweep_swap_is_square_of_teleport():
         assert b.closed_form == pytest.approx(a.closed_form ** 2, abs=1e-12)
 
 
-def test_sweep_threaded_equals_sequential():
-    seq = sweep_fidelity("teleport", GRID, threads=1)
-    par = sweep_fidelity("teleport", GRID, threads=4)
-    assert seq == par
-
-
 def test_sweep_rejects_bad_grid():
     with pytest.raises(ProtocolError):
         sweep_fidelity("teleport", [0.2, 0.1])
     with pytest.raises(ProtocolError):
         sweep_fidelity("nope", [0.1])
+    for grid in ([-0.1, 0.0], [0.0, float("nan")], [0.0, float("inf")]):
+        with pytest.raises(ProtocolError, match="finite and >= 0"):
+            sweep_fidelity("teleport", grid)
 
 
 # ---------------------------------------------------------------------------
