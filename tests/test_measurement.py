@@ -13,11 +13,13 @@ from omxsim.fock import (
     tensor,
 )
 from omxsim.measurement import (
+    BELL_IDS,
     BellId,
     bell_projectors,
     bell_state_vectors,
     sample_outcomes,
 )
+from omxsim.protocols import InputQubit, ThermalConfig, teleport
 
 
 def photon_pair_registry():
@@ -160,6 +162,71 @@ def test_detection_patterns_for_pure_even_parity_input():
     assert probs[(0, 1, 0, 1)] == pytest.approx(0.5, abs=1e-12)   # (3v, 4v)
     assert probs[(1, 0, 0, 1)] < 1e-12
     assert probs[(0, 1, 1, 0)] < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# herald probabilities
+
+def herald_probabilities(state, path1="b", path2="c"):
+    projs = bell_projectors(state.registry, path1, path2)
+    return {bid: apply(projs[bid], state).norm() ** 2 for bid in BELL_IDS}
+
+
+def test_detection_on_joint_state_gives_quarter_probabilities():
+    for alpha, beta in ((1.0, 0.0), (0.6, 0.8), (1 / np.sqrt(2), 1j / np.sqrt(2))):
+        probs = herald_probabilities(joint_teleport_state(alpha, beta))
+        for bid in BELL_IDS:
+            assert probs[bid] == pytest.approx(0.25, abs=1e-10)
+        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_detection_zero_probability_on_other_bell_ids():
+    reg = photon_pair_registry()
+    for bid in BELL_IDS:
+        probs = herald_probabilities(bell_state(reg, bid))
+        assert probs[bid] == pytest.approx(1.0, abs=1e-12)
+        for other in BELL_IDS:
+            if other is not bid:
+                assert probs[other] < 1e-12
+
+
+def test_detection_odd_parity_states_bunch_and_need_number_resolution():
+    # through the analyzer both photons of psi+ land on one detector, so the
+    # coincidence patterns never fire and only a number-resolving detector
+    # registers the herald
+    wide = ModeRegistry(photon_pair_registry().modes, [2, 2, 2, 2])
+    routed = bell_state(wide, BellId.PSI_PLUS)
+    for op in (elements.pbs(wide, "b", "c"),
+               elements.half_wave_plate(wide, "b", np.pi / 8),
+               elements.half_wave_plate(wide, "c", np.pi / 8)):
+        routed = apply(op, routed)
+    bunched = sum(abs(routed.amplitude(list(occ))) ** 2
+                  for occ in [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+    coincident = sum(abs(routed.amplitude(list(occ))) ** 2
+                     for occ in [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0)])
+    assert bunched == pytest.approx(1.0, abs=1e-10)
+    assert coincident < 1e-12
+    assert herald_probabilities(bell_state(photon_pair_registry(), BellId.PSI_PLUS)
+                                )[BellId.PSI_PLUS] == pytest.approx(1.0, abs=1e-10)
+
+    out = teleport(InputQubit(0.6, 0.8), ThermalConfig(0.0)).outcome(BellId.PSI_PLUS)
+    assert out.requires_number_resolution
+    assert not out.included_in_aggregate
+
+
+def test_detection_vacuum_gives_single_no_herald():
+    probs = herald_probabilities(StateVector.vacuum(photon_pair_registry()))
+    assert all(p < 1e-15 for p in probs.values())
+    assert 1.0 - sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_detection_is_global_phase_invariant():
+    joint = joint_teleport_state(0.6, 0.8)
+    shifted = StateVector(joint.registry, np.exp(1j * 0.83) * joint.amplitudes)
+    a = herald_probabilities(joint)
+    b = herald_probabilities(shifted)
+    for bid in BELL_IDS:
+        assert a[bid] == pytest.approx(b[bid], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omxsim import elements, protocols
+from omxsim import elements, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.fock import (
     ModeRegistry,
@@ -60,6 +60,94 @@ def test_thermal_config_validation():
     with pytest.raises(ProtocolError):
         ThermalConfig(0.1, cutoff=0)
     assert ThermalConfig(0.2).s == pytest.approx(1 / 6)
+
+
+# ---------------------------------------------------------------------------
+# thermal preparation
+
+def test_prepare_thermal_ground_state():
+    weights = ThermalConfig(0.0).weights()
+    assert weights[0] == pytest.approx(1.0)
+    assert np.abs(weights).sum() == pytest.approx(1.0)
+
+
+def test_prepare_thermal_renormalized_weights():
+    weights = ThermalConfig(0.2, cutoff=2).weights()
+    assert np.allclose(weights, [36 / 43, 6 / 43, 1 / 43], atol=1e-12)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_prepare_thermal_high_cutoff_matches_geometric_law():
+    cfg = ThermalConfig(0.2, cutoff=25, renormalize=False)
+    weights = cfg.weights()
+    s = cfg.s
+    assert np.allclose(weights, (1 - s) * s ** np.arange(26), atol=1e-15)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# EPR preparation: the teleport plan's interferometer before the Bell analyzer
+
+def _epr_component(plan, registry, occs):
+    state = StateVector(registry, plans.initial_vector(plan, registry, occs),
+                        normalized=False)
+    for op in plans.build_elements(plan, registry):
+        state = apply(op, state)
+    return state
+
+
+def _epr_occupation(reg, pol, n_a, n_b):
+    # photon B carries the polarization, the input photon c stays in H
+    occ = [0] * len(reg)
+    occ[reg.optical_index("B", pol)] = 1
+    occ[reg.magnon_index("A")] = n_a
+    occ[reg.magnon_index("B")] = n_b
+    occ[reg.optical_index("c", "H")] = 1
+    return occ
+
+
+def test_prepare_epr_ground_state_is_bell_pair():
+    plan = protocols.teleport_plan(InputQubit(1.0, 0.0), ThermalConfig(0.0))
+    reg = plans.build_registry(plan)
+    psi = _epr_component(plan, reg, (0, 0))
+    # H photon with the lower-arm magnon, V photon with the upper-arm magnon;
+    # the upper path is left in vacuum
+    target = np.zeros(reg.dimension, dtype=complex)
+    target[reg.index_of_occupation(_epr_occupation(reg, "H", 0, 1))] = 1 / np.sqrt(2)
+    target[reg.index_of_occupation(_epr_occupation(reg, "V", 1, 0))] = 1 / np.sqrt(2)
+    assert psi.norm() > 0.0
+    overlap = abs(np.vdot(target, psi.amplitudes)) ** 2 / psi.norm() ** 2
+    assert overlap == pytest.approx(1.0, abs=1e-12)
+
+
+def test_prepare_epr_thermal_mixture_weights():
+    cfg = ThermalConfig(0.2, cutoff=2)
+    plan = protocols.teleport_plan(InputQubit(1.0, 0.0), cfg)
+    reg = plans.build_registry(plan)
+    s = cfg.s
+    components = list(plans.iter_components(plan))
+    assert len(components) == 9
+    diag = np.zeros(reg.dimension)
+    total = 0.0
+    for occs in components:
+        w = plans.component_weight(plan, occs, cfg.n_bar)
+        psi = _epr_component(plan, reg, occs)
+        diag += w * np.abs(psi.amplitudes) ** 2
+        total += w * psi.norm() ** 2
+    diag /= total
+    # every diagonal pair (H, n_A, n_B+1) and (V, n_A+1, n_B) carries half the
+    # component weight s^(nA+nB) (1-s)^2 / norm
+    wsum = sum(s ** (na + nb) for na in range(3) for nb in range(3))
+    populated = 0.0
+    for na in range(3):
+        for nb in range(3):
+            expected = 0.5 * s ** (na + nb) / wsum
+            for occ in (_epr_occupation(reg, "H", na, nb + 1),
+                        _epr_occupation(reg, "V", na + 1, nb)):
+                p = diag[reg.index_of_occupation(occ)]
+                assert p == pytest.approx(expected, abs=1e-12)
+                populated += p
+    assert populated == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unsuccessful_scattering_exits_other_port():
