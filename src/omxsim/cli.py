@@ -1,8 +1,9 @@
 """Command-line interface: protocol runs, sweeps, threshold solving, and
 execution of `.omx` circuit files.
 
-Exit codes: 0 success, 1 usage error, 2 simulation error, 3 parse or
-semantic error in a circuit file.  Identical invocations produce
+Exit codes: 0 success, 1 usage error (including a circuit file that cannot
+be read or an output file that cannot be written), 2 simulation error, 3
+parse or semantic error in a circuit file.  Identical invocations produce
 byte-identical output; the only nondeterminism is behind an explicit
 --sample/--seed pair, and the seed pins it.
 """
@@ -88,8 +89,20 @@ def _thermal_from(args) -> ThermalConfig:
 def _emit(text: str, output: Path | None):
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         output.write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output}: {exc.strerror}") from None
+
+
+def _read_circuit(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise _UsageError(f"cannot read {path}: not a text file") from None
 
 
 def _report_json(report, sample: int | None, seed: int | None) -> str:
@@ -194,13 +207,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "run":
-        plan = dsl.compile_source(args.file.read_text())
+        plan = dsl.compile_source(_read_circuit(args.file))
         report = protocols.execute_plan(plan)
         _emit(report.to_json() + "\n", args.output)
         return 0
 
     if args.command == "validate":
-        plan = dsl.compile_source(args.file.read_text())
+        plan = dsl.compile_source(_read_circuit(args.file))
         n_modes = 2 * len(plan.photon_decls()) + len(plan.magnon_decls())
         print(f"OK: {args.file} ({n_modes} modes, {len(plan.steps)} elements, "
               f"protocol {plan.settings.protocol})")

@@ -103,6 +103,10 @@ class PlanSettings:
             raise PlanError("thermal cutoff must be >= 1")
         if self.photon_cutoff < 1:
             raise PlanError("photon cutoff must be >= 1")
+        for name in ("alpha", "beta"):
+            value = complex(getattr(self, name))
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise PlanError(f"qubit amplitude {name} must be finite, got {value}")
         for path, value in self.n_bar_overrides:
             if not math.isfinite(value):
                 raise PlanError(f"override for {path!r} must be finite, got {value}")
@@ -199,14 +203,16 @@ def build_elements(plan: CircuitPlan, registry: ModeRegistry) -> list[ElementOp]
     return ops
 
 
-def iter_components(plan: CircuitPlan) -> Iterator[tuple[int, ...]]:
+def iter_components(plan: CircuitPlan, magnons: Sequence[MagnonDecl] | None = None
+                    ) -> Iterator[tuple[int, ...]]:
     """All joint thermal occupations (ground magnons pinned to 0).
 
-    Yields one occupation per magnon declaration, in declaration order; the
-    component set depends only on the thermal cutoff, not on n_bar.
+    Yields one occupation per magnon declaration (`magnons`, default all of
+    the plan's), in declaration order; the component set depends only on the
+    thermal cutoff, not on n_bar.
     """
     ranges = []
-    for decl in plan.magnon_decls():
+    for decl in plan.magnon_decls() if magnons is None else magnons:
         if decl.init == "thermal":
             ranges.append(range(plan.settings.thermal_cutoff + 1))
         else:
@@ -215,26 +221,40 @@ def iter_components(plan: CircuitPlan) -> Iterator[tuple[int, ...]]:
 
 
 def component_weight(plan: CircuitPlan, occupations: Sequence[int],
-                     shared_n_bar: float) -> float:
-    """Probability weight of one thermal component (per-mode overrides apply)."""
+                     shared_n_bar: float,
+                     magnons: Sequence[MagnonDecl] | None = None,
+                     weight: float | np.ndarray = 1.0) -> float | np.ndarray:
+    """Probability weight of one thermal component (per-mode overrides apply).
+
+    `occupations` belong to `magnons` (default all of the plan's magnons).
+    Their factors multiply onto `weight`, which may be an array: given the
+    weights of one group's components, this gives every joint weight with a
+    component of a second group, in the joint component's product order.
+    """
     s = plan.settings
-    w = 1.0
-    for decl, n in zip(plan.magnon_decls(), occupations):
+    w = weight
+    for decl, n in zip(plan.magnon_decls() if magnons is None else magnons,
+                       occupations):
         if decl.init == "thermal":
             weights = thermal_weights(s.n_bar_for(decl.path, shared_n_bar),
                                       s.thermal_cutoff, s.renormalize)
-            w *= weights[n]
+            w = w * weights[n]
         # ground modes contribute weight 1 at n = 0
-    return float(w)
+    return w if isinstance(w, np.ndarray) else float(w)
 
 
 def initial_vector(plan: CircuitPlan, registry: ModeRegistry,
-                   occupations: Sequence[int]) -> np.ndarray:
-    """Initial amplitude vector for one thermal component (raw ndarray)."""
+                   occupations: Sequence[int], decls: Sequence | None = None
+                   ) -> np.ndarray:
+    """Initial amplitude vector for one thermal component (raw ndarray).
+
+    `decls` (default all of the plan's) are the declarations `registry`
+    holds, in plan order; `occupations` belong to their magnons.
+    """
     s = plan.settings
     local_vectors = []
     mag_iter = iter(occupations)
-    for decl in plan.decls:
+    for decl in plan.decls if decls is None else decls:
         if isinstance(decl, PhotonDecl):
             d = s.photon_cutoff + 1
             vec = np.zeros(d * d, dtype=complex)   # little-endian (H, V)

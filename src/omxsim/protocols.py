@@ -16,13 +16,23 @@ n = 2 the heralded fidelities take the closed forms
 
 while the untruncated mixture gives (1-s)^2 and (1-s)^4; reports carry both
 so the truncation sensitivity stays visible.
+
+Execution splits a plan at the Bell analyzer.  Declarations that an element
+acts on together form one group (a photon path's H and V modes always
+together); side 2 is the group holding the analyzer's second path, side 1
+everything else, or the whole circuit if its elements join the two paths.
+Each side's thermal components run through that side's elements on its own
+registry, and the sides meet only in the herald: both outputs are
+contracted with the Bell vectors and fidelity targets into tables over the
+component pairs, which each report and sweep point weights with the thermal
+mixture.  The joint registry is built for its size limit only.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +40,7 @@ from . import constants, elements, measurement, plans
 from .elements import ScatterModel
 from .fock import (
     DensityMatrix,
+    ElementOp,
     ModeKind,
     ModeRegistry,
     OmxError,
@@ -69,13 +80,20 @@ class InputQubit:
     beta: complex
 
     def __post_init__(self):
-        nrm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(nrm - 1.0) > constants.NORM_TOL:
+        amps = (complex(self.alpha), complex(self.beta))
+        if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
+            raise ProtocolError(f"input qubit amplitudes must be finite, got "
+                                f"{amps[0]} and {amps[1]}")
+        # products, not ** 2: a huge amplitude overflows to inf, not an error
+        nrm = abs(amps[0]) * abs(amps[0]) + abs(amps[1]) * abs(amps[1])
+        if not abs(nrm - 1.0) <= constants.NORM_TOL:
             raise ProtocolError(f"input qubit norm^2 = {nrm} deviates from 1")
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "InputQubit":
         """Bloch-sphere angles: alpha = cos(theta/2), beta = e^{i phi} sin(theta/2)."""
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ProtocolError(f"Bloch angles must be finite, got {theta} and {phi}")
         return cls(complex(np.cos(theta / 2)),
                    complex(np.exp(1j * phi) * np.sin(theta / 2)))
 
@@ -287,148 +305,309 @@ def _targets_for(plan: CircuitPlan, reduced: ModeRegistry) -> dict[BellId, tuple
     }
 
 
-@dataclass
-class _ComponentRecord:
-    """Post-circuit conditionals of one thermal component (n_bar independent)."""
+def _split_sides(plan: CircuitPlan, owner: list[int],
+                 registry: ModeRegistry, ops: list[ElementOp]) -> list[set[int]]:
+    """Declaration indices of the Bell analyzer's two sides.
 
-    total: float                               # squared norm after the circuit
-    mass: dict                                 # bell -> squared conditional norm
-    f_raw: dict                                # bell -> <t_raw| rho_c |t_raw>
-    f_corr: dict                               # bell -> <t_corr| rho_c |t_corr>
-    cond: dict                                 # bell -> pruned (magnon x rest) block
+    `owner[m]` is the declaration holding registry mode m, so a photon
+    path's H and V modes (which a qubit init entangles) always stay
+    together; an element joins the declarations of all its targets.  Side 2
+    is the group holding the analyzer's second path, unless the elements
+    join it to the first path's group; side 1 is everything else.  A circuit
+    that couples everything runs as side 1 alone, with an empty side 2.
+    """
+    root = list(range(len(plan.decls)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    for op in ops:
+        first = find(owner[op.targets[0]])
+        for t in op.targets[1:]:
+            root[find(owner[t])] = first
+    g1, g2 = (find(owner[registry.optical_index(path, "H")])
+              for path in (plan.measure.path1, plan.measure.path2))
+    side2 = {k for k in range(len(plan.decls)) if g2 != g1 and find(k) == g2}
+    return [set(range(len(plan.decls))) - side2, side2]
 
 
-class _Propagator:
-    """Runs a plan's circuit on thermal components, lazily and cached.
+class _Side:
+    """One side of the Bell analyzer, propagated on its own small registry.
 
-    The post-circuit conditional amplitudes do not depend on n_bar (only the
-    mixture weights do), so one propagation serves any number of sweep
-    points over the same plan shape.
+    `out[k]` is the post-circuit amplitude tensor of the side's thermal
+    component `components[k]`, with axes (the analyzer modes on this side,
+    its magnons, its other modes), each flattened little-endian: analyzer
+    modes in Bell-vector order, the rest in registry order.  Built for one
+    report (`n_bar` given), a side keeps only its components of nonzero
+    weight, with their weights in `report_weights`; built for a sweep, all.
     """
 
-    def __init__(self, plan: CircuitPlan):
+    def __init__(self, plan: CircuitPlan, registry: ModeRegistry,
+                 ops: list[ElementOp], owner: list[int], decl_ids: set[int],
+                 bell_modes: tuple[int, ...], n_bar: float | None):
+        modes = [m for m, k in enumerate(owner) if k in decl_ids]
+        local = {m: i for i, m in enumerate(modes)}
+        reg = registry.reduced(modes)
+        decls = [plan.decls[k] for k in sorted(decl_ids)]
         self.plan = plan
-        self.registry = plans.build_registry(plan)
-        self.ops = plans.build_elements(plan, self.registry)
-        self.bell_targets, self.bell_vecs = measurement.bell_state_vectors(
-            self.registry, plan.measure.path1, plan.measure.path2)
-        self.mag_idx = _magnon_targets(plan, self.registry)
-        if set(self.mag_idx) & set(self.bell_targets):
-            raise ProtocolError("measured modes must be photonic")
-        self.reduced = self.registry.reduced(self.mag_idx)
-        self.targets = _targets_for(plan, self.reduced)
-        self.rest = [i for i in range(len(self.registry))
-                     if i not in self.bell_targets]
-        self.rest_dims = [self.registry.dims[i] for i in self.rest]
-        self.mag_pos = [self.rest.index(i) for i in self.mag_idx]
-        self.components = list(plans.iter_components(plan))
-        self._cache: dict[tuple, _ComponentRecord] = {}
-
-    def record(self, occs: tuple) -> _ComponentRecord:
-        cached = self._cache.get(occs)
-        if cached is not None:
-            return cached
-        dims = self.registry.dims
-        n_targets = len(self.bell_targets)
-        dt = int(np.prod([dims[t] for t in self.bell_targets]))
-        dm = self.reduced.dimension
-        state = StateVector(self.registry,
-                            plans.initial_vector(self.plan, self.registry, occs),
-                            normalized=False)
-        for op in self.ops:
-            state = apply(op, state)
-        amps = state.amplitudes
-        total = float(np.vdot(amps, amps).real)
-        tens = np.moveaxis(amps.reshape(dims, order="F"),
-                           self.bell_targets, range(n_targets))
-        rows = tens.reshape(dt, -1, order="F")
-        rec = _ComponentRecord(total, {}, {}, {}, {})
-        for bell_id in BELL_IDS:
-            cond = self.bell_vecs[bell_id].conj() @ rows
-            cond_t = np.moveaxis(cond.reshape(self.rest_dims, order="F"),
-                                 self.mag_pos, range(len(self.mag_pos)))
-            m = cond_t.reshape(dm, -1, order="F")
-            t_raw, t_corr = self.targets[bell_id]
-            rec.mass[bell_id] = float(np.vdot(m, m).real)
-            rec.f_raw[bell_id] = float(np.vdot(t_raw.conj() @ m, t_raw.conj() @ m).real)
-            rec.f_corr[bell_id] = float(np.vdot(t_corr.conj() @ m, t_corr.conj() @ m).real)
-            # keep only the populated conditional columns (dump ports are vacuum)
-            nonzero = np.flatnonzero(np.einsum("ij,ij->j", m.conj(), m).real > 0.0)
-            rec.cond[bell_id] = m[:, nonzero]
-        self._cache[occs] = rec
-        return rec
+        self.magnons = [d for d in decls if isinstance(d, MagnonDecl)]
+        self.magnon_modes = [m for m in modes
+                             if registry.modes[m].kind is ModeKind.MAGNON]
+        self.components = list(plans.iter_components(plan, self.magnons))
+        if n_bar is not None:
+            # a single report: components without weight never contribute
+            w = self.weights(n_bar)
+            self.components = [occs for occs, keep in zip(self.components, w) if keep]
+            if not self.components:
+                raise ProtocolError("plan produced a zero-mass ensemble")
+            self.report_weights = w[w != 0]
+        side_ops = [replace(op, targets=tuple(local[t] for t in op.targets))
+                    for op in ops if op.targets[0] in local]
+        amps = []
+        for occs in self.components:
+            state = StateVector(reg, plans.initial_vector(plan, reg, occs, decls),
+                                normalized=False)
+            for op in side_ops:
+                state = apply(op, state)
+            amps.append(state.amplitudes)
+        groups = ([local[m] for m in bell_modes if m in local],
+                  [local[m] for m in self.magnon_modes])
+        rest = [i for i in range(len(modes)) if i not in groups[0] + groups[1]]
+        axes = groups[0] + groups[1] + rest
+        tens = np.stack(amps, axis=-1).reshape(reg.dims + (len(amps),), order="F")
+        tens = np.moveaxis(tens, axes, range(len(axes)))
+        shape = [math.prod(reg.dims[i] for i in g) for g in (*groups, rest)]
+        self.out = tens.reshape(shape + [len(amps)], order="F").transpose(3, 0, 1, 2)
 
     def weights(self, n_bar: float) -> np.ndarray:
-        return np.array([plans.component_weight(self.plan, occs, n_bar)
+        return np.array([plans.component_weight(self.plan, occs, n_bar, self.magnons)
                          for occs in self.components])
+
+    def columns(self, w: np.ndarray) -> np.ndarray:
+        """Output columns sqrt(w_k) out[k][..., o] as (analyzer, magnons,
+        column); zero columns (vacuum dump ports, zero weights) dropped."""
+        x = np.sqrt(w)[:, None, None, None] * self.out
+        x = np.moveaxis(x, 0, 3).reshape(x.shape[1], x.shape[2], -1)
+        return x[:, :, np.any(x != 0, axis=(0, 1))]
+
+
+class _Circuit:
+    """A plan split at the Bell analyzer, its sides run one at a time.
+
+    The elements never act across the two sides, so each side's thermal
+    components are propagated on that side's registry alone, and the joint
+    state of a component pair is the product of the two sides' outputs.
+    The sides meet only in the herald: `tables` contracts both outputs with
+    the Bell vectors and fidelity targets into per-pair tables T, and every
+    report or sweep point sums w1_i w2_j T_ij over the sides' thermal
+    weights.  No amplitude array of the joint dimension is ever formed; the
+    joint registry is built for its size limit and the element wiring only.
+    With `n_bar` the circuit serves one report at that occupation; without,
+    it keeps every thermal component, for a sweep.
+    """
+
+    def __init__(self, plan: CircuitPlan, n_bar: float | None = None):
+        self.plan = plan
+        registry = plans.build_registry(plan)
+        ops = plans.build_elements(plan, registry)
+        bell_modes, bell_vecs = measurement.bell_state_vectors(
+            registry, plan.measure.path1, plan.measure.path2)
+        mag_idx = _magnon_targets(plan, registry)
+        if set(mag_idx) & set(bell_modes):
+            raise ProtocolError("measured modes must be photonic")
+        self.reduced = registry.reduced(mag_idx)
+        owner = [k for k, decl in enumerate(plan.decls)
+                 for _ in range(2 if isinstance(decl, PhotonDecl) else 1)]
+        self.sides = [_Side(plan, registry, ops, owner, ids, bell_modes, n_bar)
+                      for ids in _split_sides(plan, owner, registry, ops)]
+        x, y = (side.out for side in self.sides)
+        # registry-order position of each magnon in side order (side 1's first)
+        side_order = self.sides[0].magnon_modes + self.sides[1].magnon_modes
+        self._perm = [mag_idx.index(m) for m in side_order]
+        self._mag_dims = [registry.dims[m] for m in side_order]
+        self.bell = {b: v.reshape(x.shape[1], y.shape[1], order="F")
+                     for b, v in bell_vecs.items()}
+        self.targets = {b: tuple(self._to_sides(t, x.shape[2], y.shape[2]) for t in ts)
+                        for b, ts in _targets_for(plan, self.reduced).items()}
+
+    def _to_sides(self, t: np.ndarray, d1: int, d2: int) -> np.ndarray:
+        tens = t.reshape(self.reduced.dims, order="F")
+        return tens.transpose(self._perm).reshape(d1, d2, order="F")
+
+    def pair_weights(self, w1: np.ndarray, n_bar: float) -> np.ndarray:
+        """(n1, n2) weights of the component pairs, given side 1's weights.
+
+        Side 2's magnon factors multiply onto side 1's weight, so a pair's
+        weight is the joint component's product, factor for factor.
+        """
+        side = self.sides[1]
+        return np.stack([plans.component_weight(self.plan, occs, n_bar, side.magnons,
+                                                weight=w1)
+                         for occs in side.components], axis=-1)
+
+    def tables(self) -> np.ndarray:
+        """(13, n1, n2) herald table over the component pairs (i, j).
+
+        Row 0 is the pair's squared norm; rows 1 + 3k, 2 + 3k and 3 + 3k are
+        the herald mass and the raw and corrected fidelity numerators of
+        Bell id `BELL_IDS[k]`.
+        """
+        x, y = (side.out for side in self.sides)
+        (n1, da, dm1, do1), (n2, db, dm2, do2) = x.shape, y.shape
+        # analyzer-mode Gram matrix of each component, (n, d, d)
+        gx, gy = ((r @ r.conj().transpose(0, 2, 1))
+                  for r in (x.reshape(n1, da, -1), y.reshape(n2, db, -1)))
+        rows = [np.outer(np.trace(gx, axis1=1, axis2=2).real,
+                         np.trace(gy, axis1=1, axis2=2).real)]
+        xf = x.reshape(n1, da * dm1, do1).transpose(0, 2, 1)      # (i, o1, (a m1))
+        yf = y.reshape(n2, db * dm2, do2).transpose(1, 0, 2).reshape(db * dm2, -1)
+        for bell_id in BELL_IDS:
+            b = self.bell[bell_id]
+            # sum_abcd gx[i,a,c] conj(B[a,b]) gy[j,b,d] B[c,d]
+            e = (b.conj() @ gy @ b.T).reshape(n2, -1)
+            rows.append((gx.reshape(n1, -1) @ e.T).real)
+            for t in self.targets[bell_id]:
+                # overlap of the pair's conditional state with the target
+                k = np.multiply.outer(b, t).transpose(0, 2, 1, 3)
+                k = k.reshape(da * dm1, db * dm2).conj()
+                amp = (xf @ k).reshape(n1 * do1, -1) @ yf
+                amp = amp.reshape(n1, do1, n2, do2)
+                rows.append((amp.real ** 2 + amp.imag ** 2).sum(axis=(1, 3)))
+        return np.stack(rows)
+
+    def post_states(self, w1: np.ndarray, w2: np.ndarray,
+                    masses: list[float]) -> list[DensityMatrix | None]:
+        """Heralded magnon state per Bell id of the mixture with side weights
+        w1, w2 (None where the herald mass is unreachable).
+
+        With few output columns the conditional states themselves are formed
+        (a teleport's second side is one photon, one column); otherwise each
+        side's weighted Gram tensor is formed and the two are joined through
+        the Bell vector, which costs (c+2)^4 squared rather than a column
+        per component pair.
+        """
+        x, y = (side.columns(w) for side, w in zip(self.sides, (w1, w2)))
+        (da, dm1, k1), (db, dm2, k2) = x.shape, y.shape
+        d = dm1 * dm2
+        direct = d * d * k1 * k2 <= ((da * dm1) ** 2 * k1 + (db * dm2) ** 2 * k2
+                                     + (db * d) ** 2)
+        if not direct:
+            xm, ym = x.reshape(da * dm1, k1), y.reshape(db * dm2, k2)
+            rx = (xm @ xm.conj().T).reshape(da, dm1, da, dm1)
+            ry = (ym @ ym.conj().T).reshape(db, dm2, db, dm2)
+        states = []
+        for bell_id, mass in zip(BELL_IDS, masses):
+            if mass <= constants.UNREACHABLE_PROBABILITY:
+                states.append(None)
+                continue
+            b = self.bell[bell_id]
+            # rows and columns index the magnons (m, p) of sides 1 and 2 as m + dm1 p
+            if direct:
+                v = (b.conj() @ y.reshape(db, -1)).reshape(da, dm2, k2)
+                cols = np.tensordot(v, x, axes=(0, 0)).transpose(0, 2, 1, 3)
+                cols = cols.reshape(d, -1)
+                rho = cols @ cols.conj().T
+            else:
+                # sum_abcd conj(B[a,b]) B[c,d] rx[a,m,c,n] ry[b,p,d,q] -> (m, n, p, q)
+                t = np.tensordot(np.tensordot(b.conj(), rx, axes=(0, 0)), b,
+                                 axes=(2, 0))
+                rho = np.tensordot(t, ry, axes=([0, 3], [0, 2]))
+                rho = rho.transpose(2, 0, 3, 1).reshape(d, d)
+            if self._perm != sorted(self._perm):
+                # magnon axes from side order back to registry order
+                n = len(self._perm)
+                inv = list(np.argsort(self._perm))
+                rho = rho.reshape(self._mag_dims * 2, order="F").transpose(
+                    inv + [n + i for i in inv]).reshape(d, d, order="F")
+            block = rho / mass
+            states.append(DensityMatrix(self.reduced, 0.5 * (block + block.conj().T)))
+        return states
+
+
+def _pair_sums(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_ij w_ij T_ij for every table row, over pair weights (..., n1, n2).
+
+    The sum runs sequentially in joint component order (side 1's component
+    the slower index), so each total is the one a loop over the joint
+    thermal components accumulates, to the last bit.
+    """
+    terms = (weights.reshape(weights.shape[:-2] + (1, -1))
+             * tables.reshape(len(tables), -1))
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _heralds(sums: np.ndarray) -> list[tuple]:
+    """(probability, raw fidelity, corrected fidelity) per Bell id, from
+    weighted table sums; works elementwise over any leading grid axes."""
+    total = sums[..., 0]
+    if np.any(total <= 0.0):
+        raise ProtocolError("plan produced a zero-mass ensemble")
+    out = []
+    for k in range(len(BELL_IDS)):
+        mass, raw, corr = (sums[..., 1 + 3 * k + r] for r in range(3))
+        reach = mass > constants.UNREACHABLE_PROBABILITY
+        safe = np.where(reach, mass, 1.0)
+        out.append((mass / total, np.where(reach, raw / safe, 0.0),
+                    np.where(reach, corr / safe, 0.0)))
+    return out
+
+
+def _included(settings: PlanSettings) -> list[bool]:
+    return [b in (BellId.PHI_PLUS, BellId.PHI_MINUS) or settings.include_odd_parity
+            for b in BELL_IDS]
+
+
+def _aggregate(heralds: list[tuple], included: list[bool]):
+    """Probability-weighted corrected fidelity over the included heralds."""
+    inc_mass = sum(p for (p, _, _), inc in zip(heralds, included) if inc)
+    num = sum(p * f for (p, _, f), inc in zip(heralds, included) if inc)
+    return np.where(inc_mass > 0, num / np.where(inc_mass > 0, inc_mass, 1.0), 0.0)
+
+
+def _no_herald(heralded: float) -> float:
+    """Probability that no Bell herald fires, given the heralds' total.
+
+    A total above 1 by rounding dust (within TRACE_TOL) leaves 0; a larger
+    excess means the herald model is broken, and is an error.
+    """
+    if heralded > 1.0 + constants.TRACE_TOL:
+        raise ProtocolError(f"herald probabilities sum to {heralded!r}, above 1")
+    return 1.0 - heralded if heralded <= 1.0 else 0.0
 
 
 def execute_plan(plan: CircuitPlan) -> ProtocolReport:
     """Run a plan exactly (no sampling) and assemble its report."""
-    prop = _Propagator(plan)
-    return _report_from(prop, plan.settings.n_bar, want_post_states=True)
-
-
-def _report_from(prop: _Propagator, n_bar: float,
-                 want_post_states: bool = False) -> ProtocolReport:
-    plan = prop.plan
     settings = plan.settings
-    weights = prop.weights(n_bar)
-
-    masses = {b: 0.0 for b in BELL_IDS}
-    raw_num = {b: 0.0 for b in BELL_IDS}
-    corr_num = {b: 0.0 for b in BELL_IDS}
-    cols = {b: [] for b in BELL_IDS} if want_post_states else None
-    total_mass = 0.0
-    for w, occs in zip(weights, prop.components):
-        if w == 0.0:
-            continue
-        rec = prop.record(occs)
-        total_mass += w * rec.total
-        for bell_id in BELL_IDS:
-            masses[bell_id] += w * rec.mass[bell_id]
-            raw_num[bell_id] += w * rec.f_raw[bell_id]
-            corr_num[bell_id] += w * rec.f_corr[bell_id]
-            if cols is not None and rec.cond[bell_id].size:
-                cols[bell_id].append(np.sqrt(w) * rec.cond[bell_id])
-    if total_mass <= 0.0:
-        raise ProtocolError("plan produced a zero-mass ensemble")
+    n_bar = settings.n_bar
+    circuit = _Circuit(plan, n_bar)
+    w1, w2 = (side.report_weights for side in circuit.sides)
+    sums = _pair_sums(circuit.tables(), circuit.pair_weights(w1, n_bar))
+    heralds = _heralds(sums)
+    included = _included(settings)
+    posts = circuit.post_states(w1, w2, [float(sums[1 + 3 * k])
+                                         for k in range(len(BELL_IDS))])
 
     outcomes = []
-    for bell_id in BELL_IDS:
-        p = masses[bell_id] / total_mass
-        if masses[bell_id] > constants.UNREACHABLE_PROBABILITY:
-            f_raw = raw_num[bell_id] / masses[bell_id]
-            f_corr = corr_num[bell_id] / masses[bell_id]
-        else:
-            f_raw = f_corr = 0.0
-        post = None
-        if cols is not None and cols[bell_id] and \
-                masses[bell_id] > constants.UNREACHABLE_PROBABILITY:
-            c = np.concatenate(cols[bell_id], axis=1)
-            block = (c @ c.conj().T) / masses[bell_id]
-            block = 0.5 * (block + block.conj().T)
-            post = DensityMatrix(prop.reduced, block)
+    for k, (bell_id, post) in enumerate(zip(BELL_IDS, posts)):
+        p, f_raw, f_corr = (float(v) for v in heralds[k])
         even = bell_id in (BellId.PHI_PLUS, BellId.PHI_MINUS)
-        conc = None
-        if settings.protocol == "swap" and post is not None:
-            conc = concurrence_dual_rail(post)
         outcomes.append(OutcomeReport(
             outcome=bell_id,
             probability=p,
             fidelity_raw=f_raw,
             fidelity_corrected=f_corr,
-            included_in_aggregate=even or settings.include_odd_parity,
+            included_in_aggregate=included[k],
             requires_number_resolution=not even,
-            concurrence=conc,
+            concurrence=(concurrence_dual_rail(post)
+                         if settings.protocol == "swap" and post is not None else None),
             post_state=post,
         ))
 
-    no_herald = max(0.0, 1.0 - sum(o.probability for o in outcomes))
-    inc_mass = sum(o.probability for o in outcomes if o.included_in_aggregate)
-    aggregate = (sum(o.probability * o.fidelity_corrected
-                     for o in outcomes if o.included_in_aggregate) / inc_mass
-                 if inc_mass > 0 else 0.0)
+    no_herald = _no_herald(sum(o.probability for o in outcomes))
+    aggregate = float(_aggregate(heralds, included))
 
     if settings.protocol == "teleport":
         value, full = closed_form_f1(n_bar), full_thermal_f1(n_bar)
@@ -672,7 +851,7 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
     """Heralded fidelity against the closed form over a thermal-occupation grid.
 
     The circuit is propagated once (conditional amplitudes are independent of
-    n_bar); each grid point only reweights the thermal mixture.
+    n_bar); each grid point only reweights the herald tables.
     """
     cfg = cfg or ThermalConfig()
     qubit = qubit or DEFAULT_SWEEP_QUBIT
@@ -689,17 +868,13 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
         closed = closed_form_f2
     else:
         raise ProtocolError(f"unknown sweep protocol {protocol!r}")
-    prop = _Propagator(plan)
-    for occs in prop.components:
-        prop.record(occs)
-
-    def point(n_bar: float) -> SweepRow:
-        report = _report_from(prop, n_bar)
-        sim = report.aggregate_fidelity
-        cf = closed(n_bar)
-        return SweepRow(n_bar, sim, cf, abs(sim - cf))
-
-    return [point(g) for g in grid]
+    circuit = _Circuit(plan)
+    side = circuit.sides[0]
+    weights = np.array([circuit.pair_weights(side.weights(g), g) for g in grid])
+    sums = _pair_sums(circuit.tables(), weights)
+    simulated = _aggregate(_heralds(sums), _included(plan.settings))
+    return [SweepRow(g, float(sim), closed(g), abs(float(sim) - closed(g)))
+            for g, sim in zip(grid, simulated)]
 
 
 def concurrence_dual_rail(state: State, renormalize: bool = False) -> float:

@@ -58,6 +58,18 @@ def test_invalid_qubit_is_simulation_error(capsys):
     code, _, err = run_cli(capsys, "teleport", "--alpha", "1,0", "--beta", "1,0")
     assert code == 2
     assert "simulation error" in err
+    # overflowing and non-finite amplitudes, and non-finite angles
+    for argv in (("--alpha", "1e200,0", "--beta", "1e200,0"),
+                 ("--alpha", "nan,0", "--beta", "1,0"),
+                 ("--alpha", "1e400,0", "--beta", "0,0"),
+                 ("--theta", "nan"),
+                 ("--theta", "1", "--phi", "inf")):
+        code, out, err = run_cli(capsys, "teleport", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("omxsim: simulation error: input qubit") or \
+            err.startswith("omxsim: simulation error: Bloch angles")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -174,6 +186,38 @@ def test_circuit_with_infinite_occupation_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+def test_circuit_with_non_finite_amplitude_exits_2(tmp_path, capsys):
+    source = (CIRCUITS / "teleport.omx").read_text()
+    bad = tmp_path / "nan.omx"
+    bad.write_text(source.replace("set alpha = 0.6\n", "set alpha = nan\n"))
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_unreadable_circuit_file_is_one_line_error(tmp_path, capsys):
+    binary = tmp_path / "binary.omx"
+    binary.write_bytes(bytes(range(128, 256)))
+    for command in ("run", "validate"):
+        for path, reason in ((tmp_path / "missing.omx", "No such file"),
+                             (tmp_path, "Is a directory"),
+                             (binary, "not a text file")):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"omxsim: error: cannot read {path}: {reason}")
+            assert err.count("\n") == 1
+
+
+def test_unwritable_output_is_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "teleport", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"omxsim: error: cannot write {target}: No such file or directory\n"
 
 
 def test_semantic_error_exits_3(tmp_path, capsys):

@@ -1,0 +1,181 @@
+"""The two-sided executor against the dense joint-registry oracle.
+
+`protocols.execute_plan` propagates each side of the Bell analyzer on its
+own registry and joins the sides only in the herald; `dense_oracle` pushes
+every joint thermal component through the full joint registry.  Reports
+must agree to 1e-12 in every reported number and in the post-states.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from dense_oracle import dense_report
+
+from omxsim import dsl, protocols
+from omxsim.elements import ScatterModel
+from omxsim.protocols import InputQubit, ThermalConfig
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+TOL = 1e-12
+BOSONIC = ScatterModel.BOSONIC
+
+
+def assert_reports_equal(got, want):
+    assert got.config == want.config
+    assert got.no_herald_probability == pytest.approx(want.no_herald_probability, abs=TOL)
+    assert got.aggregate_fidelity == pytest.approx(want.aggregate_fidelity, abs=TOL)
+    for key, value in want.closed_form.items():
+        assert got.closed_form[key] == pytest.approx(value, abs=TOL)
+    for g, w in zip(got.outcomes, want.outcomes, strict=True):
+        assert g.outcome is w.outcome
+        assert g.probability == pytest.approx(w.probability, abs=TOL)
+        assert g.fidelity_raw == pytest.approx(w.fidelity_raw, abs=TOL)
+        assert g.fidelity_corrected == pytest.approx(w.fidelity_corrected, abs=TOL)
+        assert g.included_in_aggregate == w.included_in_aggregate
+        assert g.requires_number_resolution == w.requires_number_resolution
+        if w.concurrence is None:
+            assert g.concurrence is None
+        else:
+            assert g.concurrence == pytest.approx(w.concurrence, abs=TOL)
+        if w.post_state is None:
+            assert g.post_state is None
+        else:
+            assert g.post_state.registry == w.post_state.registry
+            assert np.abs(g.post_state.matrix - w.post_state.matrix).max() < TOL
+
+
+def teleport_plan(n_bar, cutoff, model=ScatterModel.PAPER_UNIFORM, renormalize=True,
+                  overrides=None, odd=False):
+    return protocols.teleport_plan(InputQubit(0.6, 0.8j), ThermalConfig(n_bar, cutoff,
+                                                                       renormalize),
+                                   model, overrides, odd)
+
+
+def swap_plan(n_bar, cutoff, model=ScatterModel.PAPER_UNIFORM, renormalize=True,
+              overrides=None, odd=False):
+    return protocols.swap_plan(ThermalConfig(n_bar, cutoff, renormalize), model,
+                               overrides, odd)
+
+
+BUILTIN_CASES = {
+    "teleport-c1": lambda: teleport_plan(0.2, 1),
+    "teleport-c2-bosonic": lambda: teleport_plan(0.15, 2, BOSONIC),
+    "teleport-c2-raw-weights": lambda: teleport_plan(0.3, 2, renormalize=False),
+    "teleport-c2-overrides-odd": lambda: teleport_plan(0.2, 2, overrides={"A": 0.3,
+                                                                           "B": 0.05},
+                                                       odd=True),
+    "teleport-c3": lambda: teleport_plan(0.25, 3, BOSONIC, renormalize=False),
+    "teleport-ground": lambda: teleport_plan(0.0, 2),
+    "swap-c1-bosonic-raw": lambda: swap_plan(0.3, 1, BOSONIC, renormalize=False),
+    "swap-c1-overrides-odd": lambda: swap_plan(0.2, 1, overrides={"A": 0.1, "D": 0.4},
+                                               odd=True),
+    "swap-c2": lambda: swap_plan(0.2, 2),
+    "swap-c2-bosonic-overrides": lambda: swap_plan(0.1, 2, BOSONIC,
+                                                   overrides={"C": 0.25}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILTIN_CASES))
+def test_builtin_plans_match_dense_oracle(case):
+    plan = BUILTIN_CASES[case]()
+    assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+@pytest.mark.parametrize("name", ["teleport.omx", "swap.omx"])
+def test_shipped_circuits_match_dense_oracle(name):
+    plan = dsl.compile_source((CIRCUITS / name).read_text())
+    assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+def test_circuit_joining_both_interferometers_runs_as_one_side():
+    source = (CIRCUITS / "swap.omx").read_text()
+    source = source.replace("set thermal_cutoff = 2", "set thermal_cutoff = 1")
+    joined = source.replace("measure bell(B, D)", "apply bs50(B.V, D.V)\nmeasure bell(B, D)")
+    plan = dsl.compile_source(joined)
+    circuit = protocols._Circuit(plan)
+    assert circuit.sides[1].out.shape == (1, 1, 1, 1)     # empty second side
+    assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+def test_interleaved_magnon_declarations_match_dense_oracle():
+    # magnon registry order (mA, mC, mB, mD) crosses the sides' (mA, mB | mC, mD)
+    source = "\n".join([
+        "set protocol = swap", "set n_bar = 0.2", "set thermal_cutoff = 1",
+        "set model = bosonic",
+        "mode photon A init=single_v", "mode photon B",
+        "mode photon C init=single_v", "mode photon D",
+        "mode magnon mA init=thermal", "mode magnon mC init=thermal",
+        "mode magnon mB init=thermal", "mode magnon mD init=thermal",
+        "apply bs50(A.V, B.V)", "apply stokes(A.V, A.H, mA)",
+        "apply stokes(B.V, B.H, mB)", "apply hwp(A, 0.25pi)", "apply pbs(A, B)",
+        "apply bs50(C.V, D.V)", "apply stokes(C.V, C.H, mC)",
+        "apply stokes(D.V, D.H, mD)", "apply hwp(C, 0.25pi)", "apply pbs(C, D)",
+        "measure bell(B, D)", ""])
+    plan = dsl.compile_source(source)
+    assert protocols._Circuit(plan)._perm == [0, 2, 1, 3]
+    assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+def test_second_side_declared_first_matches_dense_oracle():
+    # the (C, D) interferometer holds the analyzer's second path and is
+    # declared before (A, B): side 2's magnons come first in registry order
+    source = (CIRCUITS / "swap.omx").read_text()
+    ab, cd = source.index("mode photon A"), source.index("mode photon C")
+    end = source.index("\napply")
+    source = source[:ab] + source[cd:end] + "\n" + source[ab:cd].rstrip("\n") + source[end:]
+    source = source.replace("set thermal_cutoff = 2", "set thermal_cutoff = 1")
+    plan = dsl.compile_source(source)
+    assert [d.path for d in plan.magnon_decls()] == ["mC", "mD", "mA", "mB"]
+    assert protocols._Circuit(plan)._perm == [2, 3, 0, 1]
+    assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+def test_untouched_extra_photon_leaves_the_report_unchanged():
+    source = (CIRCUITS / "teleport.omx").read_text()
+    extra = source.replace("mode photon c init=qubit",
+                           "mode photon c init=qubit\nmode photon E init=single_h")
+    plan, plan_e = (dsl.compile_source(s) for s in (source, extra))
+    assert len(plan_e.decls) == len(plan.decls) + 1
+    report, report_e = (protocols.execute_plan(p) for p in (plan, plan_e))
+    assert report_e.to_json() == report.to_json()
+    assert_reports_equal(report_e, report)
+    assert_reports_equal(report_e, dense_report(plan_e))
+
+
+@pytest.mark.parametrize("protocol", ["teleport", "swap"])
+def test_sweep_points_match_dense_reports(protocol):
+    grid = [0.0, 0.05, 0.2]
+    rows = protocols.sweep_fidelity(protocol, grid, ThermalConfig(0.0, 1, False),
+                                    BOSONIC)
+    for row in rows:
+        cfg = ThermalConfig(row.n_bar, 1, False)
+        plan = (protocols.teleport_plan(protocols.DEFAULT_SWEEP_QUBIT, cfg, BOSONIC)
+                if protocol == "teleport" else protocols.swap_plan(cfg, BOSONIC))
+        assert row.simulated == pytest.approx(dense_report(plan).aggregate_fidelity,
+                                              abs=TOL)
+
+
+def test_cutoff_3_swap_applies_elements_on_one_interferometer_only(monkeypatch):
+    cutoff = 3
+    teleport = protocols.teleport(InputQubit(1.0, 0.0), ThermalConfig(0.2, cutoff))
+    seen = []
+    real_apply = protocols.apply
+
+    def spy(op, state):
+        seen.append(state.registry.dimension)
+        return real_apply(op, state)
+
+    monkeypatch.setattr(protocols, "apply", spy)
+    report = protocols.entanglement_swap(ThermalConfig(0.2, cutoff))
+    assert report.aggregate_fidelity == pytest.approx(teleport.aggregate_fidelity ** 2,
+                                                      abs=TOL)
+    # per side: its 5 elements on each of its (c+1)^2 thermal components
+    assert len(seen) == 2 * 5 * (cutoff + 1) ** 2
+    # one interferometer: four photon modes and two magnons of cutoff + 1
+    assert max(seen) <= 16 * (cutoff + 2) ** 2
+
+
+def test_zero_mass_ensemble_is_rejected():
+    with pytest.raises(protocols.ProtocolError, match="zero-mass"):
+        protocols.execute_plan(teleport_plan(1e308, 2, renormalize=False))

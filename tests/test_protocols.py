@@ -46,6 +46,17 @@ def test_input_qubit_validation():
     InputQubit(0.6, 0.8)
     with pytest.raises(ProtocolError):
         InputQubit(1.0, 0.5)
+    # a norm^2 that overflows is a norm error, not an OverflowError
+    with pytest.raises(ProtocolError, match="norm"):
+        InputQubit(1e200, 1e200)
+    for bad in (complex("nan"), complex(0, float("nan")), complex("inf"), 1e400):
+        with pytest.raises(ProtocolError, match="finite"):
+            InputQubit(bad, 0.0)
+        with pytest.raises(ProtocolError, match="finite"):
+            InputQubit(1.0, bad)
+    for theta, phi in ((float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan"))):
+        with pytest.raises(ProtocolError, match="finite"):
+            InputQubit.from_angles(theta, phi)
     q = InputQubit.from_angles(np.pi / 2, np.pi / 2)
     assert q.alpha == pytest.approx(1 / np.sqrt(2))
     assert q.beta == pytest.approx(1j / np.sqrt(2))
@@ -201,6 +212,16 @@ def test_teleport_fidelity_is_input_independent():
     values = [teleport(q, ThermalConfig(0.2)).aggregate_fidelity
               for q in poincare_grid(20)]
     assert max(values) - min(values) < 1e-10
+
+
+def test_no_herald_mass_is_never_clipped():
+    assert protocols._no_herald(0.75) == 0.25
+    assert protocols._no_herald(1.0) == 0.0
+    # rounding dust above 1 reports no no-herald mass ...
+    assert protocols._no_herald(1.0 + 1e-13) == 0.0
+    # ... a real excess is an error, not a clip to 0
+    with pytest.raises(ProtocolError, match="above 1"):
+        protocols._no_herald(1.0 + 1e-9)
 
 
 def test_teleport_probability_bookkeeping():
