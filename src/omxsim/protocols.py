@@ -534,9 +534,9 @@ def _pair_sums(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
     the slower index), so each total is the one a loop over the joint
     thermal components accumulates, to the last bit.
     """
-    terms = (weights.reshape(weights.shape[:-2] + (1, -1))
-             * tables.reshape(len(tables), -1))
-    return np.cumsum(terms, axis=-1)[..., -1]
+    w = weights.reshape(weights.shape[:-2] + (-1,))
+    return np.stack([np.cumsum(w * row.ravel(), axis=-1)[..., -1] for row in tables],
+                    axis=-1)
 
 
 def _heralds(sums: np.ndarray) -> list[tuple]:
