@@ -190,8 +190,6 @@ def _report_from(prop: _Propagator, n_bar: float,
     )
 
 
-def dense_report(plan: CircuitPlan, n_bar: float | None = None) -> ProtocolReport:
+def dense_report(plan: CircuitPlan) -> ProtocolReport:
     """The plan's report by dense joint propagation (post-states included)."""
-    prop = _Propagator(plan)
-    return _report_from(prop, plan.settings.n_bar if n_bar is None else n_bar,
-                        want_post_states=True)
+    return _report_from(_Propagator(plan), plan.settings.n_bar, want_post_states=True)
