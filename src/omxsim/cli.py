@@ -252,8 +252,9 @@ def _run_sweep(args) -> int:
         raise _UsageError("--steps must be >= 1")
     if args.stop < args.start:
         raise _UsageError("--to must be >= --from")
-    grid = np.linspace(args.start, args.stop, args.steps)
     cfg = ThermalConfig(0.0, args.cutoff, args.renormalize)
+    protocols.check_sweep_size(args.protocol, args.steps, args.cutoff)
+    grid = np.linspace(args.start, args.stop, args.steps)
     rows = protocols.sweep_fidelity(args.protocol, grid, cfg,
                                     ScatterModel(args.model))
     if args.format == "json":

@@ -37,6 +37,10 @@ CONCURRENCE_EIGENVALUE_FLOOR = 1e-14
 # Fock dimensions).  Dense complex vectors of this length stay cheap.
 MAX_DIMENSION = 1 << 20
 
+# Ceiling on a sweep's pair-weight array: grid points times joint thermal
+# components (81 per point for a swap at the default truncation).
+MAX_SWEEP_WEIGHTS = 1 << 22
+
 # Default per-mode Fock cutoffs: dual-rail optical modes hold at most one
 # photon in protocol use; magnon modes keep headroom above the thermal
 # truncation so a single added excitation is always representable.

@@ -76,6 +76,16 @@ class BellMeasure:
     path2: str
 
 
+def qubit_norm_sq(alpha: complex, beta: complex) -> float:
+    """|alpha|^2 + |beta|^2 of an input qubit.
+
+    Products, not ** 2: a huge amplitude overflows to inf, which fails the
+    norm check, instead of raising OverflowError.
+    """
+    a, b = abs(complex(alpha)), abs(complex(beta))
+    return a * a + b * b
+
+
 @dataclass(frozen=True)
 class PlanSettings:
     protocol: str = "teleport"          # teleport | swap
@@ -107,6 +117,10 @@ class PlanSettings:
             value = complex(getattr(self, name))
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise PlanError(f"qubit amplitude {name} must be finite, got {value}")
+        if self.protocol == "teleport":
+            nrm = qubit_norm_sq(self.alpha, self.beta)
+            if not abs(nrm - 1.0) <= constants.NORM_TOL:
+                raise PlanError(f"input qubit norm^2 = {nrm} deviates from 1")
         for path, value in self.n_bar_overrides:
             if not math.isfinite(value):
                 raise PlanError(f"override for {path!r} must be finite, got {value}")

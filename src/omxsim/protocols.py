@@ -26,13 +26,20 @@ registry, and the sides meet only in the herald: both outputs are
 contracted with the Bell vectors and fidelity targets into tables over the
 component pairs, which each report and sweep point weights with the thermal
 mixture.  The joint registry is built for its size limit only.
+
+Reports are scored on the dual-rail sector, one excitation per magnon pair:
+the fidelity numerators and the swap concurrence read only the sector rows
+of each side's output.  The full heralded magnon state, a (c+2)^4-square
+matrix for a swap, is built only when a report's `post_state` is read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -84,8 +91,7 @@ class InputQubit:
         if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
             raise ProtocolError(f"input qubit amplitudes must be finite, got "
                                 f"{amps[0]} and {amps[1]}")
-        # products, not ** 2: a huge amplitude overflows to inf, not an error
-        nrm = abs(amps[0]) * abs(amps[0]) + abs(amps[1]) * abs(amps[1])
+        nrm = plans.qubit_norm_sq(*amps)
         if not abs(nrm - 1.0) <= constants.NORM_TOL:
             raise ProtocolError(f"input qubit norm^2 = {nrm} deviates from 1")
 
@@ -172,6 +178,14 @@ def genuine_threshold(target: float = 2.0 / 3.0) -> float:
 
 @dataclass
 class OutcomeReport:
+    """One Bell herald of a report.
+
+    The numbers are scored on the dual-rail sector.  The heralded magnon
+    state `post_state` (None where the herald is unreachable) is built by
+    `build_post_state` on first access, so a report that is only printed
+    never forms it.
+    """
+
     outcome: BellId
     probability: float
     fidelity_raw: float
@@ -179,7 +193,12 @@ class OutcomeReport:
     included_in_aggregate: bool
     requires_number_resolution: bool
     concurrence: float | None = None
-    post_state: DensityMatrix | None = None
+    build_post_state: Callable[[], DensityMatrix | None] = field(
+        default=lambda: None, repr=False, compare=False)
+
+    @cached_property
+    def post_state(self) -> DensityMatrix | None:
+        return self.build_post_state()
 
     def to_dict(self) -> dict:
         out = {
@@ -453,7 +472,9 @@ class _Circuit:
 
         Row 0 is the pair's squared norm; rows 1 + 3k, 2 + 3k and 3 + 3k are
         the herald mass and the raw and corrected fidelity numerators of
-        Bell id `BELL_IDS[k]`.
+        Bell id `BELL_IDS[k]`.  The herald mass needs each side's full Gram
+        trace, but every fidelity target lies in the dual-rail sector, so the
+        numerators contract only the magnon rows some target touches.
         """
         x, y = (side.out for side in self.sides)
         (n1, da, dm1, do1), (n2, db, dm2, do2) = x.shape, y.shape
@@ -462,8 +483,11 @@ class _Circuit:
                   for r in (x.reshape(n1, da, -1), y.reshape(n2, db, -1)))
         rows = [np.outer(np.trace(gx, axis1=1, axis2=2).real,
                          np.trace(gy, axis1=1, axis2=2).real)]
-        xf = x.reshape(n1, da * dm1, do1).transpose(0, 2, 1)      # (i, o1, (a m1))
-        yf = y.reshape(n2, db * dm2, do2).transpose(1, 0, 2).reshape(db * dm2, -1)
+        touched = np.any([t != 0 for ts in self.targets.values() for t in ts], axis=0)
+        s1, s2 = np.flatnonzero(touched.any(axis=1)), np.flatnonzero(touched.any(axis=0))
+        xf = x[:, :, s1].reshape(n1, da * len(s1), do1).transpose(0, 2, 1)  # (i, o1, (a m1))
+        yf = y[:, :, s2].reshape(n2, db * len(s2), do2).transpose(1, 0, 2).reshape(
+            db * len(s2), -1)
         for bell_id in BELL_IDS:
             b = self.bell[bell_id]
             # sum_abcd gx[i,a,c] conj(B[a,b]) gy[j,b,d] B[c,d]
@@ -471,12 +495,43 @@ class _Circuit:
             rows.append((gx.reshape(n1, -1) @ e.T).real)
             for t in self.targets[bell_id]:
                 # overlap of the pair's conditional state with the target
-                k = np.multiply.outer(b, t).transpose(0, 2, 1, 3)
-                k = k.reshape(da * dm1, db * dm2).conj()
+                k = np.multiply.outer(b, t[np.ix_(s1, s2)]).transpose(0, 2, 1, 3)
+                k = k.reshape(da * len(s1), db * len(s2)).conj()
                 amp = (xf @ k).reshape(n1 * do1, -1) @ yf
                 amp = amp.reshape(n1, do1, n2, do2)
                 rows.append((amp.real ** 2 + amp.imag ** 2).sum(axis=(1, 3)))
         return np.stack(rows)
+
+    def concurrences(self, w1: np.ndarray, w2: np.ndarray,
+                     masses: list[float]) -> list[float | None]:
+        """Dual-rail concurrence per Bell id of the mixture with side weights
+        w1, w2 (None where the herald mass is unreachable).
+
+        The block that `concurrence_dual_rail` reads from a post-state holds
+        four magnon states, (q1, 1-q1, q2, 1-q2) in registry order.  Each is
+        one magnon row of either side, so the block is a 4 x (k1 k2) product
+        of those rows of the conditional columns; no post-state is formed.
+        """
+        x, y = (side.columns(w) for side, w in zip(self.sides, (w1, w2)))
+        n = len(self.sides[0].magnon_modes)
+        rows1, rows2 = [], []
+        for q2 in (0, 1):
+            for q1 in (0, 1):
+                occ = (q1, 1 - q1, q2, 1 - q2)
+                occ = [occ[m] for m in self._perm]      # registry to side order
+                rows1.append(_flat_index(occ[:n], self._mag_dims[:n]))
+                rows2.append(_flat_index(occ[n:], self._mag_dims[n:]))
+        xs, ys = x[:, rows1], y[:, rows2]               # (da, 4, k1), (db, 4, k2)
+        out = []
+        for bell_id, mass in zip(BELL_IDS, masses):
+            if mass <= constants.UNREACHABLE_PROBABILITY:
+                out.append(None)
+                continue
+            v = np.tensordot(self.bell[bell_id].conj(), ys, axes=(1, 0))
+            cols = np.einsum("akp,akq->kqp", xs, v).reshape(4, -1)
+            block = cols @ cols.conj().T / mass
+            out.append(_spin_flip_concurrence(0.5 * (block + block.conj().T)))
+        return out
 
     def post_states(self, w1: np.ndarray, w2: np.ndarray,
                     masses: list[float]) -> list[DensityMatrix | None]:
@@ -527,16 +582,22 @@ class _Circuit:
         return states
 
 
+def _flat_index(occ: list[int], dims: list[int]) -> int:
+    """Little-endian index of an occupation over modes of Fock dims `dims`."""
+    return sum(n * math.prod(dims[:i]) for i, n in enumerate(occ))
+
+
 def _pair_sums(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_ij w_ij T_ij for every table row, over pair weights (..., n1, n2).
 
     The sum runs sequentially in joint component order (side 1's component
     the slower index), so each total is the one a loop over the joint
-    thermal components accumulates, to the last bit.
+    thermal components accumulates, to the last bit.  Each row's totals are
+    copied out of its running sum, so only one row's temporaries are alive.
     """
     w = weights.reshape(weights.shape[:-2] + (-1,))
-    return np.stack([np.cumsum(w * row.ravel(), axis=-1)[..., -1] for row in tables],
-                    axis=-1)
+    return np.stack([np.cumsum(w * row.ravel(), axis=-1)[..., -1].copy()
+                     for row in tables], axis=-1)
 
 
 def _heralds(sums: np.ndarray) -> list[tuple]:
@@ -587,11 +648,13 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
     sums = _pair_sums(circuit.tables(), circuit.pair_weights(w1, n_bar))
     heralds = _heralds(sums)
     included = _included(settings)
-    posts = circuit.post_states(w1, w2, [float(sums[1 + 3 * k])
-                                         for k in range(len(BELL_IDS))])
+    masses = [float(sums[1 + 3 * k]) for k in range(len(BELL_IDS))]
+    concurrences = (circuit.concurrences(w1, w2, masses) if settings.protocol == "swap"
+                    else [None] * len(BELL_IDS))
+    posts = cache(lambda: circuit.post_states(w1, w2, masses))
 
     outcomes = []
-    for k, (bell_id, post) in enumerate(zip(BELL_IDS, posts)):
+    for k, bell_id in enumerate(BELL_IDS):
         p, f_raw, f_corr = (float(v) for v in heralds[k])
         even = bell_id in (BellId.PHI_PLUS, BellId.PHI_MINUS)
         outcomes.append(OutcomeReport(
@@ -601,9 +664,8 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
             fidelity_corrected=f_corr,
             included_in_aggregate=included[k],
             requires_number_resolution=not even,
-            concurrence=(concurrence_dual_rail(post)
-                         if settings.protocol == "swap" and post is not None else None),
-            post_state=post,
+            concurrence=concurrences[k],
+            build_post_state=lambda k=k: posts()[k],
         ))
 
     no_herald = _no_herald(sum(o.probability for o in outcomes))
@@ -845,16 +907,34 @@ class SweepRow:
 DEFAULT_SWEEP_QUBIT = InputQubit(complex(1 / np.sqrt(2)), complex(1 / np.sqrt(2)))
 
 
+def check_sweep_size(protocol: str, points: int, cutoff: int) -> None:
+    """Refuse a sweep whose pair-weight array would be too large.
+
+    A sweep holds one weight per grid point and joint thermal component
+    ((cutoff + 1) per thermal magnon: 2 for teleport, 4 for swap); the check
+    needs only the sizes, so it runs before the grid is formed.
+    """
+    if protocol not in ("teleport", "swap"):
+        raise ProtocolError(f"unknown sweep protocol {protocol!r}")
+    size = points * (cutoff + 1) ** (2 if protocol == "teleport" else 4)
+    if size > constants.MAX_SWEEP_WEIGHTS:
+        raise ProtocolError(f"sweep of {points} points needs {size} pair weights, "
+                            f"above the limit {constants.MAX_SWEEP_WEIGHTS}")
+
+
 def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
                    model: ScatterModel = ScatterModel.PAPER_UNIFORM,
                    qubit: InputQubit | None = None) -> list[SweepRow]:
     """Heralded fidelity against the closed form over a thermal-occupation grid.
 
-    The circuit is propagated once (conditional amplitudes are independent of
-    n_bar); each grid point only reweights the herald tables.
+    `grid` is a sequence of occupations, its length checked by
+    `check_sweep_size` before anything is formed.  The circuit is propagated
+    once (conditional amplitudes are independent of n_bar); each grid point
+    only reweights the herald tables.
     """
     cfg = cfg or ThermalConfig()
     qubit = qubit or DEFAULT_SWEEP_QUBIT
+    check_sweep_size(protocol, len(grid), cfg.cutoff)
     grid = [float(g) for g in grid]
     if not all(math.isfinite(g) and g >= 0 for g in grid):
         raise ProtocolError("sweep grid values must be finite and >= 0")
@@ -863,11 +943,9 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
     if protocol == "teleport":
         plan = teleport_plan(qubit, ThermalConfig(0.0, cfg.cutoff, cfg.renormalize), model)
         closed = closed_form_f1
-    elif protocol == "swap":
+    else:
         plan = swap_plan(ThermalConfig(0.0, cfg.cutoff, cfg.renormalize), model)
         closed = closed_form_f2
-    else:
-        raise ProtocolError(f"unknown sweep protocol {protocol!r}")
     circuit = _Circuit(plan)
     side = circuit.sides[0]
     weights = np.array([circuit.pair_weights(side.weights(g), g) for g in grid])

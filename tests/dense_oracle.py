@@ -161,7 +161,7 @@ def _report_from(prop: _Propagator, n_bar: float,
             included_in_aggregate=even or settings.include_odd_parity,
             requires_number_resolution=not even,
             concurrence=conc,
-            post_state=post,
+            build_post_state=lambda post=post: post,
         ))
 
     no_herald = max(0.0, 1.0 - sum(o.probability for o in outcomes))

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from omxsim import cli
+from omxsim.constants import MAX_SWEEP_WEIGHTS
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 SCHEMA = json.loads(
@@ -139,6 +141,21 @@ def test_sweep_usage_errors(capsys):
     assert code == 1
 
 
+def test_oversized_sweep_grid_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "sweep", "--protocol", "swap", "--from", "0",
+                                 "--to", "0.3", "--steps", "1000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == ("omxsim: simulation error: sweep of 1000000000000 points needs "
+                   f"81000000000000 pair weights, above the limit {MAX_SWEEP_WEIGHTS}\n")
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # threshold
 
@@ -196,6 +213,27 @@ def test_circuit_with_non_finite_amplitude_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+def test_circuit_with_unnormalized_qubit_exits_2(tmp_path, capsys):
+    source = (CIRCUITS / "teleport.omx").read_text()
+    bad = tmp_path / "norm.omx"
+    bad.write_text(source.replace("set beta = 0.8\n", "set beta = 0.9\n"))
+    for command in ("run", "validate"):
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omxsim: simulation error: input qubit norm^2 = ")
+        assert err.count("\n") == 1
+    # the same qubit on the command line is refused the same way
+    code, _, cli_err = run_cli(capsys, "teleport", "--alpha", "0.6,0", "--beta", "0.9,0")
+    assert code == 2
+    assert cli_err.split(" = ")[0] == err.split(" = ")[0]
+    # a swap ignores the qubit settings
+    swap = tmp_path / "swap.omx"
+    swap.write_text((CIRCUITS / "swap.omx").read_text().replace(
+        "set thermal_cutoff = 2", "set thermal_cutoff = 1\nset beta = 0.9"))
+    assert run_cli(capsys, "validate", str(swap))[0] == 0
 
 
 def test_unreadable_circuit_file_is_one_line_error(tmp_path, capsys):

@@ -6,13 +6,15 @@ every joint thermal component through the full joint registry.  Reports
 must agree to 1e-12 in every reported number and in the post-states.
 """
 
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from dense_oracle import dense_report
 
-from omxsim import dsl, protocols
+from omxsim import cli, dsl, fock, protocols
 from omxsim.elements import ScatterModel
 from omxsim.protocols import InputQubit, ThermalConfig
 
@@ -117,13 +119,17 @@ def test_interleaved_magnon_declarations_match_dense_oracle():
     assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
 
 
-def test_second_side_declared_first_matches_dense_oracle():
-    # the (C, D) interferometer holds the analyzer's second path and is
-    # declared before (A, B): side 2's magnons come first in registry order
-    source = (CIRCUITS / "swap.omx").read_text()
+def second_side_first(source):
+    """The swap circuit with the (C, D) interferometer, which holds the
+    analyzer's second path, declared before (A, B)."""
     ab, cd = source.index("mode photon A"), source.index("mode photon C")
     end = source.index("\napply")
-    source = source[:ab] + source[cd:end] + "\n" + source[ab:cd].rstrip("\n") + source[end:]
+    return source[:ab] + source[cd:end] + "\n" + source[ab:cd].rstrip("\n") + source[end:]
+
+
+def test_second_side_declared_first_matches_dense_oracle():
+    # side 2's magnons come first in registry order
+    source = second_side_first((CIRCUITS / "swap.omx").read_text())
     source = source.replace("set thermal_cutoff = 2", "set thermal_cutoff = 1")
     plan = dsl.compile_source(source)
     assert [d.path for d in plan.magnon_decls()] == ["mC", "mD", "mA", "mB"]
@@ -179,3 +185,65 @@ def test_cutoff_3_swap_applies_elements_on_one_interferometer_only(monkeypatch):
 def test_zero_mass_ensemble_is_rejected():
     with pytest.raises(protocols.ProtocolError, match="zero-mass"):
         protocols.execute_plan(teleport_plan(1e308, 2, renormalize=False))
+
+
+# ---------------------------------------------------------------------------
+# dual-rail sector: concurrence without post-states, post-states on demand
+
+@pytest.mark.parametrize("reorder", [False, True])
+def test_concurrence_of_a_non_bell_diagonal_block_matches_dense_oracle(reorder):
+    # a half-wave plate off pi/8 unbalances the arms, so each herald leaves a
+    # dual-rail block that is not diagonal in the Bell basis
+    source = (CIRCUITS / "swap.omx").read_text()
+    source = source.replace("set thermal_cutoff = 2", "set thermal_cutoff = 1")
+    source = source.replace("apply hwp(A, 0.25pi)", "apply hwp(A, 0.2pi)")
+    plan = dsl.compile_source(second_side_first(source) if reorder else source)
+    plan = replace(plan, settings=replace(plan.settings,
+                                          n_bar_overrides=(("mA", 0.3), ("mD", 0.05))))
+    got, want = protocols.execute_plan(plan), dense_report(plan)
+    s = 1 / np.sqrt(2)
+    # columns: Phi+, Phi-, Psi+, Psi- over the sector states q1 + 2 q2
+    bell = np.array([[0, s, s, 0], [0, s, -s, 0], [s, 0, 0, s], [s, 0, 0, -s]]).T
+    for g, w in zip(got.outcomes, want.outcomes, strict=True):
+        reg = w.post_state.registry
+        idx = [reg.index_of_occupation((q1, 1 - q1, q2, 1 - q2))
+               for q2 in (0, 1) for q1 in (0, 1)]
+        block = bell.T @ w.post_state.matrix[np.ix_(idx, idx)] @ bell
+        assert np.abs(block - np.diag(np.diag(block))).max() > 1e-3
+        assert 0.1 < w.concurrence < np.trace(block).real - 1e-4
+        assert g.concurrence == pytest.approx(w.concurrence, abs=TOL)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_swap_command_builds_no_post_state(monkeypatch, capsys, cutoff):
+    built = []
+    real_init = fock.DensityMatrix.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fock.DensityMatrix, "__init__", spy)
+    assert cli.main(["swap", "--n-bar", "0.2", "--cutoff", str(cutoff)]) == 0
+    assert "concurrence" in capsys.readouterr().out
+    assert built == []
+    # a library caller gets every post-state on first access, built once
+    report = protocols.entanglement_swap(ThermalConfig(0.2, cutoff))
+    assert built == []
+    posts = [o.post_state for o in report.outcomes]
+    assert built == posts
+    assert [o.post_state for o in report.outcomes] == posts
+
+
+def test_cutoff_6_swap_report_stays_small():
+    n_bar, cutoff = 0.2, 6
+    tracemalloc.start()
+    try:
+        report = protocols.entanglement_swap(ThermalConfig(n_bar, cutoff))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
+    s = n_bar / (n_bar + 1)
+    assert report.aggregate_fidelity == pytest.approx(
+        ((1 - s) / (1 - s ** (cutoff + 1))) ** 4, abs=TOL)

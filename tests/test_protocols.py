@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omxsim import elements, plans, protocols
+from omxsim import constants, elements, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.fock import (
     ModeRegistry,
@@ -16,6 +16,7 @@ from omxsim.protocols import (
     InputQubit,
     ProtocolError,
     ThermalConfig,
+    check_sweep_size,
     closed_form_f1,
     closed_form_f2,
     concurrence_dual_rail,
@@ -455,6 +456,16 @@ def test_sweep_rejects_bad_grid():
     for grid in ([-0.1, 0.0], [0.0, float("nan")], [0.0, float("inf")]):
         with pytest.raises(ProtocolError, match="finite and >= 0"):
             sweep_fidelity("teleport", grid)
+
+
+def test_sweep_size_is_checked_before_the_grid_is_read():
+    # a range knows its length without holding its values
+    with pytest.raises(ProtocolError, match="pair weights, above the limit"):
+        sweep_fidelity("swap", range(10 ** 12))
+    points = constants.MAX_SWEEP_WEIGHTS // 16 ** 2
+    check_sweep_size("teleport", points, 15)
+    with pytest.raises(ProtocolError, match=f"sweep of {points + 1} points"):
+        check_sweep_size("teleport", points + 1, 15)
 
 
 # ---------------------------------------------------------------------------
