@@ -11,16 +11,39 @@ byte-identical output; the only nondeterminism is behind an explicit
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import dsl, measurement, protocols
+from . import constants, dsl, measurement, plans, protocols
 from .elements import ScatterModel
 from .fock import OmxError
 from .protocols import InputQubit, ThermalConfig
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc reuse freed arrays' pages instead of returning them at once.
+
+    A readout pushes every eigenvector of its input through four or five
+    elements; at cutoff 3 each step allocates and frees arrays of 250 KB.  Under
+    glibc's default thresholds those are mapped and unmapped anew, or the
+    heap is trimmed after the free, so each one is page-faulted in again:
+    about 7,000 faults per cutoff-3 readout.  Here arrays below 32 MB come
+    from the heap and up to 64 MB of free heap is kept.  Without glibc's
+    mallopt nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 class _UsageError(Exception):
@@ -48,8 +71,9 @@ def _parse_complex(text: str) -> complex:
 def _add_thermal_args(p: argparse.ArgumentParser):
     p.add_argument("--n-bar", type=float, default=0.0,
                    help="mean thermal magnon occupation (default 0)")
-    p.add_argument("--cutoff", type=int, default=2,
-                   help="thermal truncation level (default 2)")
+    cutoff = constants.DEFAULT_THERMAL_CUTOFF
+    p.add_argument("--cutoff", type=int, default=cutoff,
+                   help=f"thermal truncation level (default {cutoff})")
     p.add_argument("--renormalize", action=argparse.BooleanOptionalAction,
                    default=True, help="renormalize the truncated thermal weights")
     p.add_argument("--model", choices=[m.value for m in ScatterModel],
@@ -105,6 +129,14 @@ def _read_circuit(path: Path) -> str:
         raise _UsageError(f"cannot read {path}: not a text file") from None
 
 
+def _check_sample(args):
+    """Refuse --sample/--seed values that cannot be drawn, before any work."""
+    if args.sample is not None and not 0 <= args.sample <= constants.MAX_SAMPLES:
+        raise _UsageError(f"--sample must lie in [0, {constants.MAX_SAMPLES}]")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
+
+
 def _report_json(report, sample: int | None, seed: int | None) -> str:
     payload = report.to_dict()
     if sample:
@@ -139,11 +171,11 @@ def build_parser() -> _Parser:
     _add_output_args(p)
 
     p = sub.add_parser("sweep", help="fidelity vs thermal occupation (CSV/JSON)")
-    p.add_argument("--protocol", choices=["teleport", "swap"], required=True)
+    p.add_argument("--protocol", choices=plans.PROTOCOLS, required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--cutoff", type=int, default=2)
+    p.add_argument("--cutoff", type=int, default=constants.DEFAULT_THERMAL_CUTOFF)
     p.add_argument("--renormalize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--model", choices=[m.value for m in ScatterModel], default="paper")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -183,12 +215,14 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "teleport":
+        _check_sample(args)
         report = protocols.teleport(_qubit_from(args), _thermal_from(args),
                                     ScatterModel(args.model))
         _emit(_report_json(report, args.sample, args.seed), args.output)
         return 0
 
     if args.command == "swap":
+        _check_sample(args)
         report = protocols.entanglement_swap(_thermal_from(args),
                                              ScatterModel(args.model))
         _emit(_report_json(report, args.sample, args.seed), args.output)

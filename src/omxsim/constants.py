@@ -37,9 +37,17 @@ CONCURRENCE_EIGENVALUE_FLOOR = 1e-14
 # Fock dimensions).  Dense complex vectors of this length stay cheap.
 MAX_DIMENSION = 1 << 20
 
+# Ceiling on one side's propagated amplitudes: thermal components times the
+# side's registry dimension (441 x 7,744 for a teleport at thermal cutoff 20;
+# a teleport at cutoff 22 or more is refused before propagating).
+MAX_SIDE_AMPLITUDES = 1 << 22
+
 # Ceiling on a sweep's pair-weight array: grid points times joint thermal
 # components (81 per point for a swap at the default truncation).
 MAX_SWEEP_WEIGHTS = 1 << 22
+
+# Ceiling on the demonstration heralds one --sample draw may request.
+MAX_SAMPLES = 1 << 20
 
 # Default per-mode Fock cutoffs: dual-rail optical modes hold at most one
 # photon in protocol use; magnon modes keep headroom above the thermal

@@ -14,9 +14,14 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import constants
 from .fock import OmxError, RegistryError
 from .elements import ScatterModel
 from .plans import (
+    ELEMENTS,
+    MAGNON_INITS,
+    PHOTON_INITS,
+    PROTOCOLS,
     BellMeasure,
     CircuitPlan,
     ElementStep,
@@ -120,18 +125,6 @@ class CircuitAst:
     decls: tuple
     source: str
 
-
-# element name -> parameter kinds, checked at parse time
-ELEMENT_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "bs50": ("mode", "mode"),
-    "hwp": ("path", "angle"),
-    "qwp": ("path", "angle"),
-    "pbs": ("path", "path"),
-    "phase": ("mode", "angle"),
-    "stokes": ("mode", "mode", "mode"),
-    "antistokes": ("mode", "mode"),
-    "pdc": ("mode", "mode", "number"),
-}
 
 _ORDINALS = ("first", "second", "third", "fourth", "fifth")
 
@@ -260,11 +253,11 @@ def _parse_set(cur: _Cursor, raw_line: str) -> SetDecl:
 def _parse_apply(cur: _Cursor) -> ElementDecl:
     start = cur.next("apply")
     name = cur.expect("word", None, "an element name")
-    if name.text not in ELEMENT_SIGNATURES:
+    if name.text not in ELEMENTS:
         raise ParseError(cur.line, name.column,
-                         "a known element name (" + ", ".join(sorted(ELEMENT_SIGNATURES)) + ")",
+                         "a known element name (" + ", ".join(sorted(ELEMENTS)) + ")",
                          repr(name.text))
-    signature = ELEMENT_SIGNATURES[name.text]
+    _, signature, _ = ELEMENTS[name.text]
     cur.expect("punct", "(", "'('")
     args = []
     for pos, kind in enumerate(signature):
@@ -358,8 +351,7 @@ def compile(ast: CircuitAst) -> CircuitPlan:  # noqa: A001 - spec'd operation na
                 if key != "init":
                     issue(decl.span, f"unknown mode option {key!r}")
                     continue
-                allowed = (("vacuum", "single_h", "single_v", "qubit")
-                           if decl.kind == "photon" else ("ground", "thermal"))
+                allowed = PHOTON_INITS if decl.kind == "photon" else MAGNON_INITS
                 if value not in allowed:
                     issue(decl.span, f"bad init {value!r} for a {decl.kind} mode "
                           f"(expected one of {', '.join(allowed)})")
@@ -417,7 +409,7 @@ def compile(ast: CircuitAst) -> CircuitPlan:  # noqa: A001 - spec'd operation na
 
 
 def _resolve_element(decl: ElementDecl, photon_paths, magnons, issue):
-    signature = ELEMENT_SIGNATURES[decl.name]
+    _, signature, _ = ELEMENTS[decl.name]
     args = []
     ok = True
     for kind, arg in zip(signature, decl.args):
@@ -464,7 +456,7 @@ def _build_settings(raw: dict, issue) -> PlanSettings | None:
         raise ValueError(text)
 
     def to_protocol(text):
-        if text not in ("teleport", "swap"):
+        if text not in PROTOCOLS:
             raise ValueError(text)
         return text
 
@@ -483,14 +475,14 @@ def _build_settings(raw: dict, issue) -> PlanSettings | None:
             raise ValueError(text)
         return v
 
-    grab("protocol", to_protocol, "teleport", "teleport or swap")
+    grab("protocol", to_protocol, PROTOCOLS[0], " or ".join(PROTOCOLS))
     grab("n_bar", to_nonneg, 0.0, "a number >= 0")
-    grab("thermal_cutoff", to_posint, 2, "an integer >= 1")
+    grab("thermal_cutoff", to_posint, constants.DEFAULT_THERMAL_CUTOFF, "an integer >= 1")
     grab("renormalize", to_bool, True, "true or false")
     grab("model", to_model, ScatterModel.PAPER_UNIFORM, "paper or bosonic")
     grab("alpha", complex, 1.0 + 0.0j, "a complex number")
     grab("beta", complex, 0.0 + 0.0j, "a complex number")
-    grab("photon_cutoff", to_posint, 1, "an integer >= 1")
+    grab("photon_cutoff", to_posint, constants.DEFAULT_OPTICAL_CUTOFF, "an integer >= 1")
     if not ok:
         return None
     return PlanSettings(

@@ -17,7 +17,10 @@ Conventions (all of them; only coincidence statistics are physically fixed):
 
 Multi-photon behaviour of every passive element is obtained by exponentiating
 the quadratic generator of its single-particle matrix on the truncated joint
-space, which keeps the lifted operator exactly unitary.
+space, which keeps the lifted operator exactly unitary.  Every exponential is
+taken with numpy alone: exp(i H) of a Hermitian generator H is V e^{i w} V^dag
+from H's eigendecomposition (`_expi`), and the single-particle phase h with
+u = exp(i h) comes from u's eigenvalues.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-import scipy.linalg
 
 from . import constants
 from .fock import (
@@ -57,14 +59,20 @@ class ScatterModel(enum.Enum):
 # ---------------------------------------------------------------------------
 # passive (number-conserving) elements from single-particle matrices
 
+def _expi(gen: np.ndarray) -> np.ndarray:
+    """exp(i gen) of a Hermitian generator, from its eigendecomposition."""
+    w, v = np.linalg.eigh(gen)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
 def _hermitian_phase(u: np.ndarray) -> np.ndarray:
-    """Hermitian h with u = expm(i h), via a complex Schur form."""
+    """Hermitian h with u = exp(i h), from the eigenvalues of unitary u."""
     res = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
     if res > constants.UNITARITY_TOL:
         raise OperatorError(f"single-particle matrix not unitary (residual {res:.3e})")
-    t, q = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diag(t))
-    return (q * phases) @ q.conj().T
+    w, v = np.linalg.eig(u)
+    h = (v * np.angle(w)) @ np.linalg.inv(v)
+    return (h + h.conj().T) / 2
 
 
 def passive_lift(registry: ModeRegistry, targets: tuple[int, ...],
@@ -78,8 +86,7 @@ def passive_lift(registry: ModeRegistry, targets: tuple[int, ...],
         for j in range(len(dims)):
             if h[i, j] != 0:
                 quad += h[i, j] * (ann[i].conj().T @ ann[j])
-    matrix = scipy.linalg.expm(1j * quad)
-    return ElementOp(targets, matrix, OpFlavor.UNITARY, label=label)
+    return ElementOp(targets, _expi(quad), OpFlavor.UNITARY, label=label)
 
 
 def beam_splitter_50_50(registry: ModeRegistry, mode1: int, mode2: int) -> ElementOp:
@@ -210,15 +217,12 @@ def antistokes_swap(registry: ModeRegistry, photon: int, mag: int,
     dp, dm = registry.dims[photon], registry.dims[mag]
     if dp != dm:
         raise OperatorError("antistokes_swap requires matching cutoffs")
-    dims = [dp, dm]
-    a = embed_local({0: destroy(dp)}, dims)
-    m = embed_local({1: destroy(dm)}, dims)
-    gen = a.conj().T @ m + a @ m.conj().T
-    matrix = scipy.linalg.expm(-1j * (np.pi / 2) * gen)
+    # exp(-i pi/2 sigma_x) = -i sigma_x is the single-particle matrix
+    op = passive_lift(registry, (photon, mag), [[0, -1j], [-1j, 0]], "antistokes")
     if exact_swap:
-        correction = embed_local({0: np.diag(1j ** np.arange(dp))}, dims)
-        matrix = correction @ matrix
-    return ElementOp((photon, mag), matrix, OpFlavor.UNITARY, label="antistokes")
+        correction = embed_local({0: np.diag(1j ** np.arange(dp))}, [dp, dm])
+        op = ElementOp(op.targets, correction @ op.matrix, OpFlavor.UNITARY, label=op.label)
+    return op
 
 
 def pdc_evolution(registry: ModeRegistry, photon: int, mag: int, gt: float) -> ElementOp:
@@ -233,5 +237,4 @@ def pdc_evolution(registry: ModeRegistry, photon: int, mag: int, gt: float) -> E
     m = embed_local({1: destroy(dims[1])}, dims)
     down = b @ m
     gen = down + down.conj().T
-    matrix = scipy.linalg.expm(-1j * gt * gen)
-    return ElementOp((photon, mag), matrix, OpFlavor.UNITARY, label="pdc")
+    return ElementOp((photon, mag), _expi(-gt * gen), OpFlavor.UNITARY, label="pdc")

@@ -31,8 +31,23 @@ class PlanError(OmxError):
     """Structurally invalid simulation plan."""
 
 
+PROTOCOLS = ("teleport", "swap")
 PHOTON_INITS = ("vacuum", "single_h", "single_v", "qubit")
 MAGNON_INITS = ("ground", "thermal")
+
+# The element catalogue: name -> (constructor in `elements`, argument kinds,
+# PlanSettings fields passed by keyword).  The `.omx` parser checks a step's
+# arguments against the kinds; `build_elements` converts and passes them.
+ELEMENTS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "bs50": ("beam_splitter_50_50", ("mode", "mode"), ()),
+    "hwp": ("half_wave_plate", ("path", "angle"), ()),
+    "qwp": ("quarter_wave_plate", ("path", "angle"), ()),
+    "pbs": ("pbs", ("path", "path"), ()),
+    "phase": ("phase_shift", ("mode", "angle"), ()),
+    "stokes": ("stokes_scatter", ("mode", "mode", "mode"), ("model",)),
+    "antistokes": ("antistokes_swap", ("mode", "mode"), ()),
+    "pdc": ("pdc_evolution", ("mode", "mode", "number"), ()),
+}
 
 
 @dataclass(frozen=True)
@@ -103,7 +118,7 @@ class PlanSettings:
     include_odd_parity: bool = False
 
     def __post_init__(self):
-        if self.protocol not in ("teleport", "swap"):
+        if self.protocol not in PROTOCOLS:
             raise PlanError(f"unknown protocol {self.protocol!r}")
         if not math.isfinite(self.n_bar):
             raise PlanError(f"thermal occupation must be finite, got {self.n_bar}")
@@ -177,43 +192,31 @@ def build_registry(plan: CircuitPlan) -> ModeRegistry:
     return ModeRegistry(modes, cutoffs)
 
 
-def _resolve(registry: ModeRegistry, ref: ModeRef) -> int:
-    if ref.kind == "photon":
-        return registry.optical_index(ref.path, ref.pol)
-    return registry.magnon_index(ref.path)
+def _argument(registry: ModeRegistry, kind: str, value):
+    if kind == "mode":
+        if value.kind == "photon":
+            return registry.optical_index(value.path, value.pol)
+        return registry.magnon_index(value.path)
+    return value if kind == "path" else float(value)
 
 
 def build_elements(plan: CircuitPlan, registry: ModeRegistry) -> list[ElementOp]:
-    """Instantiate every step against the registry, in order."""
-    s = plan.settings
+    """Instantiate every step against the registry, in order.
+
+    Constructors are looked up on `elements` at call time, so a wrapper
+    installed on that module's attribute is the one called.
+    """
     ops = []
     for step in plan.steps:
-        a = step.args
-        if step.name == "bs50":
-            ops.append(elements.beam_splitter_50_50(
-                registry, _resolve(registry, a[0]), _resolve(registry, a[1])))
-        elif step.name == "hwp":
-            ops.append(elements.half_wave_plate(registry, a[0], float(a[1])))
-        elif step.name == "qwp":
-            ops.append(elements.quarter_wave_plate(registry, a[0], float(a[1])))
-        elif step.name == "pbs":
-            ops.append(elements.pbs(registry, a[0], a[1]))
-        elif step.name == "phase":
-            ops.append(elements.phase_shift(registry, _resolve(registry, a[0]),
-                                            float(a[1])))
-        elif step.name == "stokes":
-            ops.append(elements.stokes_scatter(
-                registry, _resolve(registry, a[0]), _resolve(registry, a[1]),
-                _resolve(registry, a[2]), model=s.model))
-        elif step.name == "antistokes":
-            ops.append(elements.antistokes_swap(
-                registry, _resolve(registry, a[0]), _resolve(registry, a[1])))
-        elif step.name == "pdc":
-            ops.append(elements.pdc_evolution(
-                registry, _resolve(registry, a[0]), _resolve(registry, a[1]),
-                float(a[2])))
-        else:
+        if step.name not in ELEMENTS:
             raise PlanError(f"unknown element {step.name!r}")
+        constructor, kinds, keywords = ELEMENTS[step.name]
+        if len(step.args) != len(kinds):
+            raise PlanError(f"element {step.name!r} takes {len(kinds)} arguments, "
+                            f"got {len(step.args)}")
+        args = [_argument(registry, k, a) for k, a in zip(kinds, step.args)]
+        options = {key: getattr(plan.settings, key) for key in keywords}
+        ops.append(getattr(elements, constructor)(registry, *args, **options))
     return ops
 
 

@@ -383,6 +383,12 @@ class _Side:
             if not self.components:
                 raise ProtocolError("plan produced a zero-mass ensemble")
             self.report_weights = w[w != 0]
+        size = len(self.components) * reg.dimension
+        if size > constants.MAX_SIDE_AMPLITUDES:
+            raise ProtocolError(
+                f"{len(self.components)} thermal components on a {reg.dimension}-dim "
+                f"side need {size} amplitudes, above the limit "
+                f"{constants.MAX_SIDE_AMPLITUDES}")
         side_ops = [replace(op, targets=tuple(local[t] for t in op.targets))
                     for op in ops if op.targets[0] in local]
         amps = []
@@ -914,7 +920,7 @@ def check_sweep_size(protocol: str, points: int, cutoff: int) -> None:
     ((cutoff + 1) per thermal magnon: 2 for teleport, 4 for swap); the check
     needs only the sizes, so it runs before the grid is formed.
     """
-    if protocol not in ("teleport", "swap"):
+    if protocol not in plans.PROTOCOLS:
         raise ProtocolError(f"unknown sweep protocol {protocol!r}")
     size = points * (cutoff + 1) ** (2 if protocol == "teleport" else 4)
     if size > constants.MAX_SWEEP_WEIGHTS:

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from omxsim import cli
-from omxsim.constants import MAX_SWEEP_WEIGHTS
+from omxsim.constants import MAX_SAMPLES, MAX_SIDE_AMPLITUDES, MAX_SWEEP_WEIGHTS
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 SCHEMA = json.loads(
@@ -156,6 +156,26 @@ def test_oversized_sweep_grid_exits_2_before_allocating(capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("argv", [
+    ("teleport", "--n-bar", "0.1", "--cutoff", "126"),
+    ("sweep", "--protocol", "teleport", "--from", "0.1", "--to", "0.1",
+     "--steps", "1", "--cutoff", "126"),
+])
+def test_oversized_side_exits_2_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == ("omxsim: simulation error: 16129 thermal components on a "
+                   "262144-dim side need 4228120576 amplitudes, above the limit "
+                   f"{MAX_SIDE_AMPLITUDES}\n")
+    assert peak < 16 << 20
+
+
 # ---------------------------------------------------------------------------
 # threshold
 
@@ -298,6 +318,48 @@ def test_sampling_is_seeded(capsys):
     _, other, _ = run_cli(capsys, "teleport", "--n-bar", "0.1",
                           "--sample", "25", "--seed", "12")
     assert json.loads(other)["sampled_heralds"] != heralds
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("teleport", "--sample", "-3"), f"--sample must lie in [0, {MAX_SAMPLES}]"),
+    (("teleport", "--sample", "5", "--seed", "-1"), "--seed must be >= 0"),
+    (("swap", "--sample", "3000000000"), f"--sample must lie in [0, {MAX_SAMPLES}]"),
+])
+def test_bad_sample_or_seed_is_one_line_usage_error(capsys, argv, message):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err == f"omxsim: error: {message}\n"
+    assert peak < 16 << 20
+
+
+RUNTIME_COMMANDS = [
+    ("teleport", "--n-bar", "0.2"),
+    ("swap", "--n-bar", "0.2"),
+    ("readout", "--n-bar", "0.2"),
+    ("sweep", "--protocol", "swap", "--from", "0", "--to", "0.3", "--steps", "3"),
+    ("run", str(CIRCUITS / "teleport.omx")),
+    ("run", str(CIRCUITS / "swap.omx")),
+]
+
+
+def test_runtime_never_imports_scipy():
+    script = "\n".join([
+        "import sys",
+        "from omxsim import cli",
+        "assert 'scipy' not in sys.modules, 'import'",
+        f"for argv in {RUNTIME_COMMANDS!r}:",
+        "    assert cli.main(list(argv)) == 0, argv",
+        "    assert 'scipy' not in sys.modules, argv",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_runs_as_subprocess():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from omxsim import elements, fock
 from omxsim.elements import (
@@ -365,3 +366,74 @@ def test_every_constructor_returns_validated_flavor():
     iso = stokes_scatter(reg, reg.optical_index("A", "V"), reg.optical_index("A", "H"), 4)
     v = iso.matrix
     assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# numpy exponentials against a Schur + scipy expm reference construction
+
+REFERENCE_TOL = 1e-13
+ANGLES = [0.0, np.pi / 8, np.pi / 4, 0.2 * np.pi, np.pi / 2, np.pi, 1.3, -0.7]
+
+
+def reference_lift(dims, u):
+    """exp(i sum h_ij a_i+ a_j), h = log(u) / i from a complex Schur form."""
+    t, q = scipy.linalg.schur(np.asarray(u, dtype=complex), output="complex")
+    h = (q * np.angle(np.diag(t))) @ q.conj().T
+    ann = [fock.embed_local({i: fock.destroy(d)}, dims) for i, d in enumerate(dims)]
+    quad = sum(h[i, j] * (ann[i].conj().T @ ann[j])
+               for i in range(len(dims)) for j in range(len(dims)))
+    return scipy.linalg.expm(1j * quad)
+
+
+def reference_two_mode(dims, gen, scale):
+    """expm(-i scale G) of G = a+m + a m+ ("swap") or a m + a+m+ ("pdc")."""
+    a = fock.embed_local({0: fock.destroy(dims[0])}, dims)
+    m = fock.embed_local({1: fock.destroy(dims[1])}, dims)
+    term = a.conj().T @ m if gen == "swap" else a @ m
+    return scipy.linalg.expm(-1j * scale * (term + term.conj().T))
+
+
+def assert_matches_reference(op, reference):
+    assert np.abs(op.matrix - reference).max() < REFERENCE_TOL
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_bs50_matches_reference(cutoff):
+    reg = ModeRegistry([optical("A", "V"), optical("B", "V")], [cutoff, cutoff])
+    u = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    assert_matches_reference(beam_splitter_50_50(reg, 0, 1),
+                             reference_lift([cutoff + 1] * 2, u))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@pytest.mark.parametrize("theta", ANGLES)
+def test_wave_plates_match_reference(theta, cutoff):
+    reg = path_registry("p", cutoff=cutoff)
+    dims = [cutoff + 1] * 2
+    assert_matches_reference(half_wave_plate(reg, "p", theta),
+                             reference_lift(dims, hwp_jones(theta)))
+    assert_matches_reference(quarter_wave_plate(reg, "p", theta),
+                             reference_lift(dims, qwp_jones(theta)))
+
+
+@pytest.mark.parametrize("cutoffs", [(1, 1), (2, 2), (1, 3), (2, 1, 1)])
+def test_passive_lift_matches_reference_on_random_unitaries(cutoffs, rng):
+    reg = ModeRegistry([magnon(f"m{i}") for i in range(len(cutoffs))], list(cutoffs))
+    for _ in range(3):
+        u = random_unitary(len(cutoffs), rng)
+        op = elements.passive_lift(reg, tuple(range(len(cutoffs))), u, "rnd")
+        assert_matches_reference(op, reference_lift([c + 1 for c in cutoffs], u))
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_antistokes_matches_reference(dim):
+    reg = ModeRegistry([optical("p", "V"), magnon("p")], [dim - 1, dim - 1])
+    assert_matches_reference(antistokes_swap(reg, 0, 1),
+                             reference_two_mode([dim, dim], "swap", np.pi / 2))
+
+
+@pytest.mark.parametrize("gt", [0.0, 0.1, 0.5, 1.0, 2.0])
+def test_pdc_matches_reference(gt):
+    reg = ModeRegistry([optical("p", "H"), magnon("p")], [2, 3])
+    assert_matches_reference(pdc_evolution(reg, 0, 1, gt),
+                             reference_two_mode([3, 4], "pdc", gt))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,50 @@ def test_prepare_thermal_high_cutoff_matches_geometric_law():
     s = cfg.s
     assert np.allclose(weights, (1 - s) * s ** np.arange(26), atol=1e-15)
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# element steps
+
+@pytest.mark.parametrize("args", [(), ("A",), ("A", "B", "C")])
+def test_build_elements_rejects_a_wrong_argument_count(args):
+    plan = protocols.teleport_plan(InputQubit(1, 0), ThermalConfig())
+    refs = [plans.ModeRef("photon", p, "V") for p in args]
+    bad = replace(plan, steps=(plans.ElementStep("bs50", tuple(refs)),))
+    with pytest.raises(PlanError, match="'bs50' takes 2 arguments, got"):
+        plans.build_elements(bad, plans.build_registry(bad))
+
+
+def test_build_elements_looks_constructors_up_at_call_time(monkeypatch):
+    plan = protocols.teleport_plan(InputQubit(1, 0), ThermalConfig())
+    calls = []
+    original = elements.beam_splitter_50_50
+    monkeypatch.setattr(elements, "beam_splitter_50_50",
+                        lambda *a: calls.append(a) or original(*a))
+    ops = plans.build_elements(plan, plans.build_registry(plan))
+    assert len(calls) == sum(step.name == "bs50" for step in plan.steps) > 0
+    assert len(ops) == len(plan.steps)
+
+
+# ---------------------------------------------------------------------------
+# side size limit
+
+def test_oversized_side_is_refused_before_propagating(monkeypatch):
+    def no_propagation(*args):
+        raise AssertionError("propagated an over-limit side")
+
+    monkeypatch.setattr(protocols, "apply", no_propagation)
+    # cutoff 22: 23**2 components of a 16 * 24**2-dim side
+    with pytest.raises(ProtocolError, match="529 thermal components on a 9216-dim "
+                       "side need 4875264 amplitudes, above the limit "
+                       f"{constants.MAX_SIDE_AMPLITUDES}"):
+        teleport(InputQubit(1, 0), ThermalConfig(0.1, cutoff=22))
+
+
+def test_side_limit_counts_only_components_with_weight():
+    # at n_bar = 0 only the ground component is propagated
+    rep = teleport(InputQubit(1, 0), ThermalConfig(0.0, cutoff=30))
+    assert rep.aggregate_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
