@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,13 +28,14 @@ from .protocols import InputQubit, ThermalConfig
 def _keep_freed_heap() -> None:
     """Let glibc reuse freed arrays' pages instead of returning them at once.
 
-    A readout pushes every eigenvector of its input through four or five
-    elements; at cutoff 3 each step allocates and frees arrays of 250 KB.  Under
-    glibc's default thresholds those are mapped and unmapped anew, or the
-    heap is trimmed after the free, so each one is page-faulted in again:
-    about 7,000 faults per cutoff-3 readout.  Here arrays below 32 MB come
-    from the heap and up to 64 MB of free heap is kept.  Without glibc's
-    mallopt nothing changes.
+    A sweep reweights its herald tables one row at a time, and each row
+    allocates and frees temporaries of a few hundred KB (601 points times 81
+    pair weights for a swap sweep at the default truncation).  Under glibc's
+    default thresholds those are mapped and unmapped anew, or the heap is
+    trimmed after the free, so their pages are faulted in again: about 2,000
+    faults per 601-point swap sweep, against under 20 with this setting.
+    Here arrays below 32 MB come from the heap and up to 64 MB of free heap
+    is kept.  Without glibc's mallopt nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -87,8 +89,8 @@ def _add_qubit_args(p: argparse.ArgumentParser):
                    help="V amplitude, as RE,IM or a complex literal")
     p.add_argument("--theta", type=float, default=None,
                    help="sphere polar angle (alternative to --alpha/--beta)")
-    p.add_argument("--phi", type=float, default=0.0,
-                   help="sphere azimuth (with --theta)")
+    p.add_argument("--phi", type=float, default=None,
+                   help="sphere azimuth (with --theta, default 0)")
 
 
 def _add_output_args(p: argparse.ArgumentParser):
@@ -97,12 +99,17 @@ def _add_output_args(p: argparse.ArgumentParser):
 
 
 def _qubit_from(args) -> InputQubit:
-    if args.alpha is not None or args.beta is not None:
+    amplitudes = args.alpha is not None or args.beta is not None
+    if amplitudes and args.theta is not None:
+        raise _UsageError("--theta cannot be combined with --alpha/--beta")
+    if args.phi is not None and args.theta is None:
+        raise _UsageError("--phi needs --theta")
+    if amplitudes:
         if args.alpha is None or args.beta is None:
             raise _UsageError("--alpha and --beta must be given together")
         return InputQubit(args.alpha, args.beta)
     if args.theta is not None:
-        return InputQubit.from_angles(args.theta, args.phi)
+        return InputQubit.from_angles(args.theta, 0.0 if args.phi is None else args.phi)
     return InputQubit.from_angles(np.pi / 2, 0.0)
 
 
@@ -288,6 +295,8 @@ def _run_sweep(args) -> int:
         raise _UsageError("--to must be >= --from")
     cfg = ThermalConfig(0.0, args.cutoff, args.renormalize)
     protocols.check_sweep_size(args.protocol, args.steps, args.cutoff)
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise protocols.ProtocolError("sweep grid values must be finite and >= 0")
     grid = np.linspace(args.start, args.stop, args.steps)
     rows = protocols.sweep_fidelity(args.protocol, grid, cfg,
                                     ScatterModel(args.model))

@@ -21,10 +21,6 @@ UNREACHABLE_PROBABILITY = 1e-14
 # Residual imaginary part allowed when a fidelity is cast to a real number.
 FIDELITY_IMAG_TOL = 1e-12
 
-# Readout of a mixed magnon state: eigen-components with weight below this
-# are rounding dust of the eigendecomposition and are not propagated.
-READOUT_EIGENVALUE_FLOOR = 1e-14
-
 # Readout input weight beyond the qubit sector (a magnon holding two or more
 # excitations) above which the retrieval is flagged as partial.
 PARTIAL_READOUT_TOL = 1e-12
@@ -37,10 +33,12 @@ CONCURRENCE_EIGENVALUE_FLOOR = 1e-14
 # Fock dimensions).  Dense complex vectors of this length stay cheap.
 MAX_DIMENSION = 1 << 20
 
-# Ceiling on one side's propagated amplitudes: thermal components times the
-# side's registry dimension (441 x 7,744 for a teleport at thermal cutoff 20;
-# a teleport at cutoff 22 or more is refused before propagating).
-MAX_SIDE_AMPLITUDES = 1 << 22
+# Ceiling on one array's entries, checked from the sizes alone: a side's
+# thermal components times its registry dimension (a teleport at cutoff 22
+# or more with n_bar > 0 is refused), and a heralded magnon state's d^2
+# entries for d magnon levels (a teleport post-state is refused from cutoff
+# 44, a swap post-state from cutoff 5).
+MAX_ARRAY_ENTRIES = 1 << 22
 
 # Ceiling on a sweep's pair-weight array: grid points times joint thermal
 # components (81 per point for a swap at the default truncation).

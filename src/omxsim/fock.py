@@ -265,7 +265,7 @@ State = StateVector | DensityMatrix
 
 def _require_pure(state: State, operation: str):
     """Operators act on state vectors only; a mixture goes through as its
-    pure components (see `protocols.readout`)."""
+    pure components."""
     if not isinstance(state, StateVector):
         raise StateError(f"{operation}: expects a StateVector, got "
                          f"{type(state).__name__}; propagate a mixture's pure components")

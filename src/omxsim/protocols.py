@@ -30,7 +30,10 @@ mixture.  The joint registry is built for its size limit only.
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the fidelity numerators and the swap concurrence read only the sector rows
 of each side's output.  The full heralded magnon state, a (c+2)^4-square
-matrix for a swap, is built only when a report's `post_state` is read.
+matrix for a swap, is built only when a report's `post_state` is read
+(readout reads it), and is refused above MAX_ARRAY_ENTRIES entries.
+Readout's passive network is simulated for one excitation per magnon; every
+occupation of the heralded state picks up the product of those phases.
 """
 
 from __future__ import annotations
@@ -52,13 +55,11 @@ from .fock import (
     ModeRegistry,
     OmxError,
     State,
-    StateError,
     StateVector,
     apply,
     fidelity,
+    magnon,
     optical,
-    partial_trace,
-    tensor,
 )
 from .measurement import BELL_IDS, BellId
 from .plans import (
@@ -384,11 +385,11 @@ class _Side:
                 raise ProtocolError("plan produced a zero-mass ensemble")
             self.report_weights = w[w != 0]
         size = len(self.components) * reg.dimension
-        if size > constants.MAX_SIDE_AMPLITUDES:
+        if size > constants.MAX_ARRAY_ENTRIES:
             raise ProtocolError(
                 f"{len(self.components)} thermal components on a {reg.dimension}-dim "
                 f"side need {size} amplitudes, above the limit "
-                f"{constants.MAX_SIDE_AMPLITUDES}")
+                f"{constants.MAX_ARRAY_ENTRIES}")
         side_ops = [replace(op, targets=tuple(local[t] for t in op.targets))
                     for op in ops if op.targets[0] in local]
         amps = []
@@ -548,11 +549,16 @@ class _Circuit:
         (a teleport's second side is one photon, one column); otherwise each
         side's weighted Gram tensor is formed and the two are joined through
         the Bell vector, which costs (c+2)^4 squared rather than a column
-        per component pair.
+        per component pair.  A state of more than MAX_ARRAY_ENTRIES entries
+        is refused before anything is formed.
         """
+        d = math.prod(self._mag_dims)
+        if d * d > constants.MAX_ARRAY_ENTRIES:
+            raise ProtocolError(f"a heralded state over {d} magnon levels needs "
+                                f"{d * d} entries, above the limit "
+                                f"{constants.MAX_ARRAY_ENTRIES}")
         x, y = (side.columns(w) for side, w in zip(self.sides, (w1, w2)))
         (da, dm1, k1), (db, dm2, k2) = x.shape, y.shape
-        d = dm1 * dm2
         direct = d * d * k1 * k2 <= ((da * dm1) ** 2 * k1 + (db * dm2) ** 2 * k2
                                      + (db * d) ** 2)
         if not direct:
@@ -788,17 +794,34 @@ def entanglement_swap(cfg: ThermalConfig | None = None,
 # ---------------------------------------------------------------------------
 # readout
 
-def _project_vacuum(state: StateVector, drop: list[int]) -> StateVector:
-    """Slice away modes that are exactly in vacuum (post-selected ports)."""
-    registry = state.registry
-    keep = [i for i in range(len(registry)) if i not in drop]
-    tens = np.moveaxis(state.amplitudes.reshape(registry.dims, order="F"),
-                       drop, range(len(drop)))
-    rows = tens.reshape(int(np.prod([registry.dims[i] for i in drop])), -1, order="F")
-    residue = float(np.sum(np.abs(rows[1:]) ** 2))
-    if residue > constants.UNREACHABLE_PROBABILITY:
-        raise StateError(f"dropped modes carry weight {residue:.3e}, not vacuum")
-    return StateVector(registry.reduced(keep), rows[0], normalized=state.normalized)
+def _port_transfer(upper: str, lower: str, apply_correction: bool) -> np.ndarray:
+    """Amplitudes (t_upper, t_lower) of one magnon excitation on the output
+    port's H and V modes, run through the retrieval elements on a cutoff-1
+    registry.  The 2 x 2 transfer matrix (rows port H, V; columns magnon
+    upper, lower) must be diagonal and unitary for `readout` to be exact.
+    """
+    reg = ModeRegistry([optical(upper, "H"), optical(upper, "V"),
+                        optical(lower, "H"), optical(lower, "V"),
+                        magnon(upper), magnon(lower)], [1] * 6)
+    mag_u, mag_l = reg.magnon_index(upper), reg.magnon_index(lower)
+    ops = [elements.phase_shift(reg, mag_u, np.pi)] if apply_correction else []
+    ops += [elements.antistokes_swap(reg, reg.optical_index(upper, "V"), mag_u),
+            elements.antistokes_swap(reg, reg.optical_index(lower, "V"), mag_l),
+            elements.half_wave_plate(reg, upper, np.pi / 4),
+            elements.pbs(reg, upper, lower)]
+    port = [reg.strides[reg.optical_index(upper, pol)] for pol in "HV"]
+    transfer = np.zeros((2, 2), dtype=complex)
+    for col, mag in enumerate((mag_u, mag_l)):
+        out = StateVector.from_occupation(reg, np.eye(6, dtype=int)[mag])
+        for op in ops:
+            out = apply(op, out)
+        transfer[:, col] = out.amplitudes[port]     # one photon in a port mode
+    t = np.diag(transfer)
+    if (np.abs(transfer - np.diag(t)).max() > constants.UNITARITY_TOL
+            or np.abs(np.abs(t) - 1.0).max() > constants.UNITARITY_TOL):
+        raise ProtocolError(f"readout network does not map the upper rail to H and "
+                            f"the lower rail to V: transfer matrix {transfer.tolist()}")
+    return t
 
 
 @dataclass
@@ -822,71 +845,35 @@ def readout(state: State, apply_correction: bool = False) -> ReadoutResult:
     """Swap a two-mode magnon state onto the dual-rail anti-photon port.
 
     The optional feed-forward correction applies a pi phase on the upper arm
-    before the swap, completing the even-parity minus herald.
+    before the swap, completing the even-parity minus herald.  The passive
+    network maps the upper magnon onto the port's H mode and the lower onto
+    its V mode, so occupation (n_u, n_l) only picks up the phase
+    t_upper^n_u t_lower^n_l of `_port_transfer`; the port keeps the magnon
+    cutoffs.
     """
     in_reg = state.registry
     if len(in_reg) != 2 or any(m.kind is not ModeKind.MAGNON for m in in_reg.modes):
         raise ProtocolError("readout expects a state over exactly two magnon modes")
     upper, lower = in_reg.modes[0].path, in_reg.modes[1].path
-    c = max(in_reg.cutoffs)
-    registry = ModeRegistry(
-        [optical(upper, "H"), optical(upper, "V"),
-         optical(lower, "H"), optical(lower, "V")],
-        [c, c, c, c])
-    photon_vac = StateVector.vacuum(registry)
-    probe = tensor(photon_vac, StateVector.vacuum(in_reg))
-    reg = probe.registry
-    mag_u, mag_l = reg.magnon_index(upper), reg.magnon_index(lower)
-
-    # weight diagnostics on the input
-    diag = (np.abs(state.amplitudes) ** 2 if isinstance(state, StateVector)
-            else np.abs(np.diag(state.matrix)))
-    qubit_w = 0.0
-    beyond = 0.0
-    for idx, w in enumerate(diag):
-        occ = in_reg.occupation_of(idx)
-        if occ in ((0, 1), (1, 0)):
-            qubit_w += float(w)
-        if max(occ) >= 2:
-            beyond += float(w)
-
-    ops = []
-    if apply_correction:
-        ops.append(elements.phase_shift(reg, mag_u, np.pi))
-    ops.append(elements.antistokes_swap(reg, reg.optical_index(upper, "V"), mag_u))
-    ops.append(elements.antistokes_swap(reg, reg.optical_index(lower, "V"), mag_l))
-    ops.append(elements.half_wave_plate(reg, upper, np.pi / 4))
-    ops.append(elements.pbs(reg, upper, lower))
-    port = [reg.optical_index(upper, "H"), reg.optical_index(upper, "V")]
-
-    def run_pure(vec: StateVector) -> StateVector:
-        out = tensor(photon_vac, vec)
-        for op in ops:
-            out = apply(op, out)
-        return out
-
+    t_u, t_l = _port_transfer(upper, lower, apply_correction)
+    n_u, n_l = np.unravel_index(np.arange(in_reg.dimension), in_reg.dims, order="F")
+    phase = t_u ** n_u * t_l ** n_l
+    port = ModeRegistry([optical(upper, "H"), optical(upper, "V")], in_reg.cutoffs)
     if isinstance(state, StateVector):
-        joint = run_pure(state)
-        drop = [i for i in range(len(reg)) if i not in port]
-        out_state: State = _project_vacuum(joint, drop)
+        diag = np.abs(state.amplitudes) ** 2
+        out_state: State = StateVector(port, phase * state.amplitudes,
+                                       normalized=state.normalized)
     else:
-        # mixed input: propagate eigenvectors, recombine the tiny port blocks
-        vals, vecs = np.linalg.eigh(state.matrix)
-        port_dim = (c + 1) ** 2
-        acc = np.zeros((port_dim, port_dim), dtype=complex)
-        for val, vec in zip(vals, vecs.T):
-            if val < constants.READOUT_EIGENVALUE_FLOOR:
-                continue
-            pure = StateVector(in_reg, vec, normalized=False)
-            acc += val * partial_trace(run_pure(pure), port).matrix
-        out_state = DensityMatrix(registry.reduced([0, 1]), 0.5 * (acc + acc.conj().T),
+        diag = np.abs(np.diag(state.matrix))
+        out_state = DensityMatrix(port, phase[:, None] * state.matrix * phase.conj(),
                                   normalized=state.normalized)
+    beyond = diag[np.maximum(n_u, n_l) >= 2].sum()      # a magnon holding 2 or more
     return ReadoutResult(
         state=out_state,
         upper_rail=optical(upper, "H"),
         lower_rail=optical(upper, "V"),
-        qubit_sector_weight=qubit_w,
-        partial_readout=beyond > constants.PARTIAL_READOUT_TOL,
+        qubit_sector_weight=float(diag[n_u + n_l == 1].sum()),
+        partial_readout=float(beyond) > constants.PARTIAL_READOUT_TOL,
     )
 
 

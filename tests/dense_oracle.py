@@ -1,11 +1,16 @@
-"""Dense reference executor for the equality tests.
+"""Dense reference executor and readout for the equality tests.
 
-This is the per-component propagation that `omxsim.protocols` replaced with
-its two-sided executor: every joint thermal component of a plan is pushed
-through the full joint registry with `fock.apply`, then projected onto the
-four Bell vectors.  It allocates amplitude vectors of the joint dimension
-(65,536 for a cutoff-2 swap), so it is kept out of the package and used only
-to check the factorized reports.
+`dense_report` is the per-component propagation that `omxsim.protocols`
+replaced with its two-sided executor: every joint thermal component of a
+plan is pushed through the full joint registry with `fock.apply`, then
+projected onto the four Bell vectors.  It allocates amplitude vectors of the
+joint dimension (65,536 for a cutoff-2 swap).
+
+`dense_readout` is the retrieval that `protocols.readout` replaced with a
+phase per occupation: the magnon state, or each eigenvector of a mixed one,
+is pushed through a registry of four photon modes and the two magnons, and
+the output port is sliced or traced out.  Both are kept out of the package
+and used only to check its results.
 """
 
 from __future__ import annotations
@@ -14,14 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from omxsim import constants, measurement, plans
-from omxsim.fock import DensityMatrix, StateVector, apply
+from omxsim import constants, elements, measurement, plans
+from omxsim.fock import (
+    DensityMatrix,
+    ModeKind,
+    ModeRegistry,
+    State,
+    StateError,
+    StateVector,
+    apply,
+    optical,
+    partial_trace,
+    tensor,
+)
 from omxsim.measurement import BELL_IDS, BellId
 from omxsim.plans import CircuitPlan
 from omxsim.protocols import (
     OutcomeReport,
     ProtocolError,
     ProtocolReport,
+    ReadoutResult,
     _config_echo,
     _magnon_targets,
     _targets_for,
@@ -193,3 +210,85 @@ def _report_from(prop: _Propagator, n_bar: float,
 def dense_report(plan: CircuitPlan) -> ProtocolReport:
     """The plan's report by dense joint propagation (post-states included)."""
     return _report_from(_Propagator(plan), plan.settings.n_bar, want_post_states=True)
+
+
+# Eigen-components of a mixed readout input with weight below this are
+# rounding dust of the eigendecomposition and are not propagated.
+_READOUT_EIGENVALUE_FLOOR = 1e-14
+
+
+def _project_vacuum(state: StateVector, drop: list[int]) -> StateVector:
+    """Slice away modes that are exactly in vacuum (post-selected ports)."""
+    registry = state.registry
+    keep = [i for i in range(len(registry)) if i not in drop]
+    tens = np.moveaxis(state.amplitudes.reshape(registry.dims, order="F"),
+                       drop, range(len(drop)))
+    rows = tens.reshape(int(np.prod([registry.dims[i] for i in drop])), -1, order="F")
+    residue = float(np.sum(np.abs(rows[1:]) ** 2))
+    if residue > constants.UNREACHABLE_PROBABILITY:
+        raise StateError(f"dropped modes carry weight {residue:.3e}, not vacuum")
+    return StateVector(registry.reduced(keep), rows[0], normalized=state.normalized)
+
+
+def dense_readout(state: State, apply_correction: bool = False) -> ReadoutResult:
+    """`protocols.readout` by propagation through the six-mode registry."""
+    in_reg = state.registry
+    if len(in_reg) != 2 or any(m.kind is not ModeKind.MAGNON for m in in_reg.modes):
+        raise ProtocolError("readout expects a state over exactly two magnon modes")
+    upper, lower = in_reg.modes[0].path, in_reg.modes[1].path
+    c = max(in_reg.cutoffs)
+    registry = ModeRegistry(
+        [optical(upper, "H"), optical(upper, "V"),
+         optical(lower, "H"), optical(lower, "V")],
+        [c, c, c, c])
+    photon_vac = StateVector.vacuum(registry)
+    reg = tensor(photon_vac, StateVector.vacuum(in_reg)).registry
+    mag_u, mag_l = reg.magnon_index(upper), reg.magnon_index(lower)
+
+    diag = (np.abs(state.amplitudes) ** 2 if isinstance(state, StateVector)
+            else np.abs(np.diag(state.matrix)))
+    qubit_w = 0.0
+    beyond = 0.0
+    for idx, w in enumerate(diag):
+        occ = in_reg.occupation_of(idx)
+        if occ in ((0, 1), (1, 0)):
+            qubit_w += float(w)
+        if max(occ) >= 2:
+            beyond += float(w)
+
+    ops = []
+    if apply_correction:
+        ops.append(elements.phase_shift(reg, mag_u, np.pi))
+    ops.append(elements.antistokes_swap(reg, reg.optical_index(upper, "V"), mag_u))
+    ops.append(elements.antistokes_swap(reg, reg.optical_index(lower, "V"), mag_l))
+    ops.append(elements.half_wave_plate(reg, upper, np.pi / 4))
+    ops.append(elements.pbs(reg, upper, lower))
+    port = [reg.optical_index(upper, "H"), reg.optical_index(upper, "V")]
+
+    def run_pure(vec: StateVector) -> StateVector:
+        out = tensor(photon_vac, vec)
+        for op in ops:
+            out = apply(op, out)
+        return out
+
+    if isinstance(state, StateVector):
+        drop = [i for i in range(len(reg)) if i not in port]
+        out_state: State = _project_vacuum(run_pure(state), drop)
+    else:
+        vals, vecs = np.linalg.eigh(state.matrix)
+        port_dim = (c + 1) ** 2
+        acc = np.zeros((port_dim, port_dim), dtype=complex)
+        for val, vec in zip(vals, vecs.T):
+            if val < _READOUT_EIGENVALUE_FLOOR:
+                continue
+            pure = StateVector(in_reg, vec, normalized=False)
+            acc += val * partial_trace(run_pure(pure), port).matrix
+        out_state = DensityMatrix(registry.reduced([0, 1]), 0.5 * (acc + acc.conj().T),
+                                  normalized=state.normalized)
+    return ReadoutResult(
+        state=out_state,
+        upper_rail=optical(upper, "H"),
+        lower_rail=optical(upper, "V"),
+        qubit_sector_weight=qubit_w,
+        partial_readout=beyond > constants.PARTIAL_READOUT_TOL,
+    )

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from omxsim import cli
-from omxsim.constants import MAX_SAMPLES, MAX_SIDE_AMPLITUDES, MAX_SWEEP_WEIGHTS
+from omxsim.constants import MAX_ARRAY_ENTRIES, MAX_SAMPLES, MAX_SWEEP_WEIGHTS
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 SCHEMA = json.loads(
@@ -54,6 +54,31 @@ def test_qubit_flags_require_both(capsys):
     code, _, err = run_cli(capsys, "teleport", "--alpha", "0.6,0")
     assert code == 1
     assert "together" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("teleport", "--phi", "nan"), "--phi needs --theta"),
+    (("readout", "--alpha", "1,0", "--beta", "0,0", "--phi", "0"), "--phi needs --theta"),
+    (("teleport", "--theta", "1", "--alpha", "1,0", "--beta", "0,0"),
+     "--theta cannot be combined with --alpha/--beta"),
+    (("readout", "--theta", "1", "--beta", "0,1"),
+     "--theta cannot be combined with --alpha/--beta"),
+])
+def test_conflicting_qubit_flags_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"omxsim: error: {message}\n"
+
+
+def test_readout_beyond_the_old_six_mode_registry_returns_a_report(capsys):
+    code, out, err = run_cli(capsys, "readout", "--cutoff", "9")
+    assert code == 0
+    assert err == ""
+    retrieved = json.loads(out)["retrieved"]
+    for herald in ("phi_plus", "phi_minus"):
+        assert retrieved[herald]["fidelity"] == pytest.approx(1.0, abs=1e-9)
+        assert not retrieved[herald]["partial_readout"]
 
 
 def test_invalid_qubit_is_simulation_error(capsys):
@@ -141,6 +166,15 @@ def test_sweep_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("start, stop", [("0", "inf"), ("nan", "1"), ("0", "nan")])
+def test_non_finite_sweep_end_is_one_line_simulation_error(capsys, start, stop):
+    code, out, err = run_cli(capsys, "sweep", "--protocol", "teleport",
+                             "--from", start, "--to", stop, "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "omxsim: simulation error: sweep grid values must be finite and >= 0\n"
+
+
 def test_oversized_sweep_grid_exits_2_before_allocating(capsys):
     tracemalloc.start()
     try:
@@ -172,7 +206,21 @@ def test_oversized_side_exits_2_before_allocating(capsys, argv):
     assert out == ""
     assert err == ("omxsim: simulation error: 16129 thermal components on a "
                    "262144-dim side need 4228120576 amplitudes, above the limit "
-                   f"{MAX_SIDE_AMPLITUDES}\n")
+                   f"{MAX_ARRAY_ENTRIES}\n")
+    assert peak < 16 << 20
+
+
+def test_oversized_readout_post_state_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "readout", "--n-bar", "0", "--cutoff", "60")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == ("omxsim: simulation error: a heralded state over 3844 magnon levels "
+                   f"needs 14776336 entries, above the limit {MAX_ARRAY_ENTRIES}\n")
     assert peak < 16 << 20
 
 

@@ -2,10 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import random_pure
+from dense_oracle import dense_readout
 
 from omxsim import constants, elements, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.fock import (
+    DensityMatrix,
     ModeRegistry,
     StateVector,
     apply,
@@ -123,7 +126,20 @@ def test_build_elements_looks_constructors_up_at_call_time(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# side size limit
+# array size limits
+
+def test_oversized_post_state_is_refused_before_it_is_formed(monkeypatch):
+    def no_columns(*args):
+        raise AssertionError("formed the columns of an over-limit post-state")
+
+    # swap at cutoff 5: four magnons of 7 levels, a 7**4-square state
+    rep = entanglement_swap(ThermalConfig(0.0, cutoff=5))
+    monkeypatch.setattr(protocols._Side, "columns", no_columns)
+    with pytest.raises(ProtocolError, match="a heralded state over 2401 magnon levels "
+                       "needs 5764801 entries, above the limit "
+                       f"{constants.MAX_ARRAY_ENTRIES}"):
+        rep.outcome(BellId.PHI_PLUS).post_state
+
 
 def test_oversized_side_is_refused_before_propagating(monkeypatch):
     def no_propagation(*args):
@@ -133,7 +149,7 @@ def test_oversized_side_is_refused_before_propagating(monkeypatch):
     # cutoff 22: 23**2 components of a 16 * 24**2-dim side
     with pytest.raises(ProtocolError, match="529 thermal components on a 9216-dim "
                        "side need 4875264 amplitudes, above the limit "
-                       f"{constants.MAX_SIDE_AMPLITUDES}"):
+                       f"{constants.MAX_ARRAY_ENTRIES}"):
         teleport(InputQubit(1, 0), ThermalConfig(0.1, cutoff=22))
 
 
@@ -380,9 +396,9 @@ def test_swap_minus_herald_corrects_like_teleport():
 # ---------------------------------------------------------------------------
 # readout
 
-def magnon_qubit_state(alpha, beta):
-    reg = ModeRegistry([magnon("A"), magnon("B")], [1, 1])
-    vec = np.zeros(4, dtype=complex)
+def magnon_qubit_state(alpha, beta, cutoffs=(1, 1)):
+    reg = ModeRegistry([magnon("A"), magnon("B")], cutoffs)
+    vec = np.zeros(reg.dimension, dtype=complex)
     vec[reg.index_of_occupation([0, 1])] = alpha
     vec[reg.index_of_occupation([1, 0])] = beta
     return StateVector(reg, vec)
@@ -420,6 +436,59 @@ def test_readout_flags_partial_for_high_occupation():
     result = readout(StateVector(reg, vec))
     assert result.partial_readout
     assert result.qubit_sector_weight == pytest.approx(0.0, abs=1e-12)
+
+
+def random_mixed(registry, rng):
+    g = (rng.normal(size=(registry.dimension,) * 2)
+         + 1j * rng.normal(size=(registry.dimension,) * 2))
+    rho = g @ g.conj().T
+    return DensityMatrix(registry, rho / rho.trace().real)
+
+
+def assert_readouts_equal(got, want):
+    assert got.state.registry == want.state.registry
+    assert type(got.state) is type(want.state)
+    if isinstance(want.state, StateVector):
+        assert np.abs(got.state.amplitudes - want.state.amplitudes).max() < 1e-12
+    else:
+        assert np.abs(got.state.matrix - want.state.matrix).max() < 1e-12
+    assert got.state.normalized == want.state.normalized
+    assert got.qubit_sector_weight == pytest.approx(want.qubit_sector_weight, abs=1e-12)
+    assert got.partial_readout == want.partial_readout
+    assert (got.upper_rail, got.lower_rail) == (want.upper_rail, want.lower_rail)
+
+
+@pytest.mark.parametrize("correct", [False, True])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_readout_matches_dense_readout_on_random_inputs(rng, cutoff, correct):
+    reg = ModeRegistry([magnon("A"), magnon("B")], [cutoff, cutoff])
+    for state in (random_pure(reg, rng), random_mixed(reg, rng)):
+        assert_readouts_equal(readout(state, correct), dense_readout(state, correct))
+
+
+@pytest.mark.parametrize("correct", [False, True])
+@pytest.mark.parametrize("n_bar", [0.0, 0.2])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_readout_matches_dense_readout_on_teleport_post_states(cutoff, n_bar, correct):
+    rep = teleport(InputQubit.from_angles(1.1, 0.7), ThermalConfig(n_bar, cutoff))
+    for bell_id in (BellId.PHI_PLUS, BellId.PHI_MINUS):
+        post = rep.outcome(bell_id).post_state
+        assert_readouts_equal(readout(post, correct), dense_readout(post, correct))
+
+
+def test_readout_keeps_unequal_magnon_cutoffs():
+    q = InputQubit(0.6, 0.8j)
+    result = readout(magnon_qubit_state(q.alpha, q.beta, cutoffs=(1, 2)))
+    assert result.state.registry.cutoffs == (1, 2)
+    assert retrieved_qubit_fidelity(result, q) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_readout_refuses_a_network_that_does_not_map_rails_to_the_port(monkeypatch):
+    # without the recombining splitter the lower rail stays on the lower path
+    monkeypatch.setattr(elements, "pbs", lambda reg, path1, path2: elements.phase_shift(
+        reg, reg.optical_index(path1, "H"), 0.0))
+    with pytest.raises(ProtocolError, match="does not map the upper rail to H"):
+        readout(magnon_qubit_state(0.6, 0.8))
 
 
 def test_readout_rejects_non_magnon_registry():
