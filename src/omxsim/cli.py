@@ -11,7 +11,6 @@ byte-identical output; the only nondeterminism is behind an explicit
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import sys
@@ -23,29 +22,6 @@ from . import constants, dsl, measurement, plans, protocols
 from .elements import ScatterModel
 from .fock import OmxError
 from .protocols import InputQubit, ThermalConfig
-
-
-def _keep_freed_heap() -> None:
-    """Let glibc reuse freed arrays' pages instead of returning them at once.
-
-    A sweep reweights its herald tables one row at a time, and each row
-    allocates and frees temporaries of a few hundred KB (601 points times 81
-    pair weights for a swap sweep at the default truncation).  Under glibc's
-    default thresholds those are mapped and unmapped anew, or the heap is
-    trimmed after the free, so their pages are faulted in again: about 2,000
-    faults per 601-point swap sweep, against under 20 with this setting.
-    Here arrays below 32 MB come from the heap and up to 64 MB of free heap
-    is kept.  Without glibc's mallopt nothing changes.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
-
-
-_keep_freed_heap()
 
 
 class _UsageError(Exception):

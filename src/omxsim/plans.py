@@ -142,11 +142,12 @@ class PlanSettings:
             if value < 0:
                 raise PlanError(f"override for {path!r} must be >= 0")
 
-    def n_bar_for(self, path: str, shared: float | None = None) -> float:
+    def n_bar_for(self, path: str, shared: float | np.ndarray) -> float | np.ndarray:
+        """Occupation of the magnon on `path`: its override, else `shared`."""
         for p, value in self.n_bar_overrides:
             if p == path:
                 return value
-        return self.n_bar if shared is None else shared
+        return shared
 
 
 @dataclass(frozen=True)
@@ -163,17 +164,23 @@ class CircuitPlan:
         return [d for d in self.decls if isinstance(d, MagnonDecl)]
 
 
-def thermal_weights(n_bar: float, cutoff: int, renormalize: bool) -> np.ndarray:
-    """Geometric weights (1-s) s^n, n <= cutoff, of a truncated thermal state."""
+def thermal_weights(n_bar: float | np.ndarray, cutoff: int,
+                    renormalize: bool) -> np.ndarray:
+    """Geometric weights (1-s) s^n, n <= cutoff, of a truncated thermal state.
+
+    `n_bar` may be an array of occupations; the result then has one row per
+    occupation, each equal bit for bit to the row of that scalar occupation.
+    """
+    n_bar = np.asarray(n_bar, dtype=float)[..., None]
     s = n_bar / (n_bar + 1.0)
     weights = (1.0 - s) * s ** np.arange(cutoff + 1)
     if renormalize:
-        total = weights.sum()
-        if total == 0.0:
-            # s rounds to 1 (n_bar beyond ~1e16), so every weight is 0; the
-            # renormalized weights s^n / sum_k s^k then take their limit
-            return np.full(cutoff + 1, 1.0 / (cutoff + 1))
-        weights = weights / total
+        total = weights.sum(axis=-1, keepdims=True)
+        # where s rounds to 1 (n_bar beyond ~1e16) every weight is 0; the
+        # renormalized weights s^n / sum_k s^k then take their limit
+        empty = total == 0.0
+        weights = np.where(empty, 1.0 / (cutoff + 1),
+                           weights / np.where(empty, 1.0, total))
     return weights
 
 
@@ -237,27 +244,30 @@ def iter_components(plan: CircuitPlan, magnons: Sequence[MagnonDecl] | None = No
     yield from itertools.product(*ranges)
 
 
-def component_weight(plan: CircuitPlan, occupations: Sequence[int],
-                     shared_n_bar: float,
+def component_weight(plan: CircuitPlan, n_bars: Sequence[float],
                      magnons: Sequence[MagnonDecl] | None = None,
-                     weight: float | np.ndarray = 1.0) -> float | np.ndarray:
-    """Probability weight of one thermal component (per-mode overrides apply).
+                     weight: np.ndarray | None = None) -> np.ndarray:
+    """Thermal weights of the components of `magnons` (default all of the
+    plan's) at each shared occupation of `n_bars`, as a (points, components)
+    matrix whose columns follow `iter_components`.
 
-    `occupations` belong to `magnons` (default all of the plan's magnons).
-    Their factors multiply onto `weight`, which may be an array: given the
-    weights of one group's components, this gives every joint weight with a
-    component of a second group, in the joint component's product order.
+    Each thermal magnon's `thermal_weights` row (its override's, if it has
+    one) multiplies onto the running product in declaration order; a ground
+    magnon contributes weight 1 at n = 0.  Given another group's matrix as
+    `weight`, the product continues over this group's magnons, so column
+    i * n + j (n this group's component count) is the joint weight of that
+    group's component i with this group's component j, factor for factor
+    the joint component's product.
     """
     s = plan.settings
-    w = weight
-    for decl, n in zip(plan.magnon_decls() if magnons is None else magnons,
-                       occupations):
+    n_bars = np.asarray(n_bars, dtype=float)
+    w = np.ones((len(n_bars), 1)) if weight is None else weight
+    for decl in plan.magnon_decls() if magnons is None else magnons:
         if decl.init == "thermal":
-            weights = thermal_weights(s.n_bar_for(decl.path, shared_n_bar),
-                                      s.thermal_cutoff, s.renormalize)
-            w = w * weights[n]
-        # ground modes contribute weight 1 at n = 0
-    return w if isinstance(w, np.ndarray) else float(w)
+            row = thermal_weights(s.n_bar_for(decl.path, n_bars), s.thermal_cutoff,
+                                  s.renormalize)
+            w = (w[:, :, None] * row[..., None, :]).reshape(len(n_bars), -1)
+    return w
 
 
 def initial_vector(plan: CircuitPlan, registry: ModeRegistry,

@@ -25,7 +25,10 @@ Each side's thermal components run through that side's elements on its own
 registry, and the sides meet only in the herald: both outputs are
 contracted with the Bell vectors and fidelity targets into tables over the
 component pairs, which each report and sweep point weights with the thermal
-mixture.  The joint registry is built for its size limit only.
+mixture.  Reports and sweeps form those weights through one product,
+`plans.component_weight`, over a grid of occupations at once; a report is
+the one-point grid, so a sweep row equals the report at its occupation to
+the last bit.  The joint registry is built for its size limit only.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the fidelity numerators and the swap concurrence read only the sector rows
@@ -360,9 +363,11 @@ class _Side:
     `out[k]` is the post-circuit amplitude tensor of the side's thermal
     component `components[k]`, with axes (the analyzer modes on this side,
     its magnons, its other modes), each flattened little-endian: analyzer
-    modes in Bell-vector order, the rest in registry order.  Built for one
-    report (`n_bar` given), a side keeps only its components of nonzero
-    weight, with their weights in `report_weights`; built for a sweep, all.
+    modes in Bell-vector order, the rest in registry order; `out` is one
+    C-contiguous array.  Built for one report (`n_bar` given), a side keeps
+    only its components of nonzero weight, and `kept` indexes them among all
+    of `iter_components`; built for a sweep, it keeps all, and `kept` is the
+    full slice.
     """
 
     def __init__(self, plan: CircuitPlan, registry: ModeRegistry,
@@ -372,18 +377,18 @@ class _Side:
         local = {m: i for i, m in enumerate(modes)}
         reg = registry.reduced(modes)
         decls = [plan.decls[k] for k in sorted(decl_ids)]
-        self.plan = plan
         self.magnons = [d for d in decls if isinstance(d, MagnonDecl)]
         self.magnon_modes = [m for m in modes
                              if registry.modes[m].kind is ModeKind.MAGNON]
         self.components = list(plans.iter_components(plan, self.magnons))
+        self.kept = slice(None)
         if n_bar is not None:
             # a single report: components without weight never contribute
-            w = self.weights(n_bar)
-            self.components = [occs for occs, keep in zip(self.components, w) if keep]
-            if not self.components:
+            w = plans.component_weight(plan, [n_bar], self.magnons)[0]
+            self.kept = np.flatnonzero(w)
+            if not len(self.kept):
                 raise ProtocolError("plan produced a zero-mass ensemble")
-            self.report_weights = w[w != 0]
+            self.components = [self.components[k] for k in self.kept]
         size = len(self.components) * reg.dimension
         if size > constants.MAX_ARRAY_ENTRIES:
             raise ProtocolError(
@@ -392,25 +397,24 @@ class _Side:
                 f"{constants.MAX_ARRAY_ENTRIES}")
         side_ops = [replace(op, targets=tuple(local[t] for t in op.targets))
                     for op in ops if op.targets[0] in local]
-        amps = []
-        for occs in self.components:
+        groups = ([local[m] for m in bell_modes if m in local],
+                  [local[m] for m in self.magnon_modes])
+        rest = [i for i in range(len(modes)) if i not in groups[0] + groups[1]]
+        shape = [math.prod(reg.dims[i] for i in g) for g in (*groups, rest)]
+        self.out = np.empty([len(self.components)] + shape, dtype=complex)
+        # `out` with one axis per mode: a group's little-endian index is C
+        # order over its modes reversed, and an amplitude vector's is C order
+        # over the registry reversed, so mode i moves to axis len(modes) - i
+        rev = groups[0][::-1] + groups[1][::-1] + rest[::-1]
+        by_mode = np.moveaxis(
+            self.out.reshape([len(self.components)] + [reg.dims[i] for i in rev]),
+            range(1, len(rev) + 1), [len(rev) - i for i in rev])
+        for k, occs in enumerate(self.components):
             state = StateVector(reg, plans.initial_vector(plan, reg, occs, decls),
                                 normalized=False)
             for op in side_ops:
                 state = apply(op, state)
-            amps.append(state.amplitudes)
-        groups = ([local[m] for m in bell_modes if m in local],
-                  [local[m] for m in self.magnon_modes])
-        rest = [i for i in range(len(modes)) if i not in groups[0] + groups[1]]
-        axes = groups[0] + groups[1] + rest
-        tens = np.stack(amps, axis=-1).reshape(reg.dims + (len(amps),), order="F")
-        tens = np.moveaxis(tens, axes, range(len(axes)))
-        shape = [math.prod(reg.dims[i] for i in g) for g in (*groups, rest)]
-        self.out = tens.reshape(shape + [len(amps)], order="F").transpose(3, 0, 1, 2)
-
-    def weights(self, n_bar: float) -> np.ndarray:
-        return np.array([plans.component_weight(self.plan, occs, n_bar, self.magnons)
-                         for occs in self.components])
+            by_mode[k] = state.amplitudes.reshape(reg.dims[::-1])
 
     def columns(self, w: np.ndarray) -> np.ndarray:
         """Output columns sqrt(w_k) out[k][..., o] as (analyzer, magnons,
@@ -428,11 +432,12 @@ class _Circuit:
     state of a component pair is the product of the two sides' outputs.
     The sides meet only in the herald: `tables` contracts both outputs with
     the Bell vectors and fidelity targets into per-pair tables T, and every
-    report or sweep point sums w1_i w2_j T_ij over the sides' thermal
-    weights.  No amplitude array of the joint dimension is ever formed; the
-    joint registry is built for its size limit and the element wiring only.
-    With `n_bar` the circuit serves one report at that occupation; without,
-    it keeps every thermal component, for a sweep.
+    report or sweep point sums W_ij T_ij over the pairs' thermal weights
+    (`weights`).  No amplitude array of the joint dimension is ever formed;
+    the joint registry is built for its size limit and the element wiring
+    only.  With `n_bar` the circuit serves one report at that occupation and
+    propagates only components of nonzero weight; without, it keeps every
+    thermal component, for a sweep.
     """
 
     def __init__(self, plan: CircuitPlan, n_bar: float | None = None):
@@ -463,16 +468,22 @@ class _Circuit:
         tens = t.reshape(self.reduced.dims, order="F")
         return tens.transpose(self._perm).reshape(d1, d2, order="F")
 
-    def pair_weights(self, w1: np.ndarray, n_bar: float) -> np.ndarray:
-        """(n1, n2) weights of the component pairs, given side 1's weights.
+    def weights(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thermal weights at the shared occupations `grid`: side 1's and side
+        2's component weights, (points, n1) and (points, n2), and the
+        component pairs' weights, (points, n1, n2).
 
-        Side 2's magnon factors multiply onto side 1's weight, so a pair's
-        weight is the joint component's product, factor for factor.
+        A pair's weight continues side 1's product over side 2's magnons, so
+        it is the joint component's product, factor for factor.  A report's
+        sides select their kept components; a sweep's take the full slice,
+        so nothing is copied.
         """
-        side = self.sides[1]
-        return np.stack([plans.component_weight(self.plan, occs, n_bar, side.magnons,
-                                                weight=w1)
-                         for occs in side.components], axis=-1)
+        (s1, s2), points = self.sides, len(grid)
+        w1 = plans.component_weight(self.plan, grid, s1.magnons)
+        w2 = plans.component_weight(self.plan, grid, s2.magnons)
+        pairs = plans.component_weight(self.plan, grid, s2.magnons, weight=w1)
+        pairs = pairs.reshape(points, w1.shape[1], w2.shape[1])
+        return w1[:, s1.kept], w2[:, s2.kept], pairs[:, s1.kept][:, :, s2.kept]
 
     def tables(self) -> np.ndarray:
         """(13, n1, n2) herald table over the component pairs (i, j).
@@ -604,12 +615,16 @@ def _pair_sums(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     The sum runs sequentially in joint component order (side 1's component
     the slower index), so each total is the one a loop over the joint
-    thermal components accumulates, to the last bit.  Each row's totals are
-    copied out of its running sum, so only one row's temporaries are alive.
+    thermal components accumulates, to the last bit.  Every row's running
+    sum is formed in the same buffer, one array the size of the weights.
     """
     w = weights.reshape(weights.shape[:-2] + (-1,))
-    return np.stack([np.cumsum(w * row.ravel(), axis=-1)[..., -1].copy()
-                     for row in tables], axis=-1)
+    running = np.empty_like(w)
+    sums = np.empty(w.shape[:-1] + (len(tables),))
+    for k, row in enumerate(tables):
+        np.cumsum(np.multiply(w, row.ravel(), out=running), axis=-1, out=running)
+        sums[..., k] = running[..., -1]
+    return sums
 
 
 def _heralds(sums: np.ndarray) -> list[tuple]:
@@ -656,8 +671,8 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
     settings = plan.settings
     n_bar = settings.n_bar
     circuit = _Circuit(plan, n_bar)
-    w1, w2 = (side.report_weights for side in circuit.sides)
-    sums = _pair_sums(circuit.tables(), circuit.pair_weights(w1, n_bar))
+    (w1,), (w2,), pairs = circuit.weights([n_bar])
+    sums = _pair_sums(circuit.tables(), pairs)[0]
     heralds = _heralds(sums)
     included = _included(settings)
     masses = [float(sums[1 + 3 * k]) for k in range(len(BELL_IDS))]
@@ -922,8 +937,8 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
 
     `grid` is a sequence of occupations, its length checked by
     `check_sweep_size` before anything is formed.  The circuit is propagated
-    once (conditional amplitudes are independent of n_bar); each grid point
-    only reweights the herald tables.
+    once (conditional amplitudes are independent of n_bar); the pair weights
+    of the whole grid, one matrix, then reweight the herald tables.
     """
     cfg = cfg or ThermalConfig()
     qubit = qubit or DEFAULT_SWEEP_QUBIT
@@ -940,9 +955,7 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
         plan = swap_plan(ThermalConfig(0.0, cfg.cutoff, cfg.renormalize), model)
         closed = closed_form_f2
     circuit = _Circuit(plan)
-    side = circuit.sides[0]
-    weights = np.array([circuit.pair_weights(side.weights(g), g) for g in grid])
-    sums = _pair_sums(circuit.tables(), weights)
+    sums = _pair_sums(circuit.tables(), circuit.weights(grid)[2])
     simulated = _aggregate(_heralds(sums), _included(plan.settings))
     return [SweepRow(g, float(sim), closed(g), abs(float(sim) - closed(g)))
             for g, sim in zip(grid, simulated)]

@@ -122,8 +122,18 @@ class _Propagator:
         return rec
 
     def weights(self, n_bar: float) -> np.ndarray:
-        return np.array([plans.component_weight(self.plan, occs, n_bar)
-                         for occs in self.components])
+        """Per-component weights, each the scalar product of its magnons'
+        `thermal_weights` entries, formed here rather than by the executor."""
+        s = self.plan.settings
+        out = []
+        for occs in self.components:
+            w = 1.0
+            for decl, n in zip(self.plan.magnon_decls(), occs):
+                if decl.init == "thermal":
+                    w *= plans.thermal_weights(s.n_bar_for(decl.path, n_bar),
+                                               s.thermal_cutoff, s.renormalize)[n]
+            out.append(w)
+        return np.array(out)
 
 
 def _report_from(prop: _Propagator, n_bar: float,

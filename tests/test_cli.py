@@ -224,6 +224,31 @@ def test_oversized_readout_post_state_exits_2_before_allocating(capsys):
     assert peak < 16 << 20
 
 
+def _traced_peak(capsys, *argv):
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out
+    return peak
+
+
+def test_large_teleport_holds_its_side_stack_about_twice(capsys):
+    # 441 components x 7,744 amplitudes: a 52 MB stack, written in place and
+    # conjugated once for the herald tables
+    assert _traced_peak(capsys, "teleport", "--n-bar", "0.1", "--cutoff", "20") < 110 << 20
+
+
+def test_sweep_at_the_size_limit_peaks_at_two_pair_weight_arrays(capsys):
+    # 51,780 points x 81 pairs: 33.5 MB of pair weights plus one running sum
+    # of their size; a third such array alive at once would pass 100 MiB
+    steps = MAX_SWEEP_WEIGHTS // 81
+    assert _traced_peak(capsys, "sweep", "--protocol", "swap", "--from", "0", "--to",
+                        "0.3", "--steps", str(steps)) < 80 << 20
+
+
 # ---------------------------------------------------------------------------
 # threshold
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from dense_oracle import dense_report
 
-from omxsim import cli, dsl, fock, protocols
+from omxsim import cli, dsl, fock, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.protocols import InputQubit, ThermalConfig
 
@@ -160,6 +160,27 @@ def test_sweep_points_match_dense_reports(protocol):
                 if protocol == "teleport" else protocols.swap_plan(cfg, BOSONIC))
         assert row.simulated == pytest.approx(dense_report(plan).aggregate_fidelity,
                                               abs=TOL)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_pair_weights_are_the_joint_components_weights_bit_for_bit(cutoff):
+    # side 1 holds magnons A and B, side 2 holds C and D, so pair (i, j) is
+    # joint component i * n2 + j, and its weight the joint product in order
+    overrides = {"D": 0.3}
+    grid = [0.0, 0.05, 0.2, 0.45, 3.0]
+    plan = protocols.swap_plan(ThermalConfig(0.0, cutoff), n_bar_overrides=overrides)
+    w1, w2, pairs = protocols._Circuit(plan).weights(grid)
+    joint = plans.component_weight(plan, grid)
+    assert pairs.shape == (len(grid), (cutoff + 1) ** 2, (cutoff + 1) ** 2)
+    assert pairs.reshape(len(grid), -1).tobytes() == joint.tobytes()
+    # a report's circuit keeps the components of nonzero weight, in order
+    for point, n_bar in enumerate(grid):
+        report_plan = protocols.swap_plan(ThermalConfig(n_bar, cutoff),
+                                          n_bar_overrides=overrides)
+        (r1,), (r2,), (rp,) = protocols._Circuit(report_plan, n_bar).weights([n_bar])
+        assert r1.tobytes() == w1[point][w1[point] != 0].tobytes()
+        assert r2.tobytes() == w2[point][w2[point] != 0].tobytes()
+        assert rp.tobytes() == joint[point][joint[point] != 0].tobytes()
 
 
 def test_cutoff_3_swap_applies_elements_on_one_interferometer_only(monkeypatch):

@@ -1,0 +1,56 @@
+"""perfbench's tracer hooks resolve against the package.
+
+`perfbench/tracer.py` wraps the functions its HOOKS table names, and
+`PROPAGATION` names the spans that make up a sweep's propagation.  A hooked
+function that is renamed or deleted breaks `run.py --trace 1`, and one that
+is no longer called empties its layer; these checks keep both in tier 1.
+The tracer is loaded by path, as perfbench is not a package.
+"""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+from omxsim import cli
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_resolves_after_importing_the_cli():
+    tracer = _tracer_module()
+    for module_name, fn_name, _ in tracer.HOOKS:
+        assert callable(getattr(sys.modules[module_name], fn_name, None)), (
+            f"{module_name}.{fn_name}")
+
+
+def test_every_propagation_span_is_a_hook_span():
+    tracer = _tracer_module()
+    assert set(tracer.PROPAGATION) <= {span for _, _, span in tracer.HOOKS}
+
+
+def test_a_traced_report_and_sweep_record_the_weight_and_propagation_spans():
+    tracer = _tracer_module()
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["teleport", "--n-bar", "0.2"]) == 0
+            assert cli.main(["sweep", "--protocol", "swap", "--from", "0",
+                             "--to", "0.3", "--steps", "5"]) == 0
+    finally:
+        recorder.uninstall()
+    recorded = {recorder.names[i] for i in recorder.name_id}
+    assert {"cli.main", "protocols.execute_plan", "protocols.sweep_fidelity",
+            "plans.component_weight", *tracer.PROPAGATION} <= recorded
+    # uninstalling restores the unwrapped functions
+    assert not hasattr(cli.main, "__wrapped__")
+    assert not hasattr(cli.plans.component_weight, "__wrapped__")

@@ -3,6 +3,10 @@
 The report properties run through the dual-rail-sector herald: the fidelity
 numerators contract only the sector rows, and the herald masses the full
 Gram traces.  The readout property runs through the heralded post-state.
+The weight properties hold bit for bit: a sweep and a report form their
+thermal weights through the same product, so a sweep row equals the report
+at its occupation, and overrides equal to the shared occupation change
+nothing.
 """
 
 import numpy as np
@@ -10,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omxsim import protocols
+from omxsim import plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.measurement import BellId
-from omxsim.protocols import InputQubit, ThermalConfig
+from omxsim.protocols import InputQubit, ProtocolError, ThermalConfig
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -25,6 +29,15 @@ thermal = st.builds(ThermalConfig,
 models = st.sampled_from(list(ScatterModel))
 qubits = st.builds(InputQubit.from_angles,
                    st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi))
+# small occupations, and large ones up to the s -> 1 limit
+occupations = st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 1e17))
+
+
+def _report(protocol: str, cfg: ThermalConfig, model: ScatterModel,
+            qubit: InputQubit = protocols.DEFAULT_SWEEP_QUBIT, **kwargs):
+    if protocol == "teleport":
+        return protocols.teleport(qubit, cfg, model, **kwargs)
+    return protocols.entanglement_swap(cfg, model, **kwargs)
 
 
 @PROPERTY
@@ -56,3 +69,50 @@ def test_readout_retrieves_each_even_herald_with_its_corrected_fidelity(
         result = protocols.readout(outcome.post_state, apply_correction=correct)
         assert protocols.retrieved_qubit_fidelity(result, qubit) == pytest.approx(
             outcome.fidelity_corrected, abs=TOL)
+
+
+@PROPERTY
+@given(protocol=st.sampled_from(plans.PROTOCOLS), cutoff=st.integers(1, 3),
+       renormalize=st.booleans(), model=models,
+       grid=st.lists(occupations, min_size=1, max_size=4).map(sorted))
+def test_each_sweep_row_equals_the_report_at_its_occupation(
+        protocol, cutoff, renormalize, model, grid):
+    cfg = ThermalConfig(0.0, cutoff, renormalize)
+    try:
+        rows = protocols.sweep_fidelity(protocol, grid, cfg, model)
+    except ProtocolError as exc:
+        # a point of zero mass (no renormalization once s rounds to 1) is
+        # refused by the sweep and by its report alike
+        messages = []
+        for g in grid:
+            try:
+                _report(protocol, ThermalConfig(g, cutoff, renormalize), model)
+            except ProtocolError as report_exc:
+                messages.append(str(report_exc))
+        assert str(exc) in messages
+        return
+    for row in rows:
+        report = _report(protocol, ThermalConfig(row.n_bar, cutoff, renormalize), model)
+        assert row.simulated == report.aggregate_fidelity
+        assert row.abs_diff == report.closed_form["abs_diff"]
+
+
+@PROPERTY
+@given(protocol=st.sampled_from(plans.PROTOCOLS), n_bar=occupations,
+       cutoff=st.integers(1, 3), renormalize=st.booleans(), model=models, qubit=qubits)
+def test_overrides_equal_to_the_shared_occupation_change_nothing(
+        protocol, n_bar, cutoff, renormalize, model, qubit):
+    cfg = ThermalConfig(n_bar, cutoff, renormalize)
+    overrides = dict.fromkeys("AB" if protocol == "teleport" else "ABCD", n_bar)
+    try:
+        shared = _report(protocol, cfg, model, qubit).to_dict()
+    except ProtocolError as exc:
+        with pytest.raises(ProtocolError) as overridden_exc:
+            _report(protocol, cfg, model, qubit, n_bar_overrides=overrides)
+        assert str(overridden_exc.value) == str(exc)
+        return
+    overridden = _report(protocol, cfg, model, qubit,
+                         n_bar_overrides=overrides).to_dict()
+    echoed = overridden["config"].pop("n_bar_overrides")
+    assert echoed == dict.fromkeys(overrides, shared["config"]["n_bar"])
+    assert overridden == shared

@@ -102,6 +102,58 @@ def test_prepare_thermal_high_cutoff_matches_geometric_law():
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def _scalar_thermal_row(n_bar: float, cutoff: int, renormalize: bool) -> np.ndarray:
+    """The truncated geometric row of one occupation, in scalar arithmetic."""
+    s = n_bar / (n_bar + 1.0)
+    weights = (1.0 - s) * s ** np.arange(cutoff + 1)
+    if renormalize:
+        total = weights.sum()
+        if total == 0.0:
+            return np.full(cutoff + 1, 1.0 / (cutoff + 1))
+        weights = weights / total
+    return weights
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 9])
+def test_thermal_weights_on_an_array_equal_the_scalar_rows_bit_for_bit(cutoff,
+                                                                       renormalize):
+    # 1e17 is the s -> 1 limit (uniform when renormalized) and 1e308 the
+    # all-zero row without renormalization
+    n_bars = [0.0, 1e-300, 0.2, 1e17, 1e308]
+    rows = plans.thermal_weights(np.array(n_bars), cutoff, renormalize)
+    assert rows.shape == (len(n_bars), cutoff + 1)
+    for n_bar, row in zip(n_bars, rows):
+        scalar = plans.thermal_weights(n_bar, cutoff, renormalize)
+        assert scalar.shape == (cutoff + 1,)
+        assert row.tobytes() == scalar.tobytes()
+        assert row.tobytes() == _scalar_thermal_row(n_bar, cutoff, renormalize).tobytes()
+    if renormalize:
+        assert np.all(rows[3:] == 1.0 / (cutoff + 1))
+    else:
+        assert not rows[3:].any()
+
+
+def test_component_weight_continues_a_group_product_in_joint_order():
+    plan = protocols.swap_plan(ThermalConfig(0.2, cutoff=2),
+                               n_bar_overrides={"C": 0.05})
+    grid = np.array([0.0, 0.1, 0.3, 1e17])
+    magnons = plan.magnon_decls()
+    first = plans.component_weight(plan, grid, magnons[:2])
+    joint = plans.component_weight(plan, grid, magnons[2:], weight=first)
+    every = plans.component_weight(plan, grid)
+    assert first.shape == (4, 9) and every.shape == (4, 81)
+    assert joint.tobytes() == every.tobytes()
+    # column by column, the scalar product over iter_components in its order
+    s = plan.settings
+    for col, occs in enumerate(plans.iter_components(plan)):
+        for point, g in enumerate(grid):
+            w = 1.0
+            for decl, n in zip(magnons, occs):
+                w *= _scalar_thermal_row(s.n_bar_for(decl.path, g), 2, True)[n]
+            assert every[point, col] == w
+
+
 # ---------------------------------------------------------------------------
 # element steps
 
@@ -201,10 +253,11 @@ def test_prepare_epr_thermal_mixture_weights():
     s = cfg.s
     components = list(plans.iter_components(plan))
     assert len(components) == 9
+    weights = plans.component_weight(plan, [cfg.n_bar])
+    assert weights.shape == (1, 9)
     diag = np.zeros(reg.dimension)
     total = 0.0
-    for occs in components:
-        w = plans.component_weight(plan, occs, cfg.n_bar)
+    for occs, w in zip(components, weights[0]):
         psi = _epr_component(plan, reg, occs)
         diag += w * np.abs(psi.amplitudes) ** 2
         total += w * psi.norm() ** 2
