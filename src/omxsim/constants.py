@@ -30,14 +30,17 @@ PARTIAL_READOUT_TOL = 1e-12
 CONCURRENCE_EIGENVALUE_FLOOR = 1e-14
 
 # Hard ceiling on the dimension of any mode registry (product of per-mode
-# Fock dimensions).  Dense complex vectors of this length stay cheap.
+# Fock dimensions).  The executor builds one registry per side of the Bell
+# analyzer, never one over the whole circuit, so the ceiling applies per
+# side (a swap interferometer at thermal cutoff c has 16 (c + 2)^2); dense
+# complex vectors of this length stay cheap.
 MAX_DIMENSION = 1 << 20
 
 # Ceiling on one array's entries, checked from the sizes alone: a side's
-# thermal components times its registry dimension (a teleport at cutoff 22
-# or more with n_bar > 0 is refused), and a heralded magnon state's d^2
-# entries for d magnon levels (a teleport post-state is refused from cutoff
-# 44, a swap post-state from cutoff 5).
+# thermal components times its registry dimension (a teleport or swap at
+# cutoff 22 or more with n_bar > 0 is refused), and a heralded magnon
+# state's d^2 entries for d magnon levels (a teleport post-state is refused
+# from cutoff 44, a swap post-state from cutoff 5).
 MAX_ARRAY_ENTRIES = 1 << 22
 
 # Ceiling on a sweep's pair-weight array: grid points times joint thermal

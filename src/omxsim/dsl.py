@@ -30,6 +30,7 @@ from .plans import (
     PhotonDecl,
     PlanSettings,
     build_registry,
+    split_sides,
 )
 
 
@@ -402,7 +403,9 @@ def compile(ast: CircuitAst) -> CircuitPlan:  # noqa: A001 - spec'd operation na
 
     plan = CircuitPlan(tuple(plan_decls), tuple(steps), measure, settings)
     try:
-        build_registry(plan)
+        # the executor builds one registry per side of the Bell analyzer
+        for decls, _ in split_sides(plan):
+            build_registry(plan, decls)
     except RegistryError as exc:
         raise DslSemanticError([SemanticIssue(1, 1, str(exc))]) from exc
     return plan

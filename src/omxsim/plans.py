@@ -1,9 +1,11 @@
 """Executable simulation plans: declarations, registries, element wiring.
 
 A CircuitPlan is the common executable form behind both the built-in
-protocol runners and circuits compiled from `.omx` text.  Registry order is
-the declaration order (photon paths contribute an H then a V mode), so a
-plan determines the basis layout completely and runs are deterministic.
+protocol runners and circuits compiled from `.omx` text.  A registry lays
+out the declarations it is built from in their given order (photon paths
+contribute an H then a V mode), so a plan determines the basis layout
+completely and runs are deterministic.  `split_sides` divides a plan into
+the Bell analyzer's two sides, which are built and run apart.
 """
 
 from __future__ import annotations
@@ -184,12 +186,13 @@ def thermal_weights(n_bar: float | np.ndarray, cutoff: int,
     return weights
 
 
-def build_registry(plan: CircuitPlan) -> ModeRegistry:
-    """Registry in declaration order; magnon cutoffs keep scattering headroom."""
+def build_registry(plan: CircuitPlan, decls: Sequence | None = None) -> ModeRegistry:
+    """Registry over `decls` (default all of the plan's), in their order;
+    magnon cutoffs keep scattering headroom."""
     modes: list[ModeLabel] = []
     cutoffs: list[int] = []
     s = plan.settings
-    for decl in plan.decls:
+    for decl in plan.decls if decls is None else decls:
         if isinstance(decl, PhotonDecl):
             modes += [optical(decl.path, "H"), optical(decl.path, "V")]
             cutoffs += [s.photon_cutoff, s.photon_cutoff]
@@ -207,24 +210,75 @@ def _argument(registry: ModeRegistry, kind: str, value):
     return value if kind == "path" else float(value)
 
 
-def build_elements(plan: CircuitPlan, registry: ModeRegistry) -> list[ElementOp]:
-    """Instantiate every step against the registry, in order.
+def _signature(step: ElementStep) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """The step's catalogue entry, checked against its argument count."""
+    if step.name not in ELEMENTS:
+        raise PlanError(f"unknown element {step.name!r}")
+    entry = ELEMENTS[step.name]
+    if len(step.args) != len(entry[1]):
+        raise PlanError(f"element {step.name!r} takes {len(entry[1])} arguments, "
+                        f"got {len(step.args)}")
+    return entry
+
+
+def build_elements(plan: CircuitPlan, registry: ModeRegistry,
+                   steps: Sequence[ElementStep] | None = None) -> list[ElementOp]:
+    """Instantiate `steps` (default all of the plan's) against the registry,
+    in order.
 
     Constructors are looked up on `elements` at call time, so a wrapper
     installed on that module's attribute is the one called.
     """
     ops = []
-    for step in plan.steps:
-        if step.name not in ELEMENTS:
-            raise PlanError(f"unknown element {step.name!r}")
-        constructor, kinds, keywords = ELEMENTS[step.name]
-        if len(step.args) != len(kinds):
-            raise PlanError(f"element {step.name!r} takes {len(kinds)} arguments, "
-                            f"got {len(step.args)}")
+    for step in plan.steps if steps is None else steps:
+        constructor, kinds, keywords = _signature(step)
         args = [_argument(registry, k, a) for k, a in zip(kinds, step.args)]
         options = {key: getattr(plan.settings, key) for key in keywords}
         ops.append(getattr(elements, constructor)(registry, *args, **options))
     return ops
+
+
+def _position(index: dict[tuple[str, str], int], kind: str, path: str) -> int:
+    if (kind, path) not in index:
+        raise PlanError(f"undeclared {kind} {path!r}")
+    return index[kind, path]
+
+
+def step_decls(step: ElementStep, index: dict[tuple[str, str], int]) -> list[int]:
+    """Plan positions of the declarations `step` acts on, in argument order.
+
+    `index` maps each declaration's (kind, path), kind "photon" or "magnon",
+    to its position.  A photon path is one declaration: an element on one
+    of its modes acts on the path, whose H and V modes a qubit init
+    entangles.
+    """
+    _, kinds, _ = _signature(step)
+    return [_position(index, arg.kind, arg.path) if kind == "mode"
+            else _position(index, "photon", arg)
+            for kind, arg in zip(kinds, step.args) if kind in ("mode", "path")]
+
+
+def split_sides(plan: CircuitPlan) -> list[tuple[list, list[ElementStep]]]:
+    """(declarations, steps) of the Bell analyzer's two sides, in plan order.
+
+    The declarations an element acts on join one group.  Side 2 is the group
+    holding the analyzer's second path, unless the elements join it to the
+    first path's group; side 1 is everything else.  A circuit that couples
+    everything runs as side 1 alone, with an empty side 2.
+    """
+    index = {("photon" if isinstance(d, PhotonDecl) else "magnon", d.path): k
+             for k, d in enumerate(plan.decls)}
+    group = list(range(len(plan.decls)))
+    acted = [step_decls(step, index) for step in plan.steps]
+    for acts_on in acted:
+        joined = {group[k] for k in acts_on}
+        group = [min(joined) if g in joined else g for g in group]
+    g1, g2 = (group[_position(index, "photon", path)]
+              for path in (plan.measure.path1, plan.measure.path2))
+    side_of = [int(g2 != g1 and g == g2) for g in group]
+    return [([d for d, s in zip(plan.decls, side_of) if s == side],
+             [st for st, ks in zip(plan.steps, acted) if side_of[ks[0]] == side])
+            for side in (0, 1)]
 
 
 def iter_components(plan: CircuitPlan, magnons: Sequence[MagnonDecl] | None = None

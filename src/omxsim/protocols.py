@@ -17,18 +17,19 @@ n = 2 the heralded fidelities take the closed forms
 while the untruncated mixture gives (1-s)^2 and (1-s)^4; reports carry both
 so the truncation sensitivity stays visible.
 
-Execution splits a plan at the Bell analyzer.  Declarations that an element
-acts on together form one group (a photon path's H and V modes always
-together); side 2 is the group holding the analyzer's second path, side 1
-everything else, or the whole circuit if its elements join the two paths.
-Each side's thermal components run through that side's elements on its own
-registry, and the sides meet only in the herald: both outputs are
-contracted with the Bell vectors and fidelity targets into tables over the
-component pairs, which each report and sweep point weights with the thermal
-mixture.  Reports and sweeps form those weights through one product,
-`plans.component_weight`, over a grid of occupations at once; a report is
-the one-point grid, so a sweep row equals the report at its occupation to
-the last bit.  The joint registry is built for its size limit only.
+Execution splits a plan at the Bell analyzer (`plans.split_sides`).
+Declarations that an element acts on together form one group (a photon
+path's H and V modes always together); side 2 is the group holding the
+analyzer's second path, side 1 everything else, or the whole circuit if its
+elements join the two paths.  Each side's registry and elements are built
+from its own declarations and steps, and its thermal components run through
+them; no registry over the whole plan is built.  The sides meet only in the
+herald: both outputs are contracted with the Bell vectors and fidelity
+targets into tables over the component pairs, which each report and sweep
+point weights with the thermal mixture.  Reports and sweeps form those
+weights through one product, `plans.component_weight`, over a grid of
+occupations at once; a report is the one-point grid, so a sweep row equals
+the report at its occupation to the last bit.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the fidelity numerators and the swap concurrence read only the sector rows
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable
 
@@ -53,7 +54,6 @@ from . import constants, elements, measurement, plans
 from .elements import ScatterModel
 from .fock import (
     DensityMatrix,
-    ElementOp,
     ModeKind,
     ModeRegistry,
     OmxError,
@@ -273,26 +273,16 @@ def _config_echo(settings: PlanSettings) -> dict:
 # ---------------------------------------------------------------------------
 # plan execution
 
-def _magnon_targets(plan: CircuitPlan, registry: ModeRegistry) -> list[int]:
-    idx = [i for i, m in enumerate(registry.modes) if m.kind is ModeKind.MAGNON]
-    need = 2 if plan.settings.protocol == "teleport" else 4
-    if len(idx) != need:
-        raise ProtocolError(f"{plan.settings.protocol} expects {need} magnon modes, "
-                            f"found {len(idx)}")
-    return idx
+def _sector(n: int) -> list[tuple[int, ...]]:
+    """The dual-rail sector of n magnons in declaration order, one excitation
+    per pair: state q1 + 2 q2 holds (q1, 1 - q1, q2, 1 - q2), where qubit
+    value 0 excites the lower rail (a pair of magnons has q1 only)."""
+    return [(q1, 1 - q1, q2, 1 - q2)[:n] for q2 in range(n // 2) for q1 in (0, 1)]
 
 
-def _dual_rail_vector(registry: ModeRegistry, occ: dict[int, int]) -> np.ndarray:
-    full = [0] * len(registry)
-    for mode, n in occ.items():
-        full[mode] = n
-    vec = np.zeros(registry.dimension, dtype=complex)
-    vec[registry.index_of_occupation(full)] = 1.0
-    return vec
-
-
-def _targets_for(plan: CircuitPlan, reduced: ModeRegistry) -> dict[BellId, tuple]:
-    """(raw, corrected) fidelity target vectors per Bell herald.
+def _targets(settings: PlanSettings) -> dict[BellId, tuple]:
+    """(raw, corrected) fidelity targets per Bell herald, as coefficients over
+    the states of `_sector`.
 
     Teleport targets the transferred qubit alpha |lower> + beta |upper>; the
     even-parity minus herald is corrected by a pi phase on the upper arm,
@@ -300,86 +290,46 @@ def _targets_for(plan: CircuitPlan, reduced: ModeRegistry) -> dict[BellId, tuple
     targets the matching dual-rail Bell state; the same phase correction maps
     the minus heralds onto their plus partners.
     """
-    s = plan.settings
-    if s.protocol == "teleport":
-        lower = _dual_rail_vector(reduced, {0: 0, 1: 1})
-        upper = _dual_rail_vector(reduced, {0: 1, 1: 0})
-        t_plus = s.alpha * lower + s.beta * upper
-        t_minus = s.alpha * lower - s.beta * upper
+    if settings.protocol == "teleport":
+        t_plus = np.array([settings.alpha, settings.beta])
+        t_minus = np.array([settings.alpha, -settings.beta])
         return {
             BellId.PHI_PLUS: (t_plus, t_plus),
             BellId.PHI_MINUS: (t_plus, t_minus),
             BellId.PSI_PLUS: (t_plus, t_plus),
             BellId.PSI_MINUS: (t_plus, t_plus),
         }
-    ll = _dual_rail_vector(reduced, {0: 0, 1: 1, 2: 0, 3: 1})
-    uu = _dual_rail_vector(reduced, {0: 1, 1: 0, 2: 1, 3: 0})
-    lu = _dual_rail_vector(reduced, {0: 0, 1: 1, 2: 1, 3: 0})
-    ul = _dual_rail_vector(reduced, {0: 1, 1: 0, 2: 0, 3: 1})
-    phi_p = (ll + uu) / np.sqrt(2)
-    phi_m = (ll - uu) / np.sqrt(2)
-    psi_p = (lu + ul) / np.sqrt(2)
-    psi_m = (lu - ul) / np.sqrt(2)
-    return {
-        BellId.PHI_PLUS: (phi_p, phi_p),
-        BellId.PHI_MINUS: (phi_m, phi_m),
-        BellId.PSI_PLUS: (psi_p, psi_p),
-        BellId.PSI_MINUS: (psi_m, psi_m),
-    }
-
-
-def _split_sides(plan: CircuitPlan, owner: list[int],
-                 registry: ModeRegistry, ops: list[ElementOp]) -> list[set[int]]:
-    """Declaration indices of the Bell analyzer's two sides.
-
-    `owner[m]` is the declaration holding registry mode m, so a photon
-    path's H and V modes (which a qubit init entangles) always stay
-    together; an element joins the declarations of all its targets.  Side 2
-    is the group holding the analyzer's second path, unless the elements
-    join it to the first path's group; side 1 is everything else.  A circuit
-    that couples everything runs as side 1 alone, with an empty side 2.
-    """
-    root = list(range(len(plan.decls)))
-
-    def find(k: int) -> int:
-        while root[k] != k:
-            root[k] = root[root[k]]
-            k = root[k]
-        return k
-
-    for op in ops:
-        first = find(owner[op.targets[0]])
-        for t in op.targets[1:]:
-            root[find(owner[t])] = first
-    g1, g2 = (find(owner[registry.optical_index(path, "H")])
-              for path in (plan.measure.path1, plan.measure.path2))
-    side2 = {k for k in range(len(plan.decls)) if g2 != g1 and find(k) == g2}
-    return [set(range(len(plan.decls))) - side2, side2]
+    r = 1 / np.sqrt(2)
+    bell = ([r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, -r, r, 0])
+    return {b: (np.array(t), np.array(t)) for b, t in zip(BELL_IDS, bell)}
 
 
 class _Side:
     """One side of the Bell analyzer, propagated on its own small registry.
 
-    `out[k]` is the post-circuit amplitude tensor of the side's thermal
-    component `components[k]`, with axes (the analyzer modes on this side,
-    its magnons, its other modes), each flattened little-endian: analyzer
-    modes in Bell-vector order, the rest in registry order; `out` is one
-    C-contiguous array.  Built for one report (`n_bar` given), a side keeps
-    only its components of nonzero weight, and `kept` indexes them among all
-    of `iter_components`; built for a sweep, it keeps all, and `kept` is the
-    full slice.
+    The registry holds the side's declarations in the order: analyzer paths
+    in Bell-vector order, magnons, the rest, each group in plan order.  An
+    amplitude vector, little-endian over that registry, is then in Fortran
+    order the tensor `out[k]` of the side's thermal component
+    `components[k]`, with axes (analyzer modes, magnons, other modes), each
+    flattened little-endian; `out` is one C-contiguous array.  Built for one
+    report (`n_bar` given), a side keeps only its components of nonzero
+    weight, and `kept` indexes them among all of `iter_components`; built
+    for a sweep, it keeps all, and `kept` is the full slice.
     """
 
-    def __init__(self, plan: CircuitPlan, registry: ModeRegistry,
-                 ops: list[ElementOp], owner: list[int], decl_ids: set[int],
-                 bell_modes: tuple[int, ...], n_bar: float | None):
-        modes = [m for m, k in enumerate(owner) if k in decl_ids]
-        local = {m: i for i, m in enumerate(modes)}
-        reg = registry.reduced(modes)
-        decls = [plan.decls[k] for k in sorted(decl_ids)]
+    def __init__(self, plan: CircuitPlan, decls: list, steps: list[ElementStep],
+                 n_bar: float | None):
+        paths = (plan.measure.path1, plan.measure.path2)
+
+        def rank(decl) -> int:
+            if isinstance(decl, MagnonDecl):
+                return 2
+            return paths.index(decl.path) if decl.path in paths else 3
+
+        decls = sorted(decls, key=rank)
+        reg = plans.build_registry(plan, decls)
         self.magnons = [d for d in decls if isinstance(d, MagnonDecl)]
-        self.magnon_modes = [m for m in modes
-                             if registry.modes[m].kind is ModeKind.MAGNON]
         self.components = list(plans.iter_components(plan, self.magnons))
         self.kept = slice(None)
         if n_bar is not None:
@@ -395,26 +345,17 @@ class _Side:
                 f"{len(self.components)} thermal components on a {reg.dimension}-dim "
                 f"side need {size} amplitudes, above the limit "
                 f"{constants.MAX_ARRAY_ENTRIES}")
-        side_ops = [replace(op, targets=tuple(local[t] for t in op.targets))
-                    for op in ops if op.targets[0] in local]
-        groups = ([local[m] for m in bell_modes if m in local],
-                  [local[m] for m in self.magnon_modes])
-        rest = [i for i in range(len(modes)) if i not in groups[0] + groups[1]]
-        shape = [math.prod(reg.dims[i] for i in g) for g in (*groups, rest)]
+        a = 2 * sum(rank(d) < 2 for d in decls)     # H and V of each analyzer path
+        m = a + len(self.magnons)
+        shape = [math.prod(reg.dims[:a]), math.prod(reg.dims[a:m]), math.prod(reg.dims[m:])]
+        ops = plans.build_elements(plan, reg, steps)
         self.out = np.empty([len(self.components)] + shape, dtype=complex)
-        # `out` with one axis per mode: a group's little-endian index is C
-        # order over its modes reversed, and an amplitude vector's is C order
-        # over the registry reversed, so mode i moves to axis len(modes) - i
-        rev = groups[0][::-1] + groups[1][::-1] + rest[::-1]
-        by_mode = np.moveaxis(
-            self.out.reshape([len(self.components)] + [reg.dims[i] for i in rev]),
-            range(1, len(rev) + 1), [len(rev) - i for i in rev])
         for k, occs in enumerate(self.components):
             state = StateVector(reg, plans.initial_vector(plan, reg, occs, decls),
                                 normalized=False)
-            for op in side_ops:
+            for op in ops:
                 state = apply(op, state)
-            by_mode[k] = state.amplitudes.reshape(reg.dims[::-1])
+            self.out[k] = state.amplitudes.reshape(shape, order="F")
 
     def columns(self, w: np.ndarray) -> np.ndarray:
         """Output columns sqrt(w_k) out[k][..., o] as (analyzer, magnons,
@@ -427,46 +368,46 @@ class _Side:
 class _Circuit:
     """A plan split at the Bell analyzer, its sides run one at a time.
 
-    The elements never act across the two sides, so each side's thermal
-    components are propagated on that side's registry alone, and the joint
-    state of a component pair is the product of the two sides' outputs.
-    The sides meet only in the herald: `tables` contracts both outputs with
-    the Bell vectors and fidelity targets into per-pair tables T, and every
-    report or sweep point sums W_ij T_ij over the pairs' thermal weights
-    (`weights`).  No amplitude array of the joint dimension is ever formed;
-    the joint registry is built for its size limit and the element wiring
-    only.  With `n_bar` the circuit serves one report at that occupation and
-    propagates only components of nonzero weight; without, it keeps every
-    thermal component, for a sweep.
+    The elements never act across the two sides (`plans.split_sides`), so
+    each side's thermal components are propagated on a registry of that
+    side's declarations alone, and the joint state of a component pair is
+    the product of the two sides' outputs.  No registry or amplitude array
+    over the whole plan is ever formed.  The sides meet only in the herald:
+    `tables` contracts both outputs with the Bell vectors and fidelity
+    targets into per-pair tables T, and every report or sweep point sums
+    W_ij T_ij over the pairs' thermal weights (`weights`).
+
+    The targets live in the dual-rail sector (`_sector`), and `rows[i][q]`
+    is sector state q's magnon row on side i.  With `n_bar` the circuit serves
+    one report at that occupation and propagates only components of nonzero
+    weight; without, it keeps every thermal component, for a sweep.
     """
 
     def __init__(self, plan: CircuitPlan, n_bar: float | None = None):
         self.plan = plan
-        registry = plans.build_registry(plan)
-        ops = plans.build_elements(plan, registry)
-        bell_modes, bell_vecs = measurement.bell_state_vectors(
-            registry, plan.measure.path1, plan.measure.path2)
-        mag_idx = _magnon_targets(plan, registry)
-        if set(mag_idx) & set(bell_modes):
-            raise ProtocolError("measured modes must be photonic")
-        self.reduced = registry.reduced(mag_idx)
-        owner = [k for k, decl in enumerate(plan.decls)
-                 for _ in range(2 if isinstance(decl, PhotonDecl) else 1)]
-        self.sides = [_Side(plan, registry, ops, owner, ids, bell_modes, n_bar)
-                      for ids in _split_sides(plan, owner, registry, ops)]
+        s = plan.settings
+        magnons = plan.magnon_decls()
+        need = 2 if s.protocol == "teleport" else 4
+        if len(magnons) != need:
+            raise ProtocolError(f"{s.protocol} expects {need} magnon modes, "
+                                f"found {len(magnons)}")
+        self.sides = [_Side(plan, decls, steps, n_bar)
+                      for decls, steps in plans.split_sides(plan)]
         x, y = (side.out for side in self.sides)
-        # registry-order position of each magnon in side order (side 1's first)
-        side_order = self.sides[0].magnon_modes + self.sides[1].magnon_modes
-        self._perm = [mag_idx.index(m) for m in side_order]
-        self._mag_dims = [registry.dims[m] for m in side_order]
+        paths = (plan.measure.path1, plan.measure.path2)
+        analyzer = ModeRegistry([optical(p, pol) for p in paths for pol in "HV"],
+                                [s.photon_cutoff] * 4)
+        _, bell_vecs = measurement.bell_state_vectors(analyzer, *paths)
         self.bell = {b: v.reshape(x.shape[1], y.shape[1], order="F")
                      for b, v in bell_vecs.items()}
-        self.targets = {b: tuple(self._to_sides(t, x.shape[2], y.shape[2]) for t in ts)
-                        for b, ts in _targets_for(plan, self.reduced).items()}
-
-    def _to_sides(self, t: np.ndarray, d1: int, d2: int) -> np.ndarray:
-        tens = t.reshape(self.reduced.dims, order="F")
-        return tens.transpose(self._perm).reshape(d1, d2, order="F")
+        # declaration position of each magnon in side order (side 1's first)
+        self._perm = [magnons.index(d) for d in self.sides[0].magnons
+                      + self.sides[1].magnons]
+        n1, dm = len(self.sides[0].magnons), s.thermal_cutoff + 2
+        occs = [[occ[p] for p in self._perm] for occ in _sector(need)]
+        self.rows = [[_flat_index(o[:n1], dm) for o in occs],
+                     [_flat_index(o[n1:], dm) for o in occs]]
+        self.targets = _targets(s)
 
     def weights(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thermal weights at the shared occupations `grid`: side 1's and side
@@ -492,17 +433,19 @@ class _Circuit:
         the herald mass and the raw and corrected fidelity numerators of
         Bell id `BELL_IDS[k]`.  The herald mass needs each side's full Gram
         trace, but every fidelity target lies in the dual-rail sector, so the
-        numerators contract only the magnon rows some target touches.
+        numerators contract only the sector's magnon rows.
         """
         x, y = (side.out for side in self.sides)
         (n1, da, dm1, do1), (n2, db, dm2, do2) = x.shape, y.shape
-        # analyzer-mode Gram matrix of each component, (n, d, d)
-        gx, gy = ((r @ r.conj().transpose(0, 2, 1))
+        # analyzer-mode Gram matrix of each component, (n, d, d), formed one
+        # component at a time so that no conjugate of a whole stack is held
+        gx, gy = (np.stack([c @ c.conj().T for c in r])
                   for r in (x.reshape(n1, da, -1), y.reshape(n2, db, -1)))
         rows = [np.outer(np.trace(gx, axis1=1, axis2=2).real,
                          np.trace(gy, axis1=1, axis2=2).real)]
-        touched = np.any([t != 0 for ts in self.targets.values() for t in ts], axis=0)
-        s1, s2 = np.flatnonzero(touched.any(axis=1)), np.flatnonzero(touched.any(axis=0))
+        # each side's distinct sector rows, ascending, and each sector
+        # state's position among them
+        (s1, q1), (s2, q2) = (np.unique(r, return_inverse=True) for r in self.rows)
         xf = x[:, :, s1].reshape(n1, da * len(s1), do1).transpose(0, 2, 1)  # (i, o1, (a m1))
         yf = y[:, :, s2].reshape(n2, db * len(s2), do2).transpose(1, 0, 2).reshape(
             db * len(s2), -1)
@@ -511,9 +454,11 @@ class _Circuit:
             # sum_abcd gx[i,a,c] conj(B[a,b]) gy[j,b,d] B[c,d]
             e = (b.conj() @ gy @ b.T).reshape(n2, -1)
             rows.append((gx.reshape(n1, -1) @ e.T).real)
-            for t in self.targets[bell_id]:
+            for coefficients in self.targets[bell_id]:
                 # overlap of the pair's conditional state with the target
-                k = np.multiply.outer(b, t[np.ix_(s1, s2)]).transpose(0, 2, 1, 3)
+                t = np.zeros((len(s1), len(s2)), dtype=complex)
+                t[q1, q2] = coefficients
+                k = np.multiply.outer(b, t).transpose(0, 2, 1, 3)
                 k = k.reshape(da * len(s1), db * len(s2)).conj()
                 amp = (xf @ k).reshape(n1 * do1, -1) @ yf
                 amp = amp.reshape(n1, do1, n2, do2)
@@ -525,21 +470,13 @@ class _Circuit:
         """Dual-rail concurrence per Bell id of the mixture with side weights
         w1, w2 (None where the herald mass is unreachable).
 
-        The block that `concurrence_dual_rail` reads from a post-state holds
-        four magnon states, (q1, 1-q1, q2, 1-q2) in registry order.  Each is
-        one magnon row of either side, so the block is a 4 x (k1 k2) product
-        of those rows of the conditional columns; no post-state is formed.
+        The block that `concurrence_dual_rail` reads from a post-state is
+        the dual-rail sector.  Each sector state is one magnon row of either
+        side, so the block is a 4 x (k1 k2) product of those rows of the
+        conditional columns; no post-state is formed.
         """
         x, y = (side.columns(w) for side, w in zip(self.sides, (w1, w2)))
-        n = len(self.sides[0].magnon_modes)
-        rows1, rows2 = [], []
-        for q2 in (0, 1):
-            for q1 in (0, 1):
-                occ = (q1, 1 - q1, q2, 1 - q2)
-                occ = [occ[m] for m in self._perm]      # registry to side order
-                rows1.append(_flat_index(occ[:n], self._mag_dims[:n]))
-                rows2.append(_flat_index(occ[n:], self._mag_dims[n:]))
-        xs, ys = x[:, rows1], y[:, rows2]               # (da, 4, k1), (db, 4, k2)
+        xs, ys = x[:, self.rows[0]], y[:, self.rows[1]]   # (da, 4, k1), (db, 4, k2)
         out = []
         for bell_id, mass in zip(BELL_IDS, masses):
             if mass <= constants.UNREACHABLE_PROBABILITY:
@@ -554,7 +491,8 @@ class _Circuit:
     def post_states(self, w1: np.ndarray, w2: np.ndarray,
                     masses: list[float]) -> list[DensityMatrix | None]:
         """Heralded magnon state per Bell id of the mixture with side weights
-        w1, w2 (None where the herald mass is unreachable).
+        w1, w2 (None where the herald mass is unreachable), over the magnons
+        in declaration order.
 
         With few output columns the conditional states themselves are formed
         (a teleport's second side is one photon, one column); otherwise each
@@ -563,11 +501,13 @@ class _Circuit:
         per component pair.  A state of more than MAX_ARRAY_ENTRIES entries
         is refused before anything is formed.
         """
-        d = math.prod(self._mag_dims)
+        n, dm = len(self._perm), self.plan.settings.thermal_cutoff + 2
+        d = dm ** n
         if d * d > constants.MAX_ARRAY_ENTRIES:
             raise ProtocolError(f"a heralded state over {d} magnon levels needs "
                                 f"{d * d} entries, above the limit "
                                 f"{constants.MAX_ARRAY_ENTRIES}")
+        registry = plans.build_registry(self.plan, self.plan.magnon_decls())
         x, y = (side.columns(w) for side, w in zip(self.sides, (w1, w2)))
         (da, dm1, k1), (db, dm2, k2) = x.shape, y.shape
         direct = d * d * k1 * k2 <= ((da * dm1) ** 2 * k1 + (db * dm2) ** 2 * k2
@@ -595,19 +535,18 @@ class _Circuit:
                 rho = np.tensordot(t, ry, axes=([0, 3], [0, 2]))
                 rho = rho.transpose(2, 0, 3, 1).reshape(d, d)
             if self._perm != sorted(self._perm):
-                # magnon axes from side order back to registry order
-                n = len(self._perm)
+                # magnon axes from side order back to declaration order
                 inv = list(np.argsort(self._perm))
-                rho = rho.reshape(self._mag_dims * 2, order="F").transpose(
+                rho = rho.reshape([dm] * 2 * n, order="F").transpose(
                     inv + [n + i for i in inv]).reshape(d, d, order="F")
             block = rho / mass
-            states.append(DensityMatrix(self.reduced, 0.5 * (block + block.conj().T)))
+            states.append(DensityMatrix(registry, 0.5 * (block + block.conj().T)))
         return states
 
 
-def _flat_index(occ: list[int], dims: list[int]) -> int:
-    """Little-endian index of an occupation over modes of Fock dims `dims`."""
-    return sum(n * math.prod(dims[:i]) for i, n in enumerate(occ))
+def _flat_index(occ: list[int], d: int) -> int:
+    """Little-endian index of an occupation over modes of Fock dimension d."""
+    return sum(n * d ** i for i, n in enumerate(occ))
 
 
 def _pair_sums(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -976,16 +915,8 @@ def concurrence_dual_rail(state: State, renormalize: bool = False) -> float:
     reg = rho.registry
     if len(reg) != 4:
         raise ProtocolError("dual-rail concurrence expects four modes")
-    # qubit value 0 = lower rail excited, 1 = upper rail excited; q1 fastest
-    block = np.zeros((4, 4), dtype=complex)
-    occs = {}
-    for q1 in (0, 1):
-        for q2 in (0, 1):
-            occ = (q1, 1 - q1, q2, 1 - q2)
-            occs[q1 + 2 * q2] = reg.index_of_occupation(occ)
-    for i in range(4):
-        for j in range(4):
-            block[i, j] = rho.matrix[occs[i], occs[j]]
+    idx = [reg.index_of_occupation(occ) for occ in _sector(4)]
+    block = rho.matrix[np.ix_(idx, idx)]
     if renormalize:
         tr = block.trace().real
         if tr < constants.UNREACHABLE_PROBABILITY:

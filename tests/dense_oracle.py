@@ -3,8 +3,9 @@
 `dense_report` is the per-component propagation that `omxsim.protocols`
 replaced with its two-sided executor: every joint thermal component of a
 plan is pushed through the full joint registry with `fock.apply`, then
-projected onto the four Bell vectors.  It allocates amplitude vectors of the
-joint dimension (65,536 for a cutoff-2 swap).
+projected onto the four Bell vectors and scored against full-length
+target vectors over the magnon registry.  It allocates amplitude vectors of
+the joint dimension (65,536 for a cutoff-2 swap).
 
 `dense_readout` is the retrieval that `protocols.readout` replaced with a
 phase per occupation: the magnon state, or each eigenvector of a mixed one,
@@ -40,14 +41,67 @@ from omxsim.protocols import (
     ProtocolReport,
     ReadoutResult,
     _config_echo,
-    _magnon_targets,
-    _targets_for,
     closed_form_f1,
     closed_form_f2,
     concurrence_dual_rail,
     full_thermal_f1,
     full_thermal_f2,
 )
+
+
+def _magnon_targets(plan: CircuitPlan, registry: ModeRegistry) -> list[int]:
+    idx = [i for i, m in enumerate(registry.modes) if m.kind is ModeKind.MAGNON]
+    need = 2 if plan.settings.protocol == "teleport" else 4
+    if len(idx) != need:
+        raise ProtocolError(f"{plan.settings.protocol} expects {need} magnon modes, "
+                            f"found {len(idx)}")
+    return idx
+
+
+def _dual_rail_vector(registry: ModeRegistry, occ: dict[int, int]) -> np.ndarray:
+    full = [0] * len(registry)
+    for mode, n in occ.items():
+        full[mode] = n
+    vec = np.zeros(registry.dimension, dtype=complex)
+    vec[registry.index_of_occupation(full)] = 1.0
+    return vec
+
+
+def _targets_for(plan: CircuitPlan, reduced: ModeRegistry) -> dict[BellId, tuple]:
+    """(raw, corrected) fidelity target vectors per Bell herald, over the
+    full magnon registry `reduced`.
+
+    Teleport targets the transferred qubit alpha |lower> + beta |upper>; the
+    even-parity minus herald is corrected by a pi phase on the upper arm.
+    Swap targets the matching dual-rail Bell state; the same phase correction
+    maps the minus heralds onto their plus partners.
+    """
+    s = plan.settings
+    if s.protocol == "teleport":
+        lower = _dual_rail_vector(reduced, {0: 0, 1: 1})
+        upper = _dual_rail_vector(reduced, {0: 1, 1: 0})
+        t_plus = s.alpha * lower + s.beta * upper
+        t_minus = s.alpha * lower - s.beta * upper
+        return {
+            BellId.PHI_PLUS: (t_plus, t_plus),
+            BellId.PHI_MINUS: (t_plus, t_minus),
+            BellId.PSI_PLUS: (t_plus, t_plus),
+            BellId.PSI_MINUS: (t_plus, t_plus),
+        }
+    ll = _dual_rail_vector(reduced, {0: 0, 1: 1, 2: 0, 3: 1})
+    uu = _dual_rail_vector(reduced, {0: 1, 1: 0, 2: 1, 3: 0})
+    lu = _dual_rail_vector(reduced, {0: 0, 1: 1, 2: 1, 3: 0})
+    ul = _dual_rail_vector(reduced, {0: 1, 1: 0, 2: 0, 3: 1})
+    phi_p = (ll + uu) / np.sqrt(2)
+    phi_m = (ll - uu) / np.sqrt(2)
+    psi_p = (lu + ul) / np.sqrt(2)
+    psi_m = (lu - ul) / np.sqrt(2)
+    return {
+        BellId.PHI_PLUS: (phi_p, phi_p),
+        BellId.PHI_MINUS: (phi_m, phi_m),
+        BellId.PSI_PLUS: (psi_p, psi_p),
+        BellId.PSI_MINUS: (psi_m, psi_m),
+    }
 
 
 @dataclass

@@ -203,6 +203,38 @@ def test_cutoff_3_swap_applies_elements_on_one_interferometer_only(monkeypatch):
     assert max(seen) <= 16 * (cutoff + 2) ** 2
 
 
+@pytest.mark.parametrize("cutoff", [7, 8])
+def test_swap_beyond_the_joint_registry_limit_matches_the_truncated_form(cutoff):
+    # the joint registry, 256 (cutoff + 2)^4 dimensions, would exceed
+    # MAX_DIMENSION; each interferometer's side holds 16 (cutoff + 2)^2
+    n_bar = 0.2
+    report = protocols.entanglement_swap(ThermalConfig(n_bar, cutoff))
+    s = n_bar / (n_bar + 1)
+    assert report.aggregate_fidelity == pytest.approx(
+        ((1 - s) / (1 - s ** (cutoff + 1))) ** 4, abs=TOL)
+
+
+def test_no_registry_spans_both_interferometers(monkeypatch, capsys):
+    sides = ({"A", "B", "mA", "mB"}, {"C", "D", "mC", "mD"})
+    calls = []
+    real_build = plans.build_registry
+
+    def spy(plan, decls=None):
+        calls.append(None if decls is None else {d.path for d in decls})
+        return real_build(plan, decls)
+
+    monkeypatch.setattr(plans, "build_registry", spy)
+    monkeypatch.setattr(dsl, "build_registry", spy)
+    assert cli.main(["swap", "--n-bar", "0.2", "--cutoff", "3"]) == 0
+    assert cli.main(["run", str(CIRCUITS / "swap.omx")]) == 0
+    capsys.readouterr()
+    # one registry per side for the swap command, the compile and the run
+    assert len(calls) == 6
+    for paths in calls:
+        assert paths is not None
+        assert any(paths <= side for side in sides), paths
+
+
 def test_zero_mass_ensemble_is_rejected():
     with pytest.raises(protocols.ProtocolError, match="zero-mass"):
         protocols.execute_plan(teleport_plan(1e308, 2, renormalize=False))

@@ -6,18 +6,37 @@ Gram traces.  The readout property runs through the heralded post-state.
 The weight properties hold bit for bit: a sweep and a report form their
 thermal weights through the same product, so a sweep row equals the report
 at its occupation, and overrides equal to the shared occupation change
-nothing.
+nothing.  Generated circuits, declared in any order and with extra elements
+on either side of the Bell analyzer, match the dense joint-registry oracle;
+and compiling any text fails only with a circuit error.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracle import dense_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_factorized import assert_reports_equal
 
-from omxsim import plans, protocols
+from omxsim import dsl, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.measurement import BellId
+from omxsim.plans import (
+    BellMeasure,
+    CircuitPlan,
+    ElementStep,
+    MagnonDecl,
+    ModeRef,
+    PhotonDecl,
+    PlanError,
+    PlanSettings,
+)
 from omxsim.protocols import InputQubit, ProtocolError, ThermalConfig
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -116,3 +135,135 @@ def test_overrides_equal_to_the_shared_occupation_change_nothing(
     echoed = overridden["config"].pop("n_bar_overrides")
     assert echoed == dict.fromkeys(overrides, shared["config"]["n_bar"])
     assert overridden == shared
+
+
+# ---------------------------------------------------------------------------
+# generated circuits against the dense oracle
+
+angles = st.floats(0.0, 2 * np.pi)
+
+
+def _extra_steps(upper: str, lower: str):
+    """Elements after one interferometer's polarizing splitter, on its modes.
+
+    The scattering steps come first, so no extra element can push a photon
+    or an excitation outside a Stokes element's domain.
+    """
+    photons = [ModeRef("photon", p, pol) for p in (upper, lower) for pol in "HV"]
+    magnons = [ModeRef("magnon", "m" + p) for p in (upper, lower)]
+    step = st.one_of(
+        st.builds(lambda m, a: ElementStep("phase", (m, a)),
+                  st.sampled_from(magnons + photons), angles),
+        st.builds(lambda p, m, g: ElementStep("pdc", (p, m, g)),
+                  st.sampled_from(photons), st.sampled_from(magnons), st.floats(0.1, 1.0)),
+        st.permutations(magnons).map(lambda m: ElementStep("antistokes", tuple(m))),
+        st.builds(lambda name, p, a: ElementStep(name, (p, a)),
+                  st.sampled_from(("hwp", "qwp")), st.sampled_from((upper, lower)), angles),
+        st.permutations(photons).map(lambda p: ElementStep("bs50", tuple(p[:2]))),
+    )
+    return st.lists(step, max_size=3)
+
+
+def _interferometer(upper: str, lower: str) -> tuple[list, list[ElementStep]]:
+    decls = [PhotonDecl(upper, "single_v"), PhotonDecl(lower),
+             MagnonDecl("m" + upper, "thermal"), MagnonDecl("m" + lower, "thermal")]
+    steps = [ElementStep("bs50", (ModeRef("photon", upper, "V"),
+                                  ModeRef("photon", lower, "V")))]
+    for p in (upper, lower):
+        steps.append(ElementStep("stokes", (ModeRef("photon", p, "V"),
+                                            ModeRef("photon", p, "H"),
+                                            ModeRef("magnon", "m" + p))))
+    steps += [ElementStep("hwp", (upper, np.pi / 4)), ElementStep("pbs", (upper, lower))]
+    return decls, steps
+
+
+@st.composite
+def circuits(draw) -> CircuitPlan:
+    protocol = draw(st.sampled_from(plans.PROTOCOLS))
+    cutoff = draw(st.integers(1, 2))
+    decls, side1 = _interferometer("A", "B")
+    side1 += draw(_extra_steps("A", "B"))
+    if protocol == "teleport":
+        decls.append(PhotonDecl("c", "qubit"))
+        side2 = draw(st.lists(st.builds(lambda name, a: ElementStep(name, ("c", a)),
+                                        st.sampled_from(("hwp", "qwp")), angles),
+                              max_size=1))
+        measure = BellMeasure("B", "c")
+        qubit = draw(qubits)
+    else:
+        decls2, side2 = _interferometer("C", "D")
+        decls += decls2
+        side2 += draw(_extra_steps("C", "D"))
+        measure = BellMeasure("B", "D")
+        qubit = InputQubit(1.0, 0.0)
+    # untouched photons join side 1; at most one where it keeps the dense
+    # oracle's joint registry within 2^17 dimensions
+    extra = 1 if protocol == "teleport" or cutoff == 1 else 0
+    decls += [PhotonDecl(f"E{k}", init) for k, init in enumerate(draw(st.lists(
+        st.sampled_from(("vacuum", "single_h", "single_v")), max_size=extra)))]
+    # any declaration order: interleaved magnons, the second side first
+    decls = draw(st.permutations(decls))
+    # the two sides' steps interleaved, each side's in its own order
+    order = draw(st.permutations([0] * len(side1) + [1] * len(side2)))
+    queues = [iter(side1), iter(side2)]
+    steps = [next(queues[side]) for side in order]
+    if protocol == "swap" and cutoff == 1 and draw(st.booleans()):
+        # an element across the analyzer: the circuit runs as one side
+        steps.append(ElementStep("bs50", (ModeRef("photon", "B", "V"),
+                                          ModeRef("photon", "D", "V"))))
+    magnons = [d.path for d in decls if isinstance(d, MagnonDecl)]
+    overrides = draw(st.dictionaries(st.sampled_from(magnons), st.floats(0.0, 0.5),
+                                     max_size=2))
+    settings_ = PlanSettings(protocol, draw(st.floats(0.0, 0.5)), cutoff,
+                             draw(st.booleans()), draw(models),
+                             complex(qubit.alpha), complex(qubit.beta),
+                             n_bar_overrides=tuple(sorted(overrides.items())),
+                             include_odd_parity=draw(st.booleans()))
+    return CircuitPlan(tuple(decls), tuple(steps), measure, settings_)
+
+
+@PROPERTY
+@given(plan=circuits())
+def test_generated_circuits_match_the_dense_oracle(plan):
+    assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+# ---------------------------------------------------------------------------
+# compiling arbitrary text
+
+SHIPPED = [line for name in ("teleport.omx", "swap.omx")
+           for line in (CIRCUITS / name).read_text().splitlines()]
+SWAP_LINES = (CIRCUITS / "swap.omx").read_text().splitlines()
+TRICKY = ["set thermal_cutoff = 7", "set thermal_cutoff = 99999", "set photon_cutoff = 40",
+          "set n_bar = inf", "set alpha = 2", "set beta = nan", "mode photon E",
+          "mode magnon B", "apply bs50(B.V, D.V)", "apply antistokes(mA, mC)",
+          "apply pdc(C.H, mB, 0.3)", "apply hwp(Z, 1)", "apply stokes(A.V, A.H, Q)",
+          "measure bell(A, A)", "measure bell(B, mA)", "measure bell(B, c)"]
+known_lines = st.sampled_from(SHIPPED + TRICKY)
+source_lines = st.one_of(known_lines, st.text(max_size=16))
+sources = st.one_of(
+    st.lists(known_lines, max_size=30),
+    st.lists(source_lines, max_size=30),
+    # the shipped swap circuit with a few lines inserted
+    st.builds(lambda extra, at: SWAP_LINES[:at] + extra + SWAP_LINES[at:],
+              st.lists(source_lines, max_size=3), st.integers(0, len(SWAP_LINES))),
+).map("\n".join)
+# settings that PlanSettings refuses are simulation errors (exit 2), not
+# circuit errors
+SETTINGS_REFUSAL = re.compile(r"must be finite|deviates from 1")
+
+
+@PROPERTY
+@given(source=sources)
+def test_compiling_any_text_raises_only_circuit_errors(source):
+    try:
+        plan = dsl.compile_source(source)
+    except (dsl.ParseError, dsl.DslSemanticError):
+        return
+    except PlanError as exc:
+        assert SETTINGS_REFUSAL.search(str(exc)), exc
+        return
+    # a compiled plan's sides hold every declaration and step once
+    sides = plans.split_sides(plan)
+    assert sorted(map(repr, sides[0][0] + sides[1][0])) == sorted(map(repr, plan.decls))
+    assert len(sides[0][1]) + len(sides[1][1]) == len(plan.steps)
