@@ -2,6 +2,7 @@
 entanglement swapping, with a small circuit language and CLI."""
 
 from .fock import (
+    Batch,
     DensityMatrix,
     ElementOp,
     ModeKind,
@@ -19,7 +20,6 @@ from .fock import (
     magnon,
     optical,
     partial_trace,
-    tensor,
 )
 from .elements import (
     ScatterModel,

@@ -13,6 +13,7 @@ Fortran order throughout.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -93,22 +94,15 @@ class ModeRegistry:
             raise RegistryError("duplicate mode labels in registry")
         if any(c < 1 for c in cutoffs):
             raise RegistryError("per-mode cutoff must be >= 1")
-        dim = 1
-        for c in cutoffs:
-            dim *= c + 1
-            if dim > max_dimension:
-                raise RegistryError(
-                    f"registry dimension exceeds hard limit {max_dimension}")
         self.modes = modes
         self.cutoffs = cutoffs
         self.dims = tuple(c + 1 for c in cutoffs)
-        self.dimension = dim
+        self.dimension = math.prod(self.dims)
+        if self.dimension > max_dimension:
+            raise RegistryError(f"registry dimension exceeds hard limit {max_dimension}")
         self._index = {label: i for i, label in enumerate(modes)}
         # little-endian strides: stride of mode k is prod(dims[:k])
-        strides = [1]
-        for d in self.dims[:-1]:
-            strides.append(strides[-1] * d)
-        self.strides = tuple(strides)
+        self.strides = tuple(math.prod(self.dims[:k]) for k in range(len(modes)))
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -143,18 +137,7 @@ class ModeRegistry:
         return idx
 
     def occupation_of(self, index: int) -> tuple[int, ...]:
-        occ = []
-        for d in self.dims:
-            index, n = divmod(index, d)
-            occ.append(n)
-        return tuple(occ)
-
-    def concat(self, other: "ModeRegistry") -> "ModeRegistry":
-        overlap = set(self.modes) & set(other.modes)
-        if overlap:
-            raise RegistryError(f"duplicate mode labels in tensor product: "
-                                f"{', '.join(str(m) for m in sorted(overlap, key=str))}")
-        return ModeRegistry(self.modes + other.modes, self.cutoffs + other.cutoffs)
+        return tuple(int(n) for n in np.unravel_index(index, self.dims, order="F"))
 
     def reduced(self, keep: Sequence[int]) -> "ModeRegistry":
         return ModeRegistry([self.modes[i] for i in keep],
@@ -166,10 +149,7 @@ class ModeRegistry:
 
 def destroy(dim: int) -> np.ndarray:
     """Annihilation operator on a (dim)-level truncated mode."""
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = np.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
 def embed_local(ops: dict[int, np.ndarray], dims: Sequence[int]) -> np.ndarray:
@@ -324,83 +304,89 @@ class ElementOp:
                     f"{self.label or 'op'}: not an isometry (V^dag V residual {res:.3e})")
         self.matrix.setflags(write=False)
 
-    def target_dims(self, registry: ModeRegistry) -> tuple[int, ...]:
-        return tuple(registry.dims[t] for t in self.targets)
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Sparse amplitudes of many pure states over one registry.
+
+    Entry e is amplitude `amplitudes[e]` of state `component[e]` at basis
+    index `index[e]`; every (component, index) key appears at most once.
+    The paper's states are a few occupations each (one drive photon and its
+    thermal magnons), so a batch holds every thermal component of a side in
+    a handful of entries per component.
+    """
+
+    registry: ModeRegistry
+    component: np.ndarray
+    index: np.ndarray
+    amplitudes: np.ndarray
 
 
-def _square_matrix(op: ElementOp, tdims: Sequence[int]) -> np.ndarray:
-    """Expand a domain-rectangular matrix to the full target space."""
-    dt = int(np.prod(tdims))
-    if op.domain is None:
-        if op.matrix.shape != (dt, dt):
-            raise OperatorError(f"{op.label or 'op'}: matrix shape {op.matrix.shape} "
-                                f"does not match target dimension {dt}")
-        return op.matrix
-    full = np.zeros((dt, dt), dtype=complex)
-    full[:, list(op.domain)] = op.matrix
-    return full
+def apply(op: ElementOp, state: StateVector | Batch) -> StateVector | Batch:
+    """Apply an element, lifted with identity on untouched modes.
 
-
-def _domain_violation(amps: np.ndarray, dims: Sequence[int], targets: Sequence[int],
-                      domain: Sequence[int]) -> float:
-    """Probability weight of a vector outside the op's local domain."""
-    k = len(targets)
-    dt = int(np.prod([dims[t] for t in targets]))
-    psi = amps.reshape(dims, order="F")
-    psi = np.moveaxis(psi, targets, range(k))
-    rows = psi.reshape(dt, -1, order="F")
-    weights = np.sum(np.abs(rows) ** 2, axis=1)
-    mask = np.ones(dt, dtype=bool)
-    mask[list(domain)] = False
-    return float(weights[mask].sum())
-
-
-def _contract_vector(amps: np.ndarray, dims: Sequence[int], targets: Sequence[int],
-                     matrix: np.ndarray) -> np.ndarray:
-    """Apply `matrix` (square on the target joint space) to an amplitude vector."""
-    k = len(targets)
-    tdims = [dims[t] for t in targets]
-    psi = amps.reshape(dims, order="F")
-    op = matrix.reshape(tdims + tdims, order="F")
-    out = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), list(targets)))
-    out = np.moveaxis(out, list(range(k)), list(targets))
-    return out.reshape(-1, order="F")
-
-
-def apply(op: ElementOp, state: StateVector) -> StateVector:
-    """Apply an element, lifted with identity on untouched modes."""
-    _require_pure(state, "apply")
-    registry = state.registry
-    n = len(registry)
+    Every entry of a `Batch` meets the nonzeros of its column of the local
+    matrix (a gather over the matrix in compressed-column form), and the
+    entries that land on one key are summed; a `Batch` maps to a `Batch`.
+    A `StateVector` goes through as a batch of its nonzero amplitudes,
+    scattered back into a vector.
+    """
+    registry, batch = state.registry, state
+    if not isinstance(state, Batch):
+        _require_pure(state, "apply")
+        index = np.flatnonzero(state.amplitudes)
+        batch = Batch(registry, np.zeros_like(index), index, state.amplitudes[index])
     for t in op.targets:
-        if not 0 <= t < n:
+        if not 0 <= t < len(registry):
             raise OperatorError(f"{op.label or 'op'}: target index {t} outside registry")
-    tdims = op.target_dims(registry)
-    square = _square_matrix(op, tdims)
-    if op.domain is not None:
-        bad = _domain_violation(state.amplitudes, registry.dims, op.targets, op.domain)
-        if bad > constants.UNREACHABLE_PROBABILITY:
-            raise OperatorError(
-                f"{op.label or 'op'}: state has weight {bad:.3e} outside the "
-                "operator domain (occupation would overflow a cutoff)")
-    out = _contract_vector(state.amplitudes, registry.dims, op.targets, square)
-    if op.flavor is OpFlavor.KRAUS:
-        return StateVector(registry, out, normalized=False)
-    return StateVector(registry, out, normalized=state.normalized)
+    tdims = [registry.dims[t] for t in op.targets]
+    dt = math.prod(tdims)
+    domain = list(range(dt) if op.domain is None else op.domain)
+    if op.matrix.shape != (dt, len(domain)):
+        raise OperatorError(f"{op.label or 'op'}: matrix shape {op.matrix.shape} "
+                            f"does not match target dimension {dt}")
+    square = np.zeros((dt, dt), dtype=complex)
+    square[:, domain] = op.matrix
+    # column j's nonzeros are rows[ptr[j]:ptr[j + 1]]
+    col, rows = np.nonzero(square.T)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=dt))])
+    # each entry's local index, and its registry index without the targets
+    strides = np.array([registry.strides[t] for t in op.targets])
+    digits = np.unravel_index(batch.index, registry.dims, order="F")
+    occ = np.array([digits[t] for t in op.targets])
+    local = np.ravel_multi_index(occ, tdims, order="F")
+    rest = batch.index - strides @ occ
+    outside = np.ones(dt, dtype=bool)
+    outside[domain] = False
+    hit = outside[local]
+    bad = np.bincount(batch.component[hit], np.abs(batch.amplitudes[hit]) ** 2)
+    bad = bad[bad > constants.UNREACHABLE_PROBABILITY]
+    if len(bad):
+        raise OperatorError(
+            f"{op.label or 'op'}: state has weight {bad[0]:.3e} outside the "
+            "operator domain (occupation would overflow a cutoff)")
+    # entry e meets the nonzeros ptr[local[e]] .. ptr[local[e] + 1] - 1
+    counts = ptr[local + 1] - ptr[local]
+    source = np.repeat(np.arange(len(local)), counts)
+    nz = np.arange(len(source)) + np.repeat(ptr[local] - np.cumsum(counts) + counts,
+                                            counts)
+    moved = strides @ np.unravel_index(rows[nz], tdims, order="F")
+    keys, slot = np.unique(batch.component[source] * registry.dimension
+                           + rest[source] + moved, return_inverse=True)
+    amplitudes = np.zeros(len(keys), dtype=complex)
+    np.add.at(amplitudes, slot, batch.amplitudes[source] * square[rows[nz], col[nz]])
+    live = amplitudes != 0
+    out = Batch(registry, *np.divmod(keys[live], registry.dimension), amplitudes[live])
+    if state is batch:
+        return out
+    vector = np.zeros(registry.dimension, dtype=complex)
+    vector[out.index] = out.amplitudes
+    return StateVector(registry, vector, normalized=state.normalized
+                       and op.flavor is not OpFlavor.KRAUS)
 
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor composition; combined registry is the concatenation."""
-    _require_pure(a, "tensor")
-    _require_pure(b, "tensor")
-    registry = a.registry.concat(b.registry)
-    # little-endian: first factor varies fastest -> kron(b, a)
-    amps = np.kron(b.amplitudes, a.amplitudes)
-    return StateVector(registry, amps, normalized=a.normalized and b.normalized)
-
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduce to the kept modes (registry order preserved); trace preserved."""

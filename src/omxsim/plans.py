@@ -20,6 +20,7 @@ import numpy as np
 from . import constants, elements
 from .elements import ScatterModel
 from .fock import (
+    Batch,
     ElementOp,
     ModeLabel,
     ModeRegistry,
@@ -325,38 +326,32 @@ def component_weight(plan: CircuitPlan, n_bars: Sequence[float],
 
 
 def initial_vector(plan: CircuitPlan, registry: ModeRegistry,
-                   occupations: Sequence[int], decls: Sequence | None = None
-                   ) -> np.ndarray:
-    """Initial amplitude vector for one thermal component (raw ndarray).
+                   components: Sequence[Sequence[int]], decls: Sequence | None = None
+                   ) -> Batch:
+    """Initial states of the thermal `components` as one batch, component k
+    the state of occupations `components[k]`.
 
     `decls` (default all of the plan's) are the declarations `registry`
-    holds, in plan order; `occupations` belong to their magnons.
+    holds, in plan order; each occupation tuple belongs to their magnons.
     """
     s = plan.settings
-    local_vectors = []
-    mag_iter = iter(occupations)
+    occupations = np.array(components, dtype=np.int64).reshape(len(components), -1)
+    component = np.arange(len(components))
+    index = np.zeros(len(components), dtype=np.int64)
+    amplitudes = np.ones(len(components), dtype=complex)
+    strides = iter(registry.strides)
+    magnon = 0
     for decl in plan.decls if decls is None else decls:
-        if isinstance(decl, PhotonDecl):
-            d = s.photon_cutoff + 1
-            vec = np.zeros(d * d, dtype=complex)   # little-endian (H, V)
-            if decl.init == "vacuum":
-                vec[0] = 1.0
-            elif decl.init == "single_h":
-                vec[1] = 1.0
-            elif decl.init == "single_v":
-                vec[d] = 1.0
-            else:  # qubit: alpha |H> + beta |V>
-                vec[1] = s.alpha
-                vec[d] = s.beta
-            local_vectors.append(vec)
-        else:
-            d = s.thermal_cutoff + 2
-            vec = np.zeros(d, dtype=complex)
-            vec[next(mag_iter)] = 1.0
-            local_vectors.append(vec)
-    full = np.ones(1, dtype=complex)
-    for vec in local_vectors:       # little-endian kron: later decls slower
-        full = np.kron(vec, full)
-    if full.shape[0] != registry.dimension:
-        raise PlanError("initial vector does not match registry dimension")
-    return full
+        if isinstance(decl, MagnonDecl):
+            index = index + occupations[component, magnon] * next(strides)
+            magnon += 1
+            continue
+        h, v = next(strides), next(strides)
+        local = {"vacuum": {0: 1.0}, "single_h": {h: 1.0}, "single_v": {v: 1.0},
+                 "qubit": {h: s.alpha, v: s.beta}}[decl.init]
+        offsets = np.array([o for o, a in local.items() if a != 0], dtype=np.int64)
+        values = np.array([a for a in local.values() if a != 0], dtype=complex)
+        component = np.repeat(component, len(offsets))
+        index = (index[:, None] + offsets).ravel()
+        amplitudes = (amplitudes[:, None] * values).ravel()
+    return Batch(registry, component, index, amplitudes)

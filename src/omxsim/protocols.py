@@ -22,11 +22,12 @@ Declarations that an element acts on together form one group (a photon
 path's H and V modes always together); side 2 is the group holding the
 analyzer's second path, side 1 everything else, or the whole circuit if its
 elements join the two paths.  Each side's registry and elements are built
-from its own declarations and steps, and its thermal components run through
-them; no registry over the whole plan is built.  The sides meet only in the
-herald: both outputs are contracted with the Bell vectors and fidelity
-targets into tables over the component pairs, which each report and sweep
-point weights with the thermal mixture.  Reports and sweeps form those
+from its own declarations and steps, and all of its thermal components run
+through them as one sparse batch, one `fock.apply` per element; no registry
+over the whole plan is built.  The sides meet only in the herald: both
+outputs are contracted with the Bell vectors and fidelity targets into
+tables over the component pairs, which each report and sweep point weights
+with the thermal mixture.  Reports and sweeps form those
 weights through one product, `plans.component_weight`, over a grid of
 occupations at once; a report is the one-point grid, so a sweep row equals
 the report at its occupation to the last bit.
@@ -53,6 +54,7 @@ import numpy as np
 from . import constants, elements, measurement, plans
 from .elements import ScatterModel
 from .fock import (
+    Batch,
     DensityMatrix,
     ModeKind,
     ModeRegistry,
@@ -308,14 +310,18 @@ class _Side:
     """One side of the Bell analyzer, propagated on its own small registry.
 
     The registry holds the side's declarations in the order: analyzer paths
-    in Bell-vector order, magnons, the rest, each group in plan order.  An
-    amplitude vector, little-endian over that registry, is then in Fortran
-    order the tensor `out[k]` of the side's thermal component
-    `components[k]`, with axes (analyzer modes, magnons, other modes), each
-    flattened little-endian; `out` is one C-contiguous array.  Built for one
-    report (`n_bar` given), a side keeps only its components of nonzero
-    weight, and `kept` indexes them among all of `iter_components`; built
-    for a sweep, it keeps all, and `kept` is the full slice.
+    in Bell-vector order, magnons, the rest, each group in plan order.  All
+    of the side's thermal components go through the elements together, as
+    one sparse `fock.Batch` (each holds one drive photon and its magnon
+    occupations, a few entries), one `fock.apply` per element.  The entries
+    are then scattered into `out`: an amplitude vector, little-endian over
+    the registry, is in Fortran order the tensor `out[k]` of thermal
+    component `components[k]`, with axes (analyzer modes, magnons, other
+    modes), each flattened little-endian; `out` is one C-contiguous array.
+    Built for one report (`n_bar` given), a side keeps only its components
+    of nonzero weight, and `kept` indexes them among all of
+    `iter_components`; built for a sweep, it keeps all, and `kept` is the
+    full slice.
     """
 
     def __init__(self, plan: CircuitPlan, decls: list, steps: list[ElementStep],
@@ -339,43 +345,43 @@ class _Side:
             if not len(self.kept):
                 raise ProtocolError("plan produced a zero-mass ensemble")
             self.components = [self.components[k] for k in self.kept]
-        size = len(self.components) * reg.dimension
-        if size > constants.MAX_ARRAY_ENTRIES:
-            raise ProtocolError(
-                f"{len(self.components)} thermal components on a {reg.dimension}-dim "
-                f"side need {size} amplitudes, above the limit "
-                f"{constants.MAX_ARRAY_ENTRIES}")
+        n = len(self.components)
+        _check_entries(n * reg.dimension, f"{n} thermal components on a "
+                       f"{reg.dimension}-dim side need", "amplitudes")
         a = 2 * sum(rank(d) < 2 for d in decls)     # H and V of each analyzer path
         m = a + len(self.magnons)
         shape = [math.prod(reg.dims[:a]), math.prod(reg.dims[a:m]), math.prod(reg.dims[m:])]
-        ops = plans.build_elements(plan, reg, steps)
-        self.out = np.empty([len(self.components)] + shape, dtype=complex)
-        for k, occs in enumerate(self.components):
-            state = StateVector(reg, plans.initial_vector(plan, reg, occs, decls),
-                                normalized=False)
-            for op in ops:
-                state = apply(op, state)
-            self.out[k] = state.amplitudes.reshape(shape, order="F")
+        state = plans.initial_vector(plan, reg, self.components, decls)
+        for op in plans.build_elements(plan, reg, steps):
+            state = apply(op, state)
+        analyzer, mags, other = np.unravel_index(state.index, shape, order="F")
+        self.out = np.zeros([n] + shape, dtype=complex)
+        self.out[state.component, analyzer, mags, other] = state.amplitudes
+        # the output columns (component, other-mode index) holding amplitude
+        self.live = np.zeros((n, shape[2]), dtype=bool)
+        self.live[state.component, other] = True
 
-    def columns(self, w: np.ndarray) -> np.ndarray:
-        """Output columns sqrt(w_k) out[k][..., o] as (analyzer, magnons,
-        column); zero columns (vacuum dump ports, zero weights) dropped."""
-        x = np.sqrt(w)[:, None, None, None] * self.out
-        x = np.moveaxis(x, 0, 3).reshape(x.shape[1], x.shape[2], -1)
-        return x[:, :, np.any(x != 0, axis=(0, 1))]
+    def columns(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Output columns sqrt(w_k) out[k][:, rows, o] as (analyzer, magnon
+        row, column), ordered by o, then k; columns without amplitude (vacuum
+        dump ports, zero weights) dropped.  Only the selected magnon rows of
+        the live columns are copied."""
+        o, k = np.nonzero((self.live & (w != 0)[:, None]).T)
+        x = self.out[:, :, rows][k, :, :, o] * np.sqrt(w)[k, None, None]
+        return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
 class _Circuit:
     """A plan split at the Bell analyzer, its sides run one at a time.
 
     The elements never act across the two sides (`plans.split_sides`), so
-    each side's thermal components are propagated on a registry of that
-    side's declarations alone, and the joint state of a component pair is
-    the product of the two sides' outputs.  No registry or amplitude array
-    over the whole plan is ever formed.  The sides meet only in the herald:
-    `tables` contracts both outputs with the Bell vectors and fidelity
-    targets into per-pair tables T, and every report or sweep point sums
-    W_ij T_ij over the pairs' thermal weights (`weights`).
+    each side's thermal components are propagated, as one batch, on a
+    registry of that side's declarations alone, and the joint state of a
+    component pair is the product of the two sides' outputs.  No registry or
+    amplitude array over the whole plan is ever formed.  The sides meet only
+    in the herald: `tables` contracts both outputs with the Bell vectors and
+    fidelity targets into per-pair tables T, and every report or sweep point
+    sums W_ij T_ij over the pairs' thermal weights (`weights`).
 
     The targets live in the dual-rail sector (`_sector`), and `rows[i][q]`
     is sector state q's magnon row on side i.  With `n_bar` the circuit serves
@@ -437,6 +443,10 @@ class _Circuit:
         """
         x, y = (side.out for side in self.sides)
         (n1, da, dm1, do1), (n2, db, dm2, do2) = x.shape, y.shape
+        pairs = f"over {n1} x {n2} component pairs needs"
+        _check_entries(n1 * do1 * n2 * do2, f"a fidelity overlap {pairs}", "entries")
+        _check_entries((1 + 3 * len(BELL_IDS)) * n1 * n2, f"a herald table {pairs}",
+                       "entries")
         # analyzer-mode Gram matrix of each component, (n, d, d), formed one
         # component at a time so that no conjugate of a whole stack is held
         gx, gy = (np.stack([c @ c.conj().T for c in r])
@@ -475,8 +485,9 @@ class _Circuit:
         side, so the block is a 4 x (k1 k2) product of those rows of the
         conditional columns; no post-state is formed.
         """
-        x, y = (side.columns(w) for side, w in zip(self.sides, (w1, w2)))
-        xs, ys = x[:, self.rows[0]], y[:, self.rows[1]]   # (da, 4, k1), (db, 4, k2)
+        # (da, 4, k1), (db, 4, k2): the sector rows are selected before weighting
+        xs, ys = (side.columns(w, rows)
+                  for side, w, rows in zip(self.sides, (w1, w2), self.rows))
         out = []
         for bell_id, mass in zip(BELL_IDS, masses):
             if mass <= constants.UNREACHABLE_PROBABILITY:
@@ -503,10 +514,7 @@ class _Circuit:
         """
         n, dm = len(self._perm), self.plan.settings.thermal_cutoff + 2
         d = dm ** n
-        if d * d > constants.MAX_ARRAY_ENTRIES:
-            raise ProtocolError(f"a heralded state over {d} magnon levels needs "
-                                f"{d * d} entries, above the limit "
-                                f"{constants.MAX_ARRAY_ENTRIES}")
+        _check_entries(d * d, f"a heralded state over {d} magnon levels needs", "entries")
         registry = plans.build_registry(self.plan, self.plan.magnon_decls())
         x, y = (side.columns(w) for side, w in zip(self.sides, (w1, w2)))
         (da, dm1, k1), (db, dm2, k2) = x.shape, y.shape
@@ -542,6 +550,14 @@ class _Circuit:
             block = rho / mass
             states.append(DensityMatrix(registry, 0.5 * (block + block.conj().T)))
         return states
+
+
+def _check_entries(entries: int, need: str, unit: str) -> None:
+    """Refuse an array of more than MAX_ARRAY_ENTRIES entries before it is
+    allocated; `need` says what needs them."""
+    if entries > constants.MAX_ARRAY_ENTRIES:
+        raise ProtocolError(f"{need} {entries} {unit}, above the limit "
+                            f"{constants.MAX_ARRAY_ENTRIES}")
 
 
 def _flat_index(occ: list[int], d: int) -> int:
@@ -763,13 +779,15 @@ def _port_transfer(upper: str, lower: str, apply_correction: bool) -> np.ndarray
             elements.antistokes_swap(reg, reg.optical_index(lower, "V"), mag_l),
             elements.half_wave_plate(reg, upper, np.pi / 4),
             elements.pbs(reg, upper, lower)]
-    port = [reg.strides[reg.optical_index(upper, pol)] for pol in "HV"]
+    # component 0 excites the upper magnon, component 1 the lower
+    out = Batch(reg, np.arange(2), np.array([reg.strides[mag_u], reg.strides[mag_l]]),
+                np.ones(2, dtype=complex))
+    for op in ops:
+        out = apply(op, out)
     transfer = np.zeros((2, 2), dtype=complex)
-    for col, mag in enumerate((mag_u, mag_l)):
-        out = StateVector.from_occupation(reg, np.eye(6, dtype=int)[mag])
-        for op in ops:
-            out = apply(op, out)
-        transfer[:, col] = out.amplitudes[port]     # one photon in a port mode
+    for row, pol in enumerate("HV"):                # one photon in a port mode
+        hit = out.index == reg.strides[reg.optical_index(upper, pol)]
+        transfer[row, out.component[hit]] = out.amplitudes[hit]
     t = np.diag(transfer)
     if (np.abs(transfer - np.diag(t)).max() > constants.UNITARITY_TOL
             or np.abs(np.abs(t) - 1.0).max() > constants.UNITARITY_TOL):

@@ -1,0 +1,73 @@
+"""Digests of the CLI's output over a fixed grid of commands.
+
+    PYTHONPATH=src python tests/command_grid.py > grid.txt
+
+Each line holds the sha256 of a command's stdout, the sha256 of its stderr,
+its exit code and the command.  Running it on two checkouts and diffing the
+files shows every command whose output changed.  The grid covers `teleport`
+and `swap` at thermal cutoffs 1-3 in both scattering models, with and
+without renormalized weights, at six occupations up to 1e308; 37-point JSON
+sweeps and 61- and 601-point CSV sweeps of both protocols; `readout` at
+cutoffs 1-4 and 8; `run` on both shipped circuits; and a few large cutoffs
+and refusals.  The commands run in this one process through `cli.main`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from omxsim import cli
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+MODELS = ("paper", "bosonic")
+RENORMALIZE = ("--renormalize", "--no-renormalize")
+OCCUPATIONS = ("0", "0.05", "0.2", "0.45", "3", "1e308")
+
+
+def commands() -> list[list[str]]:
+    grid = []
+    for command in ("teleport", "swap"):
+        for cutoff in (1, 2, 3):
+            for model in MODELS:
+                for renormalize in RENORMALIZE:
+                    grid += [[command, "--n-bar", n_bar, "--cutoff", str(cutoff),
+                              "--model", model, renormalize] for n_bar in OCCUPATIONS]
+    for protocol in ("teleport", "swap"):
+        for cutoff in (1, 2, 3):
+            for model in MODELS:
+                grid.append(["sweep", "--protocol", protocol, "--from", "0", "--to", "3",
+                             "--steps", "37", "--cutoff", str(cutoff), "--model", model,
+                             "--format", "json"])
+        grid.append(["sweep", "--protocol", protocol, "--from", "0", "--to", "0.5",
+                     "--steps", "61", "--cutoff", "3"])
+        grid.append(["sweep", "--protocol", protocol, "--from", "0", "--to", "0.5",
+                     "--steps", "601"])
+    for cutoff in (1, 2, 3, 4, 8):
+        for model in MODELS:
+            grid.append(["readout", "--n-bar", "0.2", "--cutoff", str(cutoff),
+                         "--model", model, "--alpha", "0.6,0", "--beta", "0,0.8"])
+    grid += [["run", str(CIRCUITS / name)] for name in ("teleport.omx", "swap.omx")]
+    grid += [["swap", "--n-bar", "0.2", "--cutoff", "6"],
+             ["teleport", "--n-bar", "0.2", "--cutoff", "12"],
+             ["swap", "--n-bar", "0.2", "--cutoff", "22"],
+             ["readout", "--n-bar", "0", "--cutoff", "60"]]
+    return grid
+
+
+def digest(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+    # the circuit paths differ between checkouts; print them by name
+    shown = [Path(a).name if a.endswith(".omx") else a for a in argv]
+    return f"{sha[0]} {sha[1]} {code} {' '.join(shown)}"
+
+
+if __name__ == "__main__":
+    for argv in commands():
+        sys.stdout.write(digest(argv) + "\n")

@@ -1,8 +1,10 @@
 """Dense reference executor and readout for the equality tests.
 
 `dense_report` is the per-component propagation that `omxsim.protocols`
-replaced with its two-sided executor: every joint thermal component of a
-plan is pushed through the full joint registry with `fock.apply`, then
+replaced with its two-sided batch executor: every joint thermal component
+of a plan is built as a dense kron vector (`dense_initial_vector`) and
+pushed through the full joint registry with `dense_apply`, a tensordot
+contraction of the whole vector, then
 projected onto the four Bell vectors and scored against full-length
 target vectors over the magnon registry.  It allocates amplitude vectors of
 the joint dimension (65,536 for a cutoff-2 swap).
@@ -10,8 +12,9 @@ the joint dimension (65,536 for a cutoff-2 swap).
 `dense_readout` is the retrieval that `protocols.readout` replaced with a
 phase per occupation: the magnon state, or each eigenvector of a mixed one,
 is pushed through a registry of four photon modes and the two magnons, and
-the output port is sliced or traced out.  Both are kept out of the package
-and used only to check its results.
+the output port is sliced or traced out.  All of them are kept out of the
+package and used only to check its results, with `tensor`, the composition
+of two states that only these checks need.
 """
 
 from __future__ import annotations
@@ -23,15 +26,17 @@ import numpy as np
 from omxsim import constants, elements, measurement, plans
 from omxsim.fock import (
     DensityMatrix,
+    ElementOp,
     ModeKind,
     ModeRegistry,
+    OperatorError,
+    OpFlavor,
     State,
     StateError,
     StateVector,
-    apply,
+    _require_pure,
     optical,
     partial_trace,
-    tensor,
 )
 from omxsim.measurement import BELL_IDS, BellId
 from omxsim.plans import CircuitPlan
@@ -47,6 +52,71 @@ from omxsim.protocols import (
     full_thermal_f1,
     full_thermal_f2,
 )
+
+
+def dense_initial_vector(plan: CircuitPlan, registry: ModeRegistry, occupations,
+                         decls=None) -> np.ndarray:
+    """Initial amplitude vector of one thermal component over `decls`
+    (default all of the plan's), the kron of each declaration's local
+    vector (later declarations vary slower)."""
+    s = plan.settings
+    full = np.ones(1, dtype=complex)
+    mag_iter = iter(occupations)
+    for decl in plan.decls if decls is None else decls:
+        if isinstance(decl, plans.PhotonDecl):
+            d = s.photon_cutoff + 1
+            vec = np.zeros(d * d, dtype=complex)   # little-endian (H, V)
+            if decl.init == "single_h":
+                vec[1] = 1.0
+            elif decl.init == "single_v":
+                vec[d] = 1.0
+            elif decl.init == "qubit":
+                vec[1], vec[d] = s.alpha, s.beta
+            else:
+                vec[0] = 1.0
+        else:
+            vec = np.zeros(s.thermal_cutoff + 2, dtype=complex)
+            vec[next(mag_iter)] = 1.0
+        full = np.kron(vec, full)
+    assert full.shape == (registry.dimension,)
+    return full
+
+
+def dense_apply(op: ElementOp, state: StateVector) -> StateVector:
+    """`fock.apply` as a contraction of the op's domain-expanded square
+    matrix with the whole amplitude tensor, after the same domain check."""
+    dims, k = state.registry.dims, len(op.targets)
+    tdims = [dims[t] for t in op.targets]
+    dt = int(np.prod(tdims))
+    square = op.matrix
+    psi = state.amplitudes.reshape(dims, order="F")
+    if op.domain is not None:
+        square = np.zeros((dt, dt), dtype=complex)
+        square[:, list(op.domain)] = op.matrix
+        rows = np.moveaxis(psi, op.targets, range(k)).reshape(dt, -1, order="F")
+        mask = np.ones(dt, dtype=bool)
+        mask[list(op.domain)] = False
+        bad = float(np.sum(np.abs(rows[mask]) ** 2))
+        if bad > constants.UNREACHABLE_PROBABILITY:
+            raise OperatorError(
+                f"{op.label or 'op'}: state has weight {bad:.3e} outside the "
+                "operator domain (occupation would overflow a cutoff)")
+    tensor_op = square.reshape(tdims + tdims, order="F")
+    out = np.tensordot(tensor_op, psi, axes=(list(range(k, 2 * k)), list(op.targets)))
+    out = np.moveaxis(out, list(range(k)), list(op.targets)).reshape(-1, order="F")
+    return StateVector(state.registry, out, normalized=state.normalized
+                       and op.flavor is not OpFlavor.KRAUS)
+
+
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Tensor composition over the concatenated registry; the first factor
+    varies fastest, so the amplitudes are kron(b, a)."""
+    _require_pure(a, "tensor")
+    _require_pure(b, "tensor")
+    registry = ModeRegistry(a.registry.modes + b.registry.modes,
+                            a.registry.cutoffs + b.registry.cutoffs)
+    return StateVector(registry, np.kron(b.amplitudes, a.amplitudes),
+                       normalized=a.normalized and b.normalized)
 
 
 def _magnon_targets(plan: CircuitPlan, registry: ModeRegistry) -> list[int]:
@@ -150,10 +220,10 @@ class _Propagator:
         dt = int(np.prod([dims[t] for t in self.bell_targets]))
         dm = self.reduced.dimension
         state = StateVector(self.registry,
-                            plans.initial_vector(self.plan, self.registry, occs),
+                            dense_initial_vector(self.plan, self.registry, occs),
                             normalized=False)
         for op in self.ops:
-            state = apply(op, state)
+            state = dense_apply(op, state)
         amps = state.amplitudes
         total = float(np.vdot(amps, amps).real)
         tens = np.moveaxis(amps.reshape(dims, order="F"),
@@ -332,7 +402,7 @@ def dense_readout(state: State, apply_correction: bool = False) -> ReadoutResult
     def run_pure(vec: StateVector) -> StateVector:
         out = tensor(photon_vac, vec)
         for op in ops:
-            out = apply(op, out)
+            out = dense_apply(op, out)
         return out
 
     if isinstance(state, StateVector):

@@ -226,6 +226,27 @@ def test_oversized_swap_side_exits_2_before_allocating(capsys):
     assert peak < 1 << 20
 
 
+def test_oversized_herald_overlap_exits_2_before_allocating(monkeypatch, tmp_path,
+                                                           capsys):
+    # an extra photon coupled into each interferometer widens both sides'
+    # dump ports: each side holds 4 components x 2304 amplitudes, but a
+    # fidelity overlap spans the 4 x 4 component pairs' 16 x 16 port states
+    source = (CIRCUITS / "swap.omx").read_text()
+    source = source.replace("set thermal_cutoff = 2", "set thermal_cutoff = 1")
+    source = source.replace("measure bell(B, D)", "mode photon E\nmode photon F\n"
+                            "apply bs50(A.H, E.H)\napply bs50(C.H, F.H)\n"
+                            "measure bell(B, D)")
+    path = tmp_path / "wide.omx"
+    path.write_text(source)
+    assert run_cli(capsys, "run", str(path))[0] == 0
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 3000)
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("omxsim: simulation error: a fidelity overlap over 4 x 4 component "
+                   "pairs needs 4096 entries, above the limit 3000\n")
+
+
 def test_oversized_readout_post_state_exits_2_before_allocating(capsys):
     tracemalloc.start()
     try:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import dense_report
+from dense_oracle import dense_apply, dense_initial_vector, dense_report
 
 from omxsim import cli, dsl, fock, plans, protocols
 from omxsim.elements import ScatterModel
@@ -184,23 +184,108 @@ def test_pair_weights_are_the_joint_components_weights_bit_for_bit(cutoff):
 
 
 def test_cutoff_3_swap_applies_elements_on_one_interferometer_only(monkeypatch):
-    cutoff = 3
-    teleport = protocols.teleport(InputQubit(1.0, 0.0), ThermalConfig(0.2, cutoff))
+    # each side pushes all of its thermal components through each element as
+    # one batch, so the call count does not grow with the cutoff
     seen = []
     real_apply = protocols.apply
 
     def spy(op, state):
-        seen.append(state.registry.dimension)
+        seen.append((state.registry.dimension, len(set(state.component.tolist()))))
         return real_apply(op, state)
 
     monkeypatch.setattr(protocols, "apply", spy)
-    report = protocols.entanglement_swap(ThermalConfig(0.2, cutoff))
-    assert report.aggregate_fidelity == pytest.approx(teleport.aggregate_fidelity ** 2,
-                                                      abs=TOL)
-    # per side: its 5 elements on each of its (c+1)^2 thermal components
-    assert len(seen) == 2 * 5 * (cutoff + 1) ** 2
-    # one interferometer: four photon modes and two magnons of cutoff + 1
-    assert max(seen) <= 16 * (cutoff + 2) ** 2
+    for cutoff in (1, 3, 6):
+        teleport = protocols.teleport(InputQubit(1.0, 0.0), ThermalConfig(0.2, cutoff))
+        seen.clear()
+        report = protocols.entanglement_swap(ThermalConfig(0.2, cutoff))
+        assert report.aggregate_fidelity == pytest.approx(
+            teleport.aggregate_fidelity ** 2, abs=TOL)
+        # per side: its 5 elements, each applied once to its (c+1)^2 components
+        assert len(seen) == 2 * 5
+        assert {components for _, components in seen} == {(cutoff + 1) ** 2}
+        # one interferometer: four photon modes and two magnons of cutoff + 1
+        assert max(dim for dim, _ in seen) <= 16 * (cutoff + 2) ** 2
+
+
+def test_pdc_leaves_as_many_entries_as_the_dense_states_hold():
+    # the paper's elements leave at most 3 entries per thermal component; a
+    # pdc's local columns are dense (its exponential's rounding dust), so the
+    # entries it leaves are counted against the dense oracle, not assumed
+    plan = teleport_plan(0.2, 2)
+    pdc = plans.ElementStep("pdc", (plans.ModeRef("photon", "A", "H"),
+                                    plans.ModeRef("magnon", "A"), 0.5))
+    plan = replace(plan, steps=plan.steps + (pdc,))
+    (decls, steps), _ = plans.split_sides(plan)
+    registry = plans.build_registry(plan, decls)
+    magnons = [d for d in decls if isinstance(d, plans.MagnonDecl)]
+    components = list(plans.iter_components(plan, magnons))
+    batch = plans.initial_vector(plan, registry, components, decls)
+    dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, decls),
+                              normalized=False) for occ in components]
+    for op in plans.build_elements(plan, registry, steps):
+        batch = fock.apply(op, batch)
+        dense = [dense_apply(op, state) for state in dense]
+        per_component = np.bincount(batch.component, minlength=len(components))
+        assert per_component.tolist() == [np.count_nonzero(s.amplitudes) for s in dense]
+        if op.label != "pdc":
+            assert per_component.max() <= 3
+    assert per_component.min() > 3
+    got = np.zeros((len(components), registry.dimension), dtype=complex)
+    got[batch.component, batch.index] = batch.amplitudes
+    assert np.abs(got - [s.amplitudes for s in dense]).max() < TOL
+
+
+def test_herald_tables_are_refused_above_the_array_limit(monkeypatch):
+    # a teleport's second side is the input photon alone: at cutoff 2 a
+    # fidelity overlap holds 9 x 4 entries and the herald table 13 x 9 x 1
+    circuit = protocols._Circuit(teleport_plan(0.2, 2))
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 116)
+    with pytest.raises(protocols.ProtocolError) as exc:
+        circuit.tables()
+    assert str(exc.value) == ("a herald table over 9 x 1 component pairs needs 117 "
+                              "entries, above the limit 116")
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 35)
+    with pytest.raises(protocols.ProtocolError, match="a fidelity overlap over 9 x 1 "
+                       "component pairs needs 36 entries, above the limit 35"):
+        circuit.tables()
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 117)
+    assert circuit.tables().shape == (13, 9, 1)
+
+
+def test_concurrences_copy_only_the_sector_rows():
+    # the four sector rows are selected before the columns are weighted, so
+    # the concurrence peak stays below one copy of the side stacks (the full
+    # weighted columns took 29 MiB here, 1.8 copies)
+    n_bar = 0.2
+    circuit = protocols._Circuit(swap_plan(n_bar, 12), n_bar)
+    (w1,), (w2,), pairs = circuit.weights([n_bar])
+    sums = protocols._pair_sums(circuit.tables(), pairs)[0]
+    masses = [float(sums[1 + 3 * k]) for k in range(4)]
+    stacks = sum(side.out.nbytes for side in circuit.sides)
+    tracemalloc.start()
+    try:
+        circuit.concurrences(w1, w2, masses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 << 20 < stacks < 17 << 20
+    assert peak < 20 << 20
+
+
+@pytest.mark.parametrize("reorder", [False, True])
+def test_sector_columns_are_the_rows_of_the_full_weighted_columns(reorder):
+    # what the concurrence reads is bit for bit what selecting the sector
+    # rows from every weighted column gives
+    source = (CIRCUITS / "swap.omx").read_text().replace("set n_bar = 0.2", "set n_bar = 0.3")
+    plan = dsl.compile_source(second_side_first(source) if reorder else source)
+    circuit = protocols._Circuit(plan, plan.settings.n_bar)
+    (w1,), (w2,), _ = circuit.weights([plan.settings.n_bar])
+    for side, w, rows in zip(circuit.sides, (w1, w2), circuit.rows):
+        x = np.sqrt(w)[:, None, None, None] * side.out
+        x = np.moveaxis(x, 0, 3).reshape(x.shape[1], x.shape[2], -1)
+        full = x[:, :, np.any(x != 0, axis=(0, 1))]
+        assert side.columns(w, rows).tobytes() == full[:, rows].tobytes()
+        assert side.columns(w).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("cutoff", [7, 8])

@@ -16,11 +16,11 @@ from omxsim.fock import (
     magnon,
     optical,
     partial_trace,
-    tensor,
 )
-from omxsim.elements import beam_splitter_50_50
+from omxsim.elements import ScatterModel, beam_splitter_50_50, stokes_scatter
 
 from conftest import brute_partial_trace, random_pure, random_unitary
+from dense_oracle import dense_apply, tensor
 
 
 def two_magnons(cutoff=1):
@@ -231,6 +231,65 @@ def test_fidelity_rejects_registry_mismatch():
     b = StateVector.vacuum(ModeRegistry([magnon("C"), magnon("D")], [1, 1]))
     with pytest.raises(StateError):
         fidelity(a.to_density_matrix(), b)
+
+
+def test_domain_violation_keeps_its_message():
+    # a drive photon meeting a magnon already at its cutoff would overflow it
+    reg = ModeRegistry([optical("a", "V"), optical("a", "H"), magnon("a")], [1, 1, 2])
+    op = stokes_scatter(reg, 0, 1, 2)
+    full = StateVector.from_occupation(reg, [1, 0, 2])
+    message = (r"stokes\(paper\): state has weight 1\.000e\+00 outside the operator "
+               r"domain \(occupation would overflow a cutoff\)")
+    with pytest.raises(OperatorError, match=message):
+        apply(op, full)
+    # in a batch, the first component with weight outside the domain is named
+    batch = fock.Batch(reg, np.array([0, 1, 1]),
+                       np.array([reg.index_of_occupation(o)
+                                 for o in ([1, 0, 1], [1, 0, 0], [1, 0, 2])]),
+                       np.array([1.0, 0.6, 0.8], dtype=complex))
+    with pytest.raises(OperatorError, match=message.replace(r"1\.000e\+00", r"6\.400e-01")):
+        apply(op, batch)
+    # weight below UNREACHABLE_PROBABILITY outside the domain is dropped
+    dust = np.zeros(reg.dimension, dtype=complex)
+    dust[reg.index_of_occupation([1, 0, 1])] = 1.0
+    dust[reg.index_of_occupation([1, 0, 2])] = 1e-8
+    out = apply(op, StateVector(reg, dust, normalized=False))
+    assert np.flatnonzero(out.amplitudes).tolist() == [reg.index_of_occupation([0, 1, 2])]
+
+
+def test_apply_matches_the_dense_contraction(rng):
+    # random unitaries on mode subsets, in any target order, and a scattering
+    # isometry: the batch step against the oracle's tensordot contraction
+    reg = ModeRegistry([magnon("A"), optical("a", "V"), optical("a", "H"), magnon("B")],
+                       [2, 1, 1, 2])
+    ops = [ElementOp((3, 0), random_unitary(9, rng), OpFlavor.UNITARY),
+           ElementOp((2,), random_unitary(2, rng), OpFlavor.UNITARY),
+           ElementOp((1, 3, 2), random_unitary(12, rng), OpFlavor.UNITARY)]
+    for op in ops:
+        psi = random_pure(reg, rng)
+        want = dense_apply(op, psi)
+        got = apply(op, psi)
+        assert got.normalized and np.abs(got.amplitudes - want.amplitudes).max() < 1e-12
+    psi = StateVector.from_occupation(reg, [1, 1, 0, 0])
+    scatter = stokes_scatter(reg, 1, 2, 3, ScatterModel.BOSONIC)
+    got, want = apply(scatter, psi), dense_apply(scatter, psi)
+    assert not got.normalized
+    assert np.abs(got.amplitudes - want.amplitudes).max() == 0.0
+
+
+def test_a_batch_applies_to_every_component_at_once(rng):
+    reg = two_magnons(cutoff=2)
+    op = ElementOp((1, 0), random_unitary(9, rng), OpFlavor.UNITARY)
+    states = [random_pure(reg, rng) for _ in range(3)]
+    component, index = np.nonzero([s.amplitudes for s in states])
+    batch = fock.Batch(reg, component, index,
+                       np.array([s.amplitudes for s in states])[component, index])
+    out = apply(op, batch)
+    assert out.registry is reg and out.amplitudes.all()
+    got = np.zeros((3, reg.dimension), dtype=complex)
+    got[out.component, out.index] = out.amplitudes
+    for k, state in enumerate(states):
+        assert np.abs(got[k] - apply(op, state).amplitudes).max() == 0.0
 
 
 # ---------------------------------------------------------------------------

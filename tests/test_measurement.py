@@ -10,7 +10,6 @@ from omxsim.fock import (
     magnon,
     optical,
     partial_trace,
-    tensor,
 )
 from omxsim.measurement import (
     BELL_IDS,
@@ -20,6 +19,8 @@ from omxsim.measurement import (
     sample_outcomes,
 )
 from omxsim.protocols import InputQubit, ThermalConfig, teleport
+
+from dense_oracle import tensor
 
 
 def photon_pair_registry():

@@ -7,8 +7,11 @@ The weight properties hold bit for bit: a sweep and a report form their
 thermal weights through the same product, so a sweep row equals the report
 at its occupation, and overrides equal to the shared occupation change
 nothing.  Generated circuits, declared in any order and with extra elements
-on either side of the Bell analyzer, match the dense joint-registry oracle;
-and compiling any text fails only with a circuit error.
+on either side of the Bell analyzer, match the dense joint-registry oracle,
+and each side's sparse batch matches the oracle's dense per-component
+propagation element by element; compiling any text fails only with a
+circuit error, and pretty-printing what parses changes nothing it compiles
+to.
 """
 
 import re
@@ -16,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import dense_report
+from dense_oracle import dense_apply, dense_initial_vector, dense_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_factorized import assert_reports_equal
 
-from omxsim import dsl, plans, protocols
+from omxsim import dsl, fock, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.measurement import BellId
 from omxsim.plans import (
@@ -75,6 +78,15 @@ def test_each_bell_herald_has_probability_one_quarter(cfg, model, qubit):
         for outcome in report.outcomes:
             assert outcome.probability == pytest.approx(0.25, abs=TOL)
         assert report.no_herald_probability == pytest.approx(0.0, abs=TOL)
+
+
+@PROPERTY
+@given(cfg=thermal, model=models, qubits=st.lists(qubits, min_size=2, max_size=2))
+def test_teleport_aggregate_fidelity_does_not_depend_on_the_input_qubit(cfg, model,
+                                                                         qubits):
+    first, second = (protocols.teleport(q, cfg, model).aggregate_fidelity
+                     for q in qubits)
+    assert first == pytest.approx(second, abs=TOL)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -177,12 +189,31 @@ def _interferometer(upper: str, lower: str) -> tuple[list, list[ElementStep]]:
     return decls, steps
 
 
+def _magnon_steps(upper: str, lower: str):
+    """A pdc, an antistokes and a phase on one interferometer's magnons, in
+    any order.  The pdc's columns are dense in its local space (its matrix
+    exponential leaves rounding dust off the occupation-difference blocks),
+    so it multiplies a side's entries."""
+    photons = [ModeRef("photon", p, pol) for p in (upper, lower) for pol in "HV"]
+    magnons = [ModeRef("magnon", "m" + p) for p in (upper, lower)]
+    pdc = st.builds(lambda p, m, g: ElementStep("pdc", (p, m, g)),
+                    st.sampled_from(photons), st.sampled_from(magnons), st.floats(0.1, 1.0))
+    antistokes = st.permutations(magnons).map(lambda m: ElementStep("antistokes", tuple(m)))
+    phase = st.builds(lambda m, a: ElementStep("phase", (m, a)),
+                      st.sampled_from(magnons), angles)
+    return st.tuples(pdc, antistokes, phase).flatmap(lambda s: st.permutations(list(s)))
+
+
 @st.composite
-def circuits(draw) -> CircuitPlan:
+def circuits(draw, magnon_steps: bool = False) -> CircuitPlan:
+    """A teleport or swap circuit; with `magnon_steps`, each interferometer
+    also gets a pdc, an antistokes and a phase on its magnons."""
     protocol = draw(st.sampled_from(plans.PROTOCOLS))
     cutoff = draw(st.integers(1, 2))
     decls, side1 = _interferometer("A", "B")
     side1 += draw(_extra_steps("A", "B"))
+    if magnon_steps:
+        side1 += draw(_magnon_steps("A", "B"))
     if protocol == "teleport":
         decls.append(PhotonDecl("c", "qubit"))
         side2 = draw(st.lists(st.builds(lambda name, a: ElementStep(name, ("c", a)),
@@ -194,6 +225,8 @@ def circuits(draw) -> CircuitPlan:
         decls2, side2 = _interferometer("C", "D")
         decls += decls2
         side2 += draw(_extra_steps("C", "D"))
+        if magnon_steps:
+            side2 += draw(_magnon_steps("C", "D"))
         measure = BellMeasure("B", "D")
         qubit = InputQubit(1.0, 0.0)
     # untouched photons join side 1; at most one where it keeps the dense
@@ -226,6 +259,28 @@ def circuits(draw) -> CircuitPlan:
 @given(plan=circuits())
 def test_generated_circuits_match_the_dense_oracle(plan):
     assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+@PROPERTY
+@given(plan=circuits(magnon_steps=True))
+def test_each_sides_batch_matches_dense_propagation_element_by_element(plan):
+    for decls, steps in plans.split_sides(plan):
+        registry = plans.build_registry(plan, decls)
+        magnons = [d for d in decls if isinstance(d, MagnonDecl)]
+        components = list(plans.iter_components(plan, magnons))
+        batch = plans.initial_vector(plan, registry, components, decls)
+        dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, decls),
+                                  normalized=False) for occ in components]
+        for op in plans.build_elements(plan, registry, steps):
+            batch = fock.apply(op, batch)
+            dense = [dense_apply(op, state) for state in dense]
+            want = np.array([state.amplitudes for state in dense])
+            got = np.zeros_like(want)
+            got[batch.component, batch.index] = batch.amplitudes
+            assert np.abs(got - want).max() < TOL
+            # one entry per nonzero amplitude: pdc's dense columns multiply
+            # the entries, and the count is what the dense states hold
+            assert len(batch.amplitudes) == np.count_nonzero(want)
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +322,26 @@ def test_compiling_any_text_raises_only_circuit_errors(source):
     sides = plans.split_sides(plan)
     assert sorted(map(repr, sides[0][0] + sides[1][0])) == sorted(map(repr, plan.decls))
     assert len(sides[0][1]) + len(sides[1][1]) == len(plan.steps)
+
+
+@PROPERTY
+@given(source=sources)
+def test_pretty_printing_what_parses_compiles_to_the_same_plan(source):
+    try:
+        ast = dsl.parse(source)
+    except dsl.ParseError:
+        return
+    printed = dsl.pretty_print(ast)
+    reparsed = dsl.parse(printed)
+    assert dsl.pretty_print(reparsed) == printed
+
+    def compiled(tree):
+        try:
+            return dsl.compile(tree)
+        except dsl.DslSemanticError as exc:
+            # positions move with the dropped comments and blank lines
+            return [issue.message for issue in exc.issues]
+        except PlanError as exc:
+            return str(exc)
+
+    assert compiled(reparsed) == compiled(ast)

@@ -215,11 +215,12 @@ def test_side_limit_counts_only_components_with_weight():
 # EPR preparation: the teleport plan's interferometer before the Bell analyzer
 
 def _epr_component(plan, registry, occs):
-    state = StateVector(registry, plans.initial_vector(plan, registry, occs),
-                        normalized=False)
+    state = plans.initial_vector(plan, registry, [occs])
     for op in plans.build_elements(plan, registry):
         state = apply(op, state)
-    return state
+    amplitudes = np.zeros(registry.dimension, dtype=complex)
+    amplitudes[state.index] = state.amplitudes
+    return StateVector(registry, amplitudes, normalized=False)
 
 
 def _epr_occupation(reg, pol, n_a, n_b):
