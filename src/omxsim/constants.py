@@ -50,6 +50,11 @@ MAX_SWEEP_WEIGHTS = 1 << 22
 # Ceiling on the demonstration heralds one --sample draw may request.
 MAX_SAMPLES = 1 << 20
 
+# Ceiling on the lifted element matrices `elements._lift` keeps (least
+# recently used first out).  A circuit repeats a handful of distinct
+# elements; the paper's commands need at most 3.
+MAX_MEMOIZED_LIFTS = 32
+
 # Default per-mode Fock cutoffs: dual-rail optical modes hold at most one
 # photon in protocol use; magnon modes keep headroom above the thermal
 # truncation so a single added excitation is always representable.

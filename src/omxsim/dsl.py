@@ -281,13 +281,17 @@ def _parse_apply(cur: _Cursor) -> ElementDecl:
 def _parse_arg(cur: _Cursor, tok: _Token, kind: str, expected: str):
     if kind in ("angle", "number"):
         if tok.kind == "angle":
-            return NumberArg(float(tok.text[:-2]) * math.pi, tok.text,
-                             Span(cur.line, tok.column))
-        if tok.kind == "number":
-            return NumberArg(float(tok.text), tok.text, Span(cur.line, tok.column))
-        if tok.kind == "word" and tok.text == "pi":
-            return NumberArg(math.pi, "pi", Span(cur.line, tok.column))
-        raise ParseError(cur.line, tok.column, expected, repr(tok.text))
+            value = float(tok.text[:-2]) * math.pi
+        elif tok.kind == "number":
+            value = float(tok.text)
+        elif tok.kind == "word" and tok.text == "pi":
+            value = math.pi
+        else:
+            raise ParseError(cur.line, tok.column, expected, repr(tok.text))
+        if not math.isfinite(value):                # 1e400, or 1e308pi
+            raise ParseError(cur.line, tok.column, f"a finite {expected}",
+                             repr(tok.text))
+        return NumberArg(value, tok.text, Span(cur.line, tok.column))
     if tok.kind != "word":
         raise ParseError(cur.line, tok.column, expected, repr(tok.text))
     pol = None

@@ -21,11 +21,25 @@ space, which keeps the lifted operator exactly unitary.  Every exponential is
 taken with numpy alone: exp(i H) of a Hermitian generator H is V e^{i w} V^dag
 from H's eigendecomposition (`_expi`), and the single-particle phase h with
 u = exp(i h) comes from u's eigenvalues.
+
+The passive exponentials are memoized, since the paper's circuits repeat a
+few small elements on every side of every command.  `_lift` maps (target dims,
+the single-particle unitary's bytes) to the lifted matrix, serving `bs50`,
+`hwp`, `qwp` and `antistokes`.  It keeps at most `constants.MAX_MEMOIZED_LIFTS`
+read-only matrices, least recently used first out, and holds only matrices
+whose u passed the unitarity check (a non-unitary u raises on every call; a
+raise is not memoized).  Everything else runs on every call: each
+constructor's registry checks (distinct modes, equal cutoffs, mode kinds, H/V
+pairs), the shape check on u and the `ElementOp`, which shares the read-only
+matrix and checks it for unitarity.  The constructors stay plain module
+functions above the memo, so a wrapper installed on this module's attribute
+sees every call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -68,25 +82,39 @@ def _expi(gen: np.ndarray) -> np.ndarray:
 def _hermitian_phase(u: np.ndarray) -> np.ndarray:
     """Hermitian h with u = exp(i h), from the eigenvalues of unitary u."""
     res = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-    if res > constants.UNITARITY_TOL:
+    if not res <= constants.UNITARITY_TOL:          # a NaN residual fails too
         raise OperatorError(f"single-particle matrix not unitary (residual {res:.3e})")
     w, v = np.linalg.eig(u)
     h = (v * np.angle(w)) @ np.linalg.inv(v)
     return (h + h.conj().T) / 2
 
 
+@functools.lru_cache(maxsize=constants.MAX_MEMOIZED_LIFTS)
+def _lift(dims: tuple[int, ...], u_bytes: bytes) -> np.ndarray:
+    """exp of the quadratic generator of u (given as its complex bytes) on the
+    joint Fock space of modes with `dims`; read-only, shared by every caller."""
+    k = len(dims)
+    h = _hermitian_phase(np.frombuffer(u_bytes, dtype=complex).reshape(k, k))
+    ann = [embed_local({i: destroy(dims[i])}, dims) for i in range(k)]
+    quad = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            if h[i, j] != 0:
+                quad += h[i, j] * (ann[i].conj().T @ ann[j])
+    lifted = _expi(quad)
+    lifted.setflags(write=False)
+    return lifted
+
+
 def passive_lift(registry: ModeRegistry, targets: tuple[int, ...],
                  u: np.ndarray, label: str) -> ElementOp:
     """Lift a k x k single-particle unitary to the targets' joint Fock space."""
-    dims = [registry.dims[t] for t in targets]
-    h = _hermitian_phase(np.asarray(u, dtype=complex))
-    ann = [embed_local({i: destroy(dims[i])}, dims) for i in range(len(dims))]
-    quad = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
-    for i in range(len(dims)):
-        for j in range(len(dims)):
-            if h[i, j] != 0:
-                quad += h[i, j] * (ann[i].conj().T @ ann[j])
-    return ElementOp(targets, _expi(quad), OpFlavor.UNITARY, label=label)
+    dims = tuple(registry.dims[t] for t in targets)
+    if np.shape(u) != (len(targets),) * 2:
+        raise OperatorError(f"{label}: single-particle matrix of shape {np.shape(u)} "
+                            f"for {len(targets)} modes")
+    u_bytes = np.ascontiguousarray(u, dtype=complex).tobytes()
+    return ElementOp(targets, _lift(dims, u_bytes), OpFlavor.UNITARY, label=label)
 
 
 def beam_splitter_50_50(registry: ModeRegistry, mode1: int, mode2: int) -> ElementOp:
@@ -99,13 +127,18 @@ def beam_splitter_50_50(registry: ModeRegistry, mode1: int, mode2: int) -> Eleme
     return passive_lift(registry, (mode1, mode2), u, "bs50")
 
 
+# A non-finite angle (or one whose multiple overflows) gives NaN entries, which
+# the unitarity check refuses, so numpy's warnings about them are silenced.
+
 def hwp_jones(theta: float) -> np.ndarray:
-    c, s = np.cos(2 * theta), np.sin(2 * theta)
+    with np.errstate(invalid="ignore"):
+        c, s = np.cos(2 * theta), np.sin(2 * theta)
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
 def qwp_jones(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
+    with np.errstate(invalid="ignore"):
+        c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]], dtype=complex)
     retard = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
     return rot @ retard @ rot.conj().T
@@ -157,7 +190,8 @@ def pbs(registry: ModeRegistry, path1: str, path2: str) -> ElementOp:
 def phase_shift(registry: ModeRegistry, mode: int, phi: float) -> ElementOp:
     """|n> -> e^{i n phi} |n> on the target mode."""
     d = registry.dims[mode]
-    matrix = np.diag(np.exp(1j * phi * np.arange(d)))
+    with np.errstate(over="ignore", invalid="ignore"):  # see hwp_jones
+        matrix = np.diag(np.exp(1j * phi * np.arange(d)))
     return ElementOp((mode,), matrix, OpFlavor.UNITARY, label="phase")
 
 
@@ -237,4 +271,8 @@ def pdc_evolution(registry: ModeRegistry, photon: int, mag: int, gt: float) -> E
     m = embed_local({1: destroy(dims[1])}, dims)
     down = b @ m
     gen = down + down.conj().T
-    return ElementOp((photon, mag), _expi(-gt * gen), OpFlavor.UNITARY, label="pdc")
+    with np.errstate(invalid="ignore", over="ignore"):
+        gen = -gt * gen
+    if not np.isfinite(gen).all():
+        raise OperatorError(f"pdc: gt = {gt:g} overflows the generator")
+    return ElementOp((photon, mag), _expi(gen), OpFlavor.UNITARY, label="pdc")

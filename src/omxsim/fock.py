@@ -283,14 +283,19 @@ class ElementOp:
     def __post_init__(self):
         if len(set(self.targets)) != len(self.targets):
             raise OperatorError(f"{self.label or 'op'}: repeated target mode")
-        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=complex))
         m = self.matrix
+        if not (isinstance(m, np.ndarray) and m.dtype == complex
+                and not m.flags.writeable and m.flags.owndata):
+            # copy what a caller could still write to; a frozen complex array
+            # (an `elements` memo entry) is shared as it is
+            m = np.array(m, dtype=complex)
+        object.__setattr__(self, "matrix", m)
         if self.flavor is OpFlavor.UNITARY:
             if m.shape[0] != m.shape[1]:
                 raise OperatorError(f"{self.label or 'op'}: unitary must be square")
             res = max(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max(),
                       np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-            if res > constants.UNITARITY_TOL:
+            if not res <= constants.UNITARITY_TOL:      # a NaN residual fails too
                 raise OperatorError(
                     f"{self.label or 'op'}: not unitary (residual {res:.3e})")
         elif self.flavor is OpFlavor.ISOMETRY:
@@ -299,7 +304,7 @@ class ElementOp:
             if m.shape[1] != len(self.domain):
                 raise OperatorError("isometry matrix width must match domain size")
             res = np.abs(m.conj().T @ m - np.eye(m.shape[1])).max()
-            if res > constants.UNITARITY_TOL:
+            if not res <= constants.UNITARITY_TOL:
                 raise OperatorError(
                     f"{self.label or 'op'}: not an isometry (V^dag V residual {res:.3e})")
         self.matrix.setflags(write=False)

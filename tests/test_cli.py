@@ -356,6 +356,46 @@ def test_circuit_with_infinite_occupation_exits_2(tmp_path, capsys):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("element, argument", [("hwp(A, {})", "1e400"),
+                                               ("pdc(c.H, mA, {})", "1e400")])
+def test_circuit_with_overflowing_element_argument_exits_3(tmp_path, capsys, element,
+                                                           argument):
+    # 1e400 reads as inf; it is refused at its column, before any element is built
+    source = (CIRCUITS / "teleport.omx").read_text()
+    assert "apply hwp(A, 0.25pi)\n" in source
+    bad = tmp_path / "huge.omx"
+    line = "apply " + element.format(argument)
+    bad.write_text(source.replace("apply hwp(A, 0.25pi)\n", line + "\n"))
+    row = source.splitlines().index("apply hwp(A, 0.25pi)") + 1
+    for command in ("validate", "run"):
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == 3
+        assert out == ""
+        assert err == (f"omxsim: circuit error: line {row}, column "
+                       f"{line.index(argument) + 1}: expected a finite "
+                       f"{'second angle' if element.startswith('hwp') else 'third number'}"
+                       f" argument, found '{argument}'\n")
+
+
+@pytest.mark.parametrize("element, setting, message", [
+    # cos(2e308) and e^{2i 1e308} are NaN: the unitarity check must still refuse
+    ("hwp(A, 1e308)", "", "single-particle matrix not unitary (residual nan)"),
+    ("phase(mA, 1e308)", "", "phase: not unitary (residual nan)"),
+    # sqrt(2 * 3) * 1e308 overflows the squeezing generator
+    ("pdc(c.H, mA, 1e308)", "set photon_cutoff = 2\n",
+     "pdc: gt = 1e+308 overflows the generator"),
+])
+def test_circuit_whose_element_overflows_exits_2(tmp_path, capsys, element, setting,
+                                                  message):
+    source = (CIRCUITS / "teleport.omx").read_text()
+    bad = tmp_path / "nan_element.omx"
+    bad.write_text(setting + source.replace("apply hwp(A, 0.25pi)\n", f"apply {element}\n"))
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"omxsim: simulation error: {message}\n"
+
+
 def test_circuit_with_non_finite_amplitude_exits_2(tmp_path, capsys):
     source = (CIRCUITS / "teleport.omx").read_text()
     bad = tmp_path / "nan.omx"

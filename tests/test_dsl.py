@@ -70,6 +70,16 @@ def test_parse_angle_forms():
     assert args[2] == 0.125
 
 
+def test_parse_refuses_an_overflowing_number_at_its_column():
+    for text, found in [("apply hwp(A, 1e400)", "1e400"), ("apply hwp(A, 1e308pi)", "1e308pi"),
+                        ("apply pdc(p.H, m, -1e400)", "-1e400")]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.column == text.index(found) + 1
+        assert err.value.expected.startswith("a finite ")
+        assert err.value.found == repr(found)
+
+
 def test_parse_arity_error_points_at_closing_paren():
     with pytest.raises(ParseError) as err:
         parse("apply bs50(pA.H)")

@@ -1,8 +1,11 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from omxsim import elements, fock
+from omxsim import cli, constants, elements, fock
 from omxsim.elements import (
     ScatterModel,
     antistokes_swap,
@@ -17,6 +20,7 @@ from omxsim.elements import (
     stokes_scatter,
 )
 from omxsim.fock import (
+    ElementOp,
     ModeRegistry,
     OperatorError,
     OpFlavor,
@@ -437,3 +441,89 @@ def test_pdc_matches_reference(gt):
     reg = ModeRegistry([optical("p", "H"), magnon("p")], [2, 3])
     assert_matches_reference(pdc_evolution(reg, 0, 1, gt),
                              reference_two_mode([3, 4], "pdc", gt))
+
+
+# ---------------------------------------------------------------------------
+# memoized exponentials
+
+@pytest.mark.parametrize("cutoffs", [(1, 1), (2, 2), (1, 3), (2, 1, 1)])
+def test_memoized_lifts_equal_the_unmemoized_body_bit_for_bit(cutoffs, rng):
+    reg = ModeRegistry([magnon(f"m{i}") for i in range(len(cutoffs))], list(cutoffs))
+    targets = tuple(range(len(cutoffs)))
+    dims = tuple(c + 1 for c in cutoffs)
+    for _ in range(3):
+        u = random_unitary(len(cutoffs), rng)
+        body = elements._lift.__wrapped__(dims, u.tobytes())
+        for _ in range(2):                  # the first call fills the memo
+            op = elements.passive_lift(reg, targets, u, "rnd")
+            assert np.array_equal(op.matrix, body)
+
+
+def test_a_memoized_lift_is_read_only_and_never_aliased_writably():
+    reg = path_registry("p", cutoff=2)
+    memo = elements._lift((3, 3), np.ascontiguousarray(hwp_jones(0.3)).tobytes())
+    assert not memo.flags.writeable
+    with pytest.raises(ValueError):
+        memo[0, 0] = 0.0
+    swap_reg = ModeRegistry([optical("p", "V"), magnon("p")], [2, 2])
+    ops = [half_wave_plate(reg, "p", 0.3), half_wave_plate(reg, "p", 0.3),
+           antistokes_swap(swap_reg, 0, 1), antistokes_swap(swap_reg, 0, 1, exact_swap=True)]
+    for op in ops:
+        assert not op.matrix.flags.writeable
+    # equal elements share the one read-only memo entry rather than copies of it
+    assert ops[0].matrix is ops[1].matrix is memo
+    # an ElementOp copies whatever a caller could still write through
+    writable = np.array(memo)
+    frozen_view = writable.view()
+    frozen_view.setflags(write=False)
+    for source in (writable, frozen_view):
+        op = ElementOp((0, 1), source, OpFlavor.UNITARY)
+        assert not op.matrix.flags.writeable
+        assert not np.shares_memory(op.matrix, writable)
+
+
+def test_a_refused_matrix_raises_on_every_call_and_is_not_memoized():
+    reg = path_registry("p")
+    elements._lift.cache_clear()
+    for _ in range(2):
+        with pytest.raises(OperatorError, match="not unitary"):
+            elements.passive_lift(reg, (0, 1), np.array([[1, 1], [0, 1]]), "shear")
+        with pytest.raises(OperatorError, match=r"not unitary \(residual nan\)"):
+            half_wave_plate(reg, "p", 1e308)         # cos(2e308) is NaN
+    assert elements._lift.cache_info().currsize == 0
+    assert elements._lift.cache_info().misses == 4
+
+
+def test_a_single_particle_matrix_must_be_square_in_the_target_count():
+    reg = path_registry("p")
+    for u in (np.array([[1, 0, 0, 1]]) / np.sqrt(2), np.eye(3), np.eye(1)):
+        with pytest.raises(OperatorError, match=r"single-particle matrix of shape"):
+            elements.passive_lift(reg, (0, 1), u, "bad")
+
+
+def test_pdc_refuses_a_time_that_overflows_its_generator():
+    reg = ModeRegistry([optical("p", "H"), magnon("p")], [2, 3])
+    for gt in (np.inf, 1e308):
+        with pytest.raises(OperatorError, match="overflows the generator"):
+            pdc_evolution(reg, 0, 1, gt)
+
+
+def test_the_memo_holds_at_most_its_bound():
+    reg = path_registry("p")
+    elements._lift.cache_clear()
+    for theta in np.linspace(0.0, 1.0, constants.MAX_MEMOIZED_LIFTS + 5):
+        quarter_wave_plate(reg, "p", theta)
+    info = elements._lift.cache_info()
+    assert info.maxsize == constants.MAX_MEMOIZED_LIFTS
+    assert info.currsize == constants.MAX_MEMOIZED_LIFTS
+
+
+@pytest.mark.parametrize("command, misses, hits", [("swap", 2, 2), ("readout", 3, 5)])
+def test_a_command_exponentiates_each_distinct_element_once(command, misses, hits):
+    # a swap lifts bs50 and hwp(pi/4) on each side; a readout lifts those two
+    # for its teleport and antistokes twice and hwp(pi/4) once per transfer
+    elements._lift.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command]) == 0
+    info = elements._lift.cache_info()
+    assert (info.misses, info.hits) == (misses, hits)

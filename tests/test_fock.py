@@ -354,3 +354,14 @@ def test_isometry_flavor_validation():
         ElementOp((0,), bad, OpFlavor.ISOMETRY, domain=(0, 1))
     with pytest.raises(OperatorError, match="domain"):
         ElementOp((0,), good, OpFlavor.ISOMETRY)
+
+
+def test_flavor_checks_refuse_nan_entries():
+    # a NaN residual compares False against the tolerance either way round
+    with pytest.raises(OperatorError, match=r"not unitary \(residual nan\)"):
+        ElementOp((0,), np.diag([1.0, np.nan]), OpFlavor.UNITARY)
+    bad = np.zeros((4, 2), dtype=complex)
+    bad[0, 0] = 1.0
+    bad[3, 1] = np.nan
+    with pytest.raises(OperatorError, match=r"not an isometry \(V\^dag V residual nan\)"):
+        ElementOp((0,), bad, OpFlavor.ISOMETRY, domain=(0, 1))

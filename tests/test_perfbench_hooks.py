@@ -13,7 +13,7 @@ import io
 import sys
 from pathlib import Path
 
-from omxsim import cli
+from omxsim import cli, elements
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -54,3 +54,30 @@ def test_a_traced_report_and_sweep_record_the_weight_and_propagation_spans():
     # uninstalling restores the unwrapped functions
     assert not hasattr(cli.main, "__wrapped__")
     assert not hasattr(cli.plans.component_weight, "__wrapped__")
+
+
+def test_a_warm_memo_still_records_one_build_span_per_constructor_call(monkeypatch):
+    tracer = _tracer_module()
+    calls = []
+    for _, fn_name, span in tracer.HOOKS:
+        if span == "elements.build":
+            def counted(*args, _fn=getattr(elements, fn_name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(elements, fn_name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["readout"]) == 0         # warms the memo
+    calls.clear()
+    before = elements._lift.cache_info()
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["readout"]) == 0
+    finally:
+        recorder.uninstall()
+    after = elements._lift.cache_info()
+    builds = recorder.names.index("elements.build")
+    assert after.misses == before.misses        # every lift came from the memo
+    assert after.hits - before.hits == 8
+    assert sum(1 for i in recorder.name_id if i == builds) == len(calls) > 8

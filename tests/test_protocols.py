@@ -545,6 +545,16 @@ def test_readout_refuses_a_network_that_does_not_map_rails_to_the_port(monkeypat
         readout(magnon_qubit_state(0.6, 0.8))
 
 
+def test_readout_refusal_holds_after_an_unpatched_readout(monkeypatch):
+    # the element memo sits below the constructors: a transfer built earlier in
+    # the process is not reused once `elements.pbs` is replaced
+    assert readout(magnon_qubit_state(0.6, 0.8)).qubit_sector_weight == pytest.approx(1.0)
+    monkeypatch.setattr(elements, "pbs", lambda reg, path1, path2: elements.phase_shift(
+        reg, reg.optical_index(path1, "H"), 0.0))
+    with pytest.raises(ProtocolError, match="does not map the upper rail to H"):
+        readout(magnon_qubit_state(0.6, 0.8))
+
+
 def test_readout_rejects_non_magnon_registry():
     reg = ModeRegistry([optical("A", "H"), optical("A", "V")], [1, 1])
     with pytest.raises(ProtocolError):
