@@ -84,8 +84,7 @@ class ModeRegistry:
     by registry index.
     """
 
-    def __init__(self, modes: Sequence[ModeLabel], cutoffs: Sequence[int],
-                 max_dimension: int = constants.MAX_DIMENSION):
+    def __init__(self, modes: Sequence[ModeLabel], cutoffs: Sequence[int]):
         modes = tuple(modes)
         cutoffs = tuple(int(c) for c in cutoffs)
         if len(modes) != len(cutoffs):
@@ -98,8 +97,9 @@ class ModeRegistry:
         self.cutoffs = cutoffs
         self.dims = tuple(c + 1 for c in cutoffs)
         self.dimension = math.prod(self.dims)
-        if self.dimension > max_dimension:
-            raise RegistryError(f"registry dimension exceeds hard limit {max_dimension}")
+        if self.dimension > constants.MAX_DIMENSION:
+            raise RegistryError("registry dimension exceeds hard limit "
+                                f"{constants.MAX_DIMENSION}")
         self._index = {label: i for i, label in enumerate(modes)}
         # little-endian strides: stride of mode k is prod(dims[:k])
         self.strides = tuple(math.prod(self.dims[:k]) for k in range(len(modes)))
@@ -184,7 +184,7 @@ class StateVector:
                              f"match registry dimension {registry.dimension}")
         if normalized:
             nrm = np.linalg.norm(amplitudes)
-            if abs(nrm - 1.0) > constants.NORM_TOL:
+            if not abs(nrm - 1.0) <= constants.NORM_TOL:     # a NaN norm fails too
                 raise StateError(f"state norm {nrm} deviates from 1; "
                                  "construct with normalized=False for projected states")
         self.registry = registry
@@ -224,11 +224,11 @@ class DensityMatrix:
             raise StateError(f"matrix shape {matrix.shape} does not match registry "
                              f"dimension {d}")
         herm = np.abs(matrix - matrix.conj().T).max()
-        if herm > constants.HERMITICITY_TOL:
+        if not herm <= constants.HERMITICITY_TOL:
             raise StateError(f"density matrix not Hermitian (residual {herm:.3e})")
         if normalized:
             tr = matrix.trace()
-            if abs(tr - 1.0) > constants.TRACE_TOL:
+            if not abs(tr - 1.0) <= constants.TRACE_TOL:
                 raise StateError(f"trace {tr} deviates from 1; "
                                  "construct with normalized=False for projected states")
         self.registry = registry
@@ -365,7 +365,7 @@ def apply(op: ElementOp, state: StateVector | Batch) -> StateVector | Batch:
     outside[domain] = False
     hit = outside[local]
     bad = np.bincount(batch.component[hit], np.abs(batch.amplitudes[hit]) ** 2)
-    bad = bad[bad > constants.UNREACHABLE_PROBABILITY]
+    bad = bad[~(bad <= constants.UNREACHABLE_PROBABILITY)]
     if len(bad):
         raise OperatorError(
             f"{op.label or 'op'}: state has weight {bad[0]:.3e} outside the "
@@ -415,11 +415,11 @@ def fidelity(state: State, target: StateVector) -> float:
     """Overlap <target| state |target> (pure-target fidelity)."""
     if target.registry != state.registry:
         raise StateError("fidelity: state and target registries differ")
-    if abs(target.norm() - 1.0) > constants.NORM_TOL:
+    if not abs(target.norm() - 1.0) <= constants.NORM_TOL:
         raise StateError("fidelity: target must be normalized")
     if isinstance(state, StateVector):
         return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
     val = complex(target.amplitudes.conj() @ state.matrix @ target.amplitudes)
-    if abs(val.imag) > constants.FIDELITY_IMAG_TOL:
+    if not abs(val.imag) <= constants.FIDELITY_IMAG_TOL:
         raise StateError(f"fidelity has imaginary residue {val.imag:.3e}")
     return float(val.real)

@@ -34,9 +34,13 @@ the report at its occupation to the last bit.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the fidelity numerators and the swap concurrence read only the sector rows
-of each side's output.  The full heralded magnon state, a (c+2)^4-square
-matrix for a swap, is built only when a report's `post_state` is read
-(readout reads it), and is refused above MAX_ARRAY_ENTRIES entries.
+of each side's output.  Heralded magnon states come from one contraction,
+`_Circuit.block`: both sides' weighted columns at the rows of a list of
+magnon occupations, joined through the Bell vector, give that block of the
+state.  The swap concurrence reads the block over the sector; a herald's
+full state, a (c+2)^4-square matrix for a swap, is the block over every
+occupation, built only when that herald's `post_state` is read (readout
+reads two of the four), and refused above MAX_ARRAY_ENTRIES entries.
 Readout's passive network is simulated for one excitation per magnon; every
 occupation of the heralded state picks up the product of those phases.
 """
@@ -361,14 +365,16 @@ class _Side:
         self.live = np.zeros((n, shape[2]), dtype=bool)
         self.live[state.component, other] = True
 
-    def columns(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def columns(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Output columns sqrt(w_k) out[k][:, rows, o] as (analyzer, magnon
         row, column), ordered by o, then k; columns without amplitude (vacuum
         dump ports, zero weights) dropped.  Only the selected magnon rows of
-        the live columns are copied."""
+        the live columns are gathered, straight into that order."""
         o, k = np.nonzero((self.live & (w != 0)[:, None]).T)
-        x = self.out[:, :, rows][k, :, :, o] * np.sqrt(w)[k, None, None]
-        return np.ascontiguousarray(x.transpose(1, 2, 0))
+        _, da, dm, do = self.out.shape
+        at = (np.arange(da)[:, None, None] * (dm * do) + rows[:, None] * do
+              + k * (da * dm * do) + o)
+        return self.out.ravel()[at] * np.sqrt(w)[k]
 
 
 class _Circuit:
@@ -383,10 +389,16 @@ class _Circuit:
     fidelity targets into per-pair tables T, and every report or sweep point
     sums W_ij T_ij over the pairs' thermal weights (`weights`).
 
-    The targets live in the dual-rail sector (`_sector`), and `rows[i][q]`
-    is sector state q's magnon row on side i.  With `n_bar` the circuit serves
-    one report at that occupation and propagates only components of nonzero
-    weight; without, it keeps every thermal component, for a sweep.
+    The heralded magnon states are read through one contraction, `block`:
+    both sides' weighted columns at the rows of a list of magnon states
+    (`_side_rows`) are joined through the Bell vector into conditional
+    columns, whose Gram matrix over the herald mass is the heralded state's
+    block on those states.  The targets and the swap concurrence live in the
+    dual-rail sector (`_sector`), whose rows on side i are `rows[i]`; a
+    report's `post_state` is the block over every magnon occupation.  With
+    `n_bar` the circuit serves one report at that occupation and propagates
+    only components of nonzero weight; without, it keeps every thermal
+    component, for a sweep.
     """
 
     def __init__(self, plan: CircuitPlan, n_bar: float | None = None):
@@ -406,14 +418,16 @@ class _Circuit:
         _, bell_vecs = measurement.bell_state_vectors(analyzer, *paths)
         self.bell = {b: v.reshape(x.shape[1], y.shape[1], order="F")
                      for b, v in bell_vecs.items()}
-        # declaration position of each magnon in side order (side 1's first)
-        self._perm = [magnons.index(d) for d in self.sides[0].magnons
-                      + self.sides[1].magnons]
-        n1, dm = len(self.sides[0].magnons), s.thermal_cutoff + 2
-        occs = [[occ[p] for p in self._perm] for occ in _sector(need)]
-        self.rows = [[_flat_index(o[:n1], dm) for o in occs],
-                     [_flat_index(o[n1:], dm) for o in occs]]
+        self.rows = self._side_rows(np.array(_sector(need)))
         self.targets = _targets(s)
+
+    def _side_rows(self, occs: np.ndarray) -> list[np.ndarray]:
+        """Each side's magnon row of the occupations `occs`, (states, magnons)
+        in declaration order: little-endian over the side's own magnons, so
+        a magnon's stride is 0 on the other side."""
+        magnons, dm = self.plan.magnon_decls(), self.plan.settings.thermal_cutoff + 2
+        return [occs @ [dm ** side.magnons.index(d) if d in side.magnons else 0
+                        for d in magnons] for side in self.sides]
 
     def weights(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thermal weights at the shared occupations `grid`: side 1's and side
@@ -475,81 +489,53 @@ class _Circuit:
                 rows.append((amp.real ** 2 + amp.imag ** 2).sum(axis=(1, 3)))
         return np.stack(rows)
 
+    def block(self, bell_id: BellId, xs: np.ndarray, ys: np.ndarray,
+              mass: float) -> np.ndarray:
+        """Heralded magnon block of `bell_id` over a list of magnon states.
+
+        `xs` and `ys` are side 1's and side 2's weighted columns (`columns`)
+        at each state's row, (da, states, k1) and (db, states, k2).  A state's
+        conditional column over the pairs (p, q) is sum_ab conj(B[a, b])
+        xs[a, :, p] ys[b, :, q]; the block is their Gram matrix over the
+        herald mass, made Hermitian.
+        """
+        v = np.tensordot(self.bell[bell_id].conj(), ys, axes=(1, 0))
+        cols = np.einsum("akp,akq->kqp", xs, v).reshape(xs.shape[1], -1)
+        # in place: a post-state's d^2 entries are held once, plus one conjugate
+        block = cols @ cols.conj().T
+        block /= mass
+        block += block.conj().T
+        block *= 0.5
+        return block
+
     def concurrences(self, w1: np.ndarray, w2: np.ndarray,
                      masses: list[float]) -> list[float | None]:
         """Dual-rail concurrence per Bell id of the mixture with side weights
-        w1, w2 (None where the herald mass is unreachable).
-
-        The block that `concurrence_dual_rail` reads from a post-state is
-        the dual-rail sector.  Each sector state is one magnon row of either
-        side, so the block is a 4 x (k1 k2) product of those rows of the
-        conditional columns; no post-state is formed.
-        """
-        # (da, 4, k1), (db, 4, k2): the sector rows are selected before weighting
+        w1, w2 (None where the herald mass is unreachable): the spin-flip
+        concurrence of the `block` over the dual-rail sector, the block
+        `concurrence_dual_rail` reads from a post-state."""
         xs, ys = (side.columns(w, rows)
                   for side, w, rows in zip(self.sides, (w1, w2), self.rows))
-        out = []
-        for bell_id, mass in zip(BELL_IDS, masses):
-            if mass <= constants.UNREACHABLE_PROBABILITY:
-                out.append(None)
-                continue
-            v = np.tensordot(self.bell[bell_id].conj(), ys, axes=(1, 0))
-            cols = np.einsum("akp,akq->kqp", xs, v).reshape(4, -1)
-            block = cols @ cols.conj().T / mass
-            out.append(_spin_flip_concurrence(0.5 * (block + block.conj().T)))
-        return out
+        return [None if mass <= constants.UNREACHABLE_PROBABILITY
+                else _spin_flip_concurrence(self.block(bell_id, xs, ys, mass))
+                for bell_id, mass in zip(BELL_IDS, masses)]
 
-    def post_states(self, w1: np.ndarray, w2: np.ndarray,
-                    masses: list[float]) -> list[DensityMatrix | None]:
-        """Heralded magnon state per Bell id of the mixture with side weights
-        w1, w2 (None where the herald mass is unreachable), over the magnons
-        in declaration order.
-
-        With few output columns the conditional states themselves are formed
-        (a teleport's second side is one photon, one column); otherwise each
-        side's weighted Gram tensor is formed and the two are joined through
-        the Bell vector, which costs (c+2)^4 squared rather than a column
-        per component pair.  A state of more than MAX_ARRAY_ENTRIES entries
-        is refused before anything is formed.
-        """
-        n, dm = len(self._perm), self.plan.settings.thermal_cutoff + 2
-        d = dm ** n
+    def post_columns(self, w1: np.ndarray, w2: np.ndarray
+                     ) -> tuple[ModeRegistry, np.ndarray, np.ndarray]:
+        """The magnon registry, in declaration order, and both sides'
+        weighted columns at each of its (c+2)^n basis states: what `block`
+        turns into a heralded state.  A state of more than MAX_ARRAY_ENTRIES
+        entries is refused before any column is formed, and conditional
+        columns of more entries before `block` forms them."""
+        magnons, dm = self.plan.magnon_decls(), self.plan.settings.thermal_cutoff + 2
+        d = dm ** len(magnons)
         _check_entries(d * d, f"a heralded state over {d} magnon levels needs", "entries")
-        registry = plans.build_registry(self.plan, self.plan.magnon_decls())
-        x, y = (side.columns(w) for side, w in zip(self.sides, (w1, w2)))
-        (da, dm1, k1), (db, dm2, k2) = x.shape, y.shape
-        direct = d * d * k1 * k2 <= ((da * dm1) ** 2 * k1 + (db * dm2) ** 2 * k2
-                                     + (db * d) ** 2)
-        if not direct:
-            xm, ym = x.reshape(da * dm1, k1), y.reshape(db * dm2, k2)
-            rx = (xm @ xm.conj().T).reshape(da, dm1, da, dm1)
-            ry = (ym @ ym.conj().T).reshape(db, dm2, db, dm2)
-        states = []
-        for bell_id, mass in zip(BELL_IDS, masses):
-            if mass <= constants.UNREACHABLE_PROBABILITY:
-                states.append(None)
-                continue
-            b = self.bell[bell_id]
-            # rows and columns index the magnons (m, p) of sides 1 and 2 as m + dm1 p
-            if direct:
-                v = (b.conj() @ y.reshape(db, -1)).reshape(da, dm2, k2)
-                cols = np.tensordot(v, x, axes=(0, 0)).transpose(0, 2, 1, 3)
-                cols = cols.reshape(d, -1)
-                rho = cols @ cols.conj().T
-            else:
-                # sum_abcd conj(B[a,b]) B[c,d] rx[a,m,c,n] ry[b,p,d,q] -> (m, n, p, q)
-                t = np.tensordot(np.tensordot(b.conj(), rx, axes=(0, 0)), b,
-                                 axes=(2, 0))
-                rho = np.tensordot(t, ry, axes=([0, 3], [0, 2]))
-                rho = rho.transpose(2, 0, 3, 1).reshape(d, d)
-            if self._perm != sorted(self._perm):
-                # magnon axes from side order back to declaration order
-                inv = list(np.argsort(self._perm))
-                rho = rho.reshape([dm] * 2 * n, order="F").transpose(
-                    inv + [n + i for i in inv]).reshape(d, d, order="F")
-            block = rho / mass
-            states.append(DensityMatrix(registry, 0.5 * (block + block.conj().T)))
-        return states
+        occs = np.array(np.unravel_index(np.arange(d), [dm] * len(magnons), order="F")).T
+        xs, ys = (side.columns(w, rows) for side, w, rows
+                  in zip(self.sides, (w1, w2), self._side_rows(occs)))
+        _check_entries(d * xs.shape[2] * ys.shape[2], f"the conditional columns of a "
+                       f"heralded state over {d} magnon levels need", "entries")
+        return plans.build_registry(self.plan, magnons), xs, ys
 
 
 def _check_entries(entries: int, need: str, unit: str) -> None:
@@ -558,11 +544,6 @@ def _check_entries(entries: int, need: str, unit: str) -> None:
     if entries > constants.MAX_ARRAY_ENTRIES:
         raise ProtocolError(f"{need} {entries} {unit}, above the limit "
                             f"{constants.MAX_ARRAY_ENTRIES}")
-
-
-def _flat_index(occ: list[int], d: int) -> int:
-    """Little-endian index of an occupation over modes of Fock dimension d."""
-    return sum(n * d ** i for i, n in enumerate(occ))
 
 
 def _pair_sums(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -633,7 +614,13 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
     masses = [float(sums[1 + 3 * k]) for k in range(len(BELL_IDS))]
     concurrences = (circuit.concurrences(w1, w2, masses) if settings.protocol == "swap"
                     else [None] * len(BELL_IDS))
-    posts = cache(lambda: circuit.post_states(w1, w2, masses))
+    post_columns = cache(lambda: circuit.post_columns(w1, w2))
+
+    def post_state(k: int) -> DensityMatrix | None:
+        if masses[k] <= constants.UNREACHABLE_PROBABILITY:
+            return None
+        registry, xs, ys = post_columns()
+        return DensityMatrix(registry, circuit.block(BELL_IDS[k], xs, ys, masses[k]))
 
     outcomes = []
     for k, bell_id in enumerate(BELL_IDS):
@@ -647,7 +634,7 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
             included_in_aggregate=included[k],
             requires_number_resolution=not even,
             concurrence=concurrences[k],
-            build_post_state=lambda k=k: posts()[k],
+            build_post_state=lambda k=k: post_state(k),
         ))
 
     no_herald = _no_herald(sum(o.probability for o in outcomes))
@@ -789,8 +776,8 @@ def _port_transfer(upper: str, lower: str, apply_correction: bool) -> np.ndarray
         hit = out.index == reg.strides[reg.optical_index(upper, pol)]
         transfer[row, out.component[hit]] = out.amplitudes[hit]
     t = np.diag(transfer)
-    if (np.abs(transfer - np.diag(t)).max() > constants.UNITARITY_TOL
-            or np.abs(np.abs(t) - 1.0).max() > constants.UNITARITY_TOL):
+    if not (np.abs(transfer - np.diag(t)).max() <= constants.UNITARITY_TOL
+            and np.abs(np.abs(t) - 1.0).max() <= constants.UNITARITY_TOL):
         raise ProtocolError(f"readout network does not map the upper rail to H and "
                             f"the lower rail to V: transfer matrix {transfer.tolist()}")
     return t

@@ -8,8 +8,11 @@ files shows every command whose output changed.  The grid covers `teleport`
 and `swap` at thermal cutoffs 1-3 in both scattering models, with and
 without renormalized weights, at six occupations up to 1e308; 37-point JSON
 sweeps and 61- and 601-point CSV sweeps of both protocols; `readout` at
-cutoffs 1-4 and 8; `run` on both shipped circuits; and a few large cutoffs
-and refusals.  The commands run in this one process through `cli.main`.
+cutoffs 1-4 and 8, and with a `--theta 1.1 --phi 0.4` qubit at cutoffs 1-3;
+`run` on both shipped circuits; and a few large cutoffs and refusals,
+among them `readout --n-bar 0` at cutoffs 43 (the largest heralded state
+under the array limit), 44 and 60, and `readout --n-bar 0.1 --cutoff 21`.
+The commands run in this one process through `cli.main`.
 """
 
 from __future__ import annotations
@@ -50,11 +53,16 @@ def commands() -> list[list[str]]:
         for model in MODELS:
             grid.append(["readout", "--n-bar", "0.2", "--cutoff", str(cutoff),
                          "--model", model, "--alpha", "0.6,0", "--beta", "0,0.8"])
+    grid += [["readout", "--n-bar", "0.2", "--cutoff", str(cutoff), "--theta", "1.1",
+              "--phi", "0.4"] for cutoff in (1, 2, 3)]
     grid += [["run", str(CIRCUITS / name)] for name in ("teleport.omx", "swap.omx")]
     grid += [["swap", "--n-bar", "0.2", "--cutoff", "6"],
              ["teleport", "--n-bar", "0.2", "--cutoff", "12"],
              ["swap", "--n-bar", "0.2", "--cutoff", "22"],
-             ["readout", "--n-bar", "0", "--cutoff", "60"]]
+             ["readout", "--n-bar", "0", "--cutoff", "43"],
+             ["readout", "--n-bar", "0", "--cutoff", "44"],
+             ["readout", "--n-bar", "0", "--cutoff", "60"],
+             ["readout", "--n-bar", "0.1", "--cutoff", "21"]]
     return grid
 
 

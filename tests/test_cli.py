@@ -272,6 +272,12 @@ def _traced_peak(capsys, *argv):
     return peak
 
 
+def test_readout_forms_only_the_two_heralded_states_it_reads(capsys):
+    # 32**2 magnon levels: each heralded state is 16 MiB, and only PHI+ and
+    # PHI- are formed, from columns shared between them (112.9 MiB measured)
+    assert _traced_peak(capsys, "readout", "--n-bar", "0", "--cutoff", "30") < 128 << 20
+
+
 def test_large_teleport_holds_its_side_stack_about_once(capsys):
     # 441 components x 7,744 amplitudes: a 52.1 MiB stack, written in place;
     # the herald tables conjugate one component at a time, so the peak

@@ -115,7 +115,12 @@ def test_interleaved_magnon_declarations_match_dense_oracle():
         "apply stokes(D.V, D.H, mD)", "apply hwp(C, 0.25pi)", "apply pbs(C, D)",
         "measure bell(B, D)", ""])
     plan = dsl.compile_source(source)
-    assert protocols._Circuit(plan)._perm == [0, 2, 1, 3]
+    circuit = protocols._Circuit(plan)
+    assert [[d.path for d in side.magnons] for side in circuit.sides] == [
+        ["mA", "mB"], ["mC", "mD"]]
+    # one excitation on mC, the second declared magnon, is side 2's row 1
+    rows = circuit._side_rows(np.array([[0, 1, 0, 0]]))
+    assert [r.tolist() for r in rows] == [[0], [1]]
     assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
 
 
@@ -133,7 +138,9 @@ def test_second_side_declared_first_matches_dense_oracle():
     source = source.replace("set thermal_cutoff = 2", "set thermal_cutoff = 1")
     plan = dsl.compile_source(source)
     assert [d.path for d in plan.magnon_decls()] == ["mC", "mD", "mA", "mB"]
-    assert protocols._Circuit(plan)._perm == [2, 3, 0, 1]
+    circuit = protocols._Circuit(plan)
+    assert [[d.path for d in side.magnons] for side in circuit.sides] == [
+        ["mA", "mB"], ["mC", "mD"]]
     assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
 
 
@@ -285,7 +292,8 @@ def test_sector_columns_are_the_rows_of_the_full_weighted_columns(reorder):
         x = np.moveaxis(x, 0, 3).reshape(x.shape[1], x.shape[2], -1)
         full = x[:, :, np.any(x != 0, axis=(0, 1))]
         assert side.columns(w, rows).tobytes() == full[:, rows].tobytes()
-        assert side.columns(w).tobytes() == full.tobytes()
+        every = np.arange(full.shape[1])
+        assert side.columns(w, every).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("cutoff", [7, 8])
@@ -371,6 +379,25 @@ def test_swap_command_builds_no_post_state(monkeypatch, capsys, cutoff):
     posts = [o.post_state for o in report.outcomes]
     assert built == posts
     assert [o.post_state for o in report.outcomes] == posts
+
+
+def test_readout_command_builds_only_the_heralded_states_it_reads(monkeypatch, capsys):
+    # readout retrieves PHI+ and PHI-: two heralded magnon states, each read
+    # out onto the photon port
+    built = []
+    real_init = fock.DensityMatrix.__init__
+
+    def spy(self, registry, *args, **kwargs):
+        built.append(registry)
+        real_init(self, registry, *args, **kwargs)
+
+    monkeypatch.setattr(fock.DensityMatrix, "__init__", spy)
+    assert cli.main(["readout", "--n-bar", "0.2"]) == 0
+    assert "phi_minus" in capsys.readouterr().out
+    kinds = [{m.kind for m in registry.modes} for registry in built]
+    assert kinds.count({fock.ModeKind.MAGNON}) == 2
+    assert kinds.count({fock.ModeKind.OPTICAL_PATH}) == 2
+    assert len(built) == 4
 
 
 def test_cutoff_6_swap_report_stays_small():

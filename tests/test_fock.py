@@ -50,8 +50,7 @@ def test_registry_rejects_duplicates_and_overflow():
     with pytest.raises(RegistryError):
         ModeRegistry([magnon("A")], [0])
     with pytest.raises(RegistryError):
-        ModeRegistry([magnon(str(i)) for i in range(8)], [9] * 8,
-                     max_dimension=10_000)
+        ModeRegistry([magnon(str(i)) for i in range(8)], [9] * 8)
 
 
 def test_mode_label_polarization_rules():
@@ -365,3 +364,36 @@ def test_flavor_checks_refuse_nan_entries():
     bad[3, 1] = np.nan
     with pytest.raises(OperatorError, match=r"not an isometry \(V\^dag V residual nan\)"):
         ElementOp((0,), bad, OpFlavor.ISOMETRY, domain=(0, 1))
+
+
+def test_state_and_fidelity_checks_refuse_nan():
+    # each tolerance check is written `not x <= tol`, so a NaN fails it
+    reg = ModeRegistry([magnon("A")], [1])
+    with pytest.raises(StateError, match="state norm nan deviates from 1"):
+        StateVector(reg, [np.nan, 0], normalized=True)
+    with pytest.raises(StateError, match=r"not Hermitian \(residual nan\)"):
+        DensityMatrix(reg, [[0.5, np.nan], [np.nan, 0.5]], normalized=False)
+    # a NaN entry fails the Hermiticity check; a finite diagonal whose sum
+    # overflows both ways leaves a NaN trace
+    big = np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308])
+    with np.errstate(all="ignore"), pytest.raises(StateError,
+                                                  match=r"trace \(nan\+0j\) deviates"):
+        DensityMatrix(two_magnons(), big, normalized=True)
+    plus = StateVector(reg, np.array([1, 1]) / np.sqrt(2))
+    with pytest.raises(StateError, match="target must be normalized"):
+        fidelity(plus, StateVector(reg, [np.nan, 0], normalized=False))
+    # finite entries whose overlap overflows leave a NaN imaginary part
+    rho = DensityMatrix(reg, 1.7e308 * np.array([[1, 1j], [-1j, 1]]), normalized=False)
+    target = StateVector(reg, np.array([1, -1j]) / np.sqrt(2))
+    with np.errstate(all="ignore"), pytest.raises(StateError,
+                                                  match="imaginary residue nan"):
+        fidelity(rho, target)
+
+
+def test_domain_check_refuses_nan_weight_outside_the_domain():
+    reg = ModeRegistry([optical("a", "V"), optical("a", "H"), magnon("a")], [1, 1, 2])
+    batch = fock.Batch(reg, np.array([0]), np.array([reg.index_of_occupation([1, 0, 2])]),
+                       np.array([np.nan], dtype=complex))
+    with pytest.raises(OperatorError, match="state has weight nan outside the operator "
+                       "domain"):
+        apply(stokes_scatter(reg, 0, 1, 2), batch)

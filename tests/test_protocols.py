@@ -193,6 +193,24 @@ def test_oversized_post_state_is_refused_before_it_is_formed(monkeypatch):
         rep.outcome(BellId.PHI_PLUS).post_state
 
 
+def test_post_state_columns_are_refused_before_the_block_is_formed(monkeypatch):
+    def no_block(*args):
+        raise AssertionError("formed an over-limit post-state")
+
+    # swap at cutoff 2, n_bar 0.2: a 256-square heralded state, whose
+    # conditional columns span 256 magnon levels x 18 x 18 column pairs
+    rep = entanglement_swap(ThermalConfig(0.2, cutoff=2))
+    monkeypatch.setattr(protocols._Circuit, "block", no_block)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 256 ** 2)
+    with pytest.raises(ProtocolError, match="the conditional columns of a heralded "
+                       "state over 256 magnon levels need 82944 entries, above the "
+                       "limit 65536"):
+        rep.outcome(BellId.PHI_PLUS).post_state
+    monkeypatch.undo()
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 82944)
+    assert rep.outcome(BellId.PHI_PLUS).post_state.matrix.shape == (256, 256)
+
+
 def test_oversized_side_is_refused_before_propagating(monkeypatch):
     def no_propagation(*args):
         raise AssertionError("propagated an over-limit side")
@@ -551,6 +569,19 @@ def test_readout_refusal_holds_after_an_unpatched_readout(monkeypatch):
     assert readout(magnon_qubit_state(0.6, 0.8)).qubit_sector_weight == pytest.approx(1.0)
     monkeypatch.setattr(elements, "pbs", lambda reg, path1, path2: elements.phase_shift(
         reg, reg.optical_index(path1, "H"), 0.0))
+    with pytest.raises(ProtocolError, match="does not map the upper rail to H"):
+        readout(magnon_qubit_state(0.6, 0.8))
+
+
+def test_readout_refuses_a_nan_transfer(monkeypatch):
+    # the diagonal-and-unitary check is written `not x <= tol`: NaN fails it
+    real_apply = protocols.apply
+
+    def nan_apply(op, state):
+        out = real_apply(op, state)
+        return replace(out, amplitudes=out.amplitudes * np.nan)
+
+    monkeypatch.setattr(protocols, "apply", nan_apply)
     with pytest.raises(ProtocolError, match="does not map the upper rail to H"):
         readout(magnon_qubit_state(0.6, 0.8))
 
