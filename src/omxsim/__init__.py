@@ -42,7 +42,6 @@ from .protocols import (
     ThermalConfig,
     closed_form_f1,
     closed_form_f2,
-    concurrence_dual_rail,
     entanglement_swap,
     genuine_threshold,
     readout,

@@ -247,7 +247,7 @@ def _run_readout(args) -> int:
     retrieved = {}
     for bell_id, correct in ((BellId.PHI_PLUS, False), (BellId.PHI_MINUS, True)):
         outcome = report.outcome(bell_id)
-        result = protocols.readout(outcome.post_state, apply_correction=correct)
+        result = protocols.readout(outcome, apply_correction=correct)
         retrieved[bell_id.value] = {
             "probability": float(_fmt(outcome.probability)),
             "correction_applied": correct,

@@ -38,9 +38,9 @@ MAX_DIMENSION = 1 << 20
 
 # Ceiling on one array's entries, checked from the sizes alone: a side's
 # thermal components times its registry dimension (a teleport or swap at
-# cutoff 22 or more with n_bar > 0 is refused), and a heralded magnon
-# state's d^2 entries for d magnon levels (a teleport post-state is refused
-# from cutoff 44, a swap post-state from cutoff 5).
+# cutoff 22 or more with n_bar > 0 is refused), and the columns that a
+# herald's populations over d magnon levels are read from (d per weighted
+# and conditional column; a swap's are refused from cutoff 20 at n_bar = 0).
 MAX_ARRAY_ENTRIES = 1 << 22
 
 # Ceiling on a sweep's pair-weight array: grid points times joint thermal

@@ -34,15 +34,14 @@ the report at its occupation to the last bit.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the fidelity numerators and the swap concurrence read only the sector rows
-of each side's output.  Heralded magnon states come from one contraction,
-`_Circuit.block`: both sides' weighted columns at the rows of a list of
-magnon occupations, joined through the Bell vector, give that block of the
-state.  The swap concurrence reads the block over the sector; a herald's
-full state, a (c+2)^4-square matrix for a swap, is the block over every
-occupation, built only when that herald's `post_state` is read (readout
-reads two of the four), and refused above MAX_ARRAY_ENTRIES entries.
-Readout's passive network is simulated for one excitation per magnon; every
-occupation of the heralded state picks up the product of those phases.
+of each side's output.  A herald's magnon state is read through one
+contraction, `_Circuit.conditional`, of both sides' weighted columns through
+the Bell vector: one conditional column per magnon occupation.  Their Gram
+matrix over the sector rows is the sector block that the swap concurrence
+and readout read, and their squared norms are the populations, where
+residual thermal occupation shows up outside the sector; no heralded state
+over every occupation is formed.  Readout's passive network is simulated
+for one excitation per magnon, whose phases the sector block picks up.
 """
 
 from __future__ import annotations
@@ -51,25 +50,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import constants, elements, measurement, plans
 from .elements import ScatterModel
-from .fock import (
-    Batch,
-    DensityMatrix,
-    ModeKind,
-    ModeRegistry,
-    OmxError,
-    State,
-    StateVector,
-    apply,
-    fidelity,
-    magnon,
-    optical,
-)
+from .fock import Batch, ModeRegistry, OmxError, apply, magnon, optical
 from .measurement import BELL_IDS, BellId
 from .plans import (
     BellMeasure,
@@ -186,14 +173,23 @@ def genuine_threshold(target: float = 2.0 / 3.0) -> float:
 # ---------------------------------------------------------------------------
 # reports
 
+class HeraldedSector(NamedTuple):
+    """A herald's magnon state as readout reads it: its block on the
+    dual-rail sector, in `_sector` order, and its populations, indexed by
+    the occupations of the magnons `paths` in declaration order."""
+
+    paths: tuple[str, ...]
+    block: np.ndarray
+    populations: np.ndarray
+
+
 @dataclass
 class OutcomeReport:
     """One Bell herald of a report.
 
-    The numbers are scored on the dual-rail sector.  The heralded magnon
-    state `post_state` (None where the herald is unreachable) is built by
-    `build_post_state` on first access, so a report that is only printed
-    never forms it.
+    The numbers are scored on the dual-rail sector.  The herald's `sector`
+    (None where the herald is unreachable) is built by `build_sector` on
+    first access, so a report that is only printed never forms it.
     """
 
     outcome: BellId
@@ -203,12 +199,12 @@ class OutcomeReport:
     included_in_aggregate: bool
     requires_number_resolution: bool
     concurrence: float | None = None
-    build_post_state: Callable[[], DensityMatrix | None] = field(
+    build_sector: Callable[[], HeraldedSector | None] = field(
         default=lambda: None, repr=False, compare=False)
 
     @cached_property
-    def post_state(self) -> DensityMatrix | None:
-        return self.build_post_state()
+    def sector(self) -> HeraldedSector | None:
+        return self.build_sector()
 
     def to_dict(self) -> dict:
         out = {
@@ -389,16 +385,13 @@ class _Circuit:
     fidelity targets into per-pair tables T, and every report or sweep point
     sums W_ij T_ij over the pairs' thermal weights (`weights`).
 
-    The heralded magnon states are read through one contraction, `block`:
-    both sides' weighted columns at the rows of a list of magnon states
-    (`_side_rows`) are joined through the Bell vector into conditional
-    columns, whose Gram matrix over the herald mass is the heralded state's
-    block on those states.  The targets and the swap concurrence live in the
-    dual-rail sector (`_sector`), whose rows on side i are `rows[i]`; a
-    report's `post_state` is the block over every magnon occupation.  With
-    `n_bar` the circuit serves one report at that occupation and propagates
-    only components of nonzero weight; without, it keeps every thermal
-    component, for a sweep.
+    The heralded magnon states are read through one contraction,
+    `conditional`, of both sides' weighted columns at the rows of a list of
+    magnon states (`_side_rows`); the targets and the swap concurrence live
+    in the dual-rail sector (`_sector`), whose rows on side i are `rows[i]`.
+    With `n_bar` the circuit serves one report at that occupation and
+    propagates only components of nonzero weight; without, it keeps every
+    thermal component, for a sweep.
     """
 
     def __init__(self, plan: CircuitPlan, n_bar: float | None = None):
@@ -489,19 +482,19 @@ class _Circuit:
                 rows.append((amp.real ** 2 + amp.imag ** 2).sum(axis=(1, 3)))
         return np.stack(rows)
 
-    def block(self, bell_id: BellId, xs: np.ndarray, ys: np.ndarray,
-              mass: float) -> np.ndarray:
-        """Heralded magnon block of `bell_id` over a list of magnon states.
-
-        `xs` and `ys` are side 1's and side 2's weighted columns (`columns`)
-        at each state's row, (da, states, k1) and (db, states, k2).  A state's
-        conditional column over the pairs (p, q) is sum_ab conj(B[a, b])
-        xs[a, :, p] ys[b, :, q]; the block is their Gram matrix over the
-        herald mass, made Hermitian.
+    def conditional(self, bell_id: BellId, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Conditional columns of `bell_id` over a list of magnon states,
+        (states, k1 k2), from side 1's and side 2's weighted columns at each
+        state's row, (da, states, k1) and (db, states, k2): a state's column
+        over the pairs (p, q) is sum_ab conj(B[a, b]) xs[a, :, p] ys[b, :, q].
         """
         v = np.tensordot(self.bell[bell_id].conj(), ys, axes=(1, 0))
-        cols = np.einsum("akp,akq->kqp", xs, v).reshape(xs.shape[1], -1)
-        # in place: a post-state's d^2 entries are held once, plus one conjugate
+        return np.einsum("akp,akq->kqp", xs, v).reshape(xs.shape[1], -1)
+
+    @staticmethod
+    def block(cols: np.ndarray, mass: float) -> np.ndarray:
+        """Heralded magnon block over the states of the conditional columns
+        `cols`: their Gram matrix over the herald mass, made Hermitian."""
         block = cols @ cols.conj().T
         block /= mass
         block += block.conj().T
@@ -512,30 +505,28 @@ class _Circuit:
                      masses: list[float]) -> list[float | None]:
         """Dual-rail concurrence per Bell id of the mixture with side weights
         w1, w2 (None where the herald mass is unreachable): the spin-flip
-        concurrence of the `block` over the dual-rail sector, the block
-        `concurrence_dual_rail` reads from a post-state."""
+        concurrence of the `block` over the dual-rail sector, which keeps
+        its sector weight, so leakage out of the sector lowers it."""
         xs, ys = (side.columns(w, rows)
                   for side, w, rows in zip(self.sides, (w1, w2), self.rows))
-        return [None if mass <= constants.UNREACHABLE_PROBABILITY
-                else _spin_flip_concurrence(self.block(bell_id, xs, ys, mass))
-                for bell_id, mass in zip(BELL_IDS, masses)]
+        return [None if mass <= constants.UNREACHABLE_PROBABILITY else
+                _spin_flip_concurrence(self.block(self.conditional(b, xs, ys), mass))
+                for b, mass in zip(BELL_IDS, masses)]
 
-    def post_columns(self, w1: np.ndarray, w2: np.ndarray
-                     ) -> tuple[ModeRegistry, np.ndarray, np.ndarray]:
-        """The magnon registry, in declaration order, and both sides'
-        weighted columns at each of its (c+2)^n basis states: what `block`
-        turns into a heralded state.  A state of more than MAX_ARRAY_ENTRIES
-        entries is refused before any column is formed, and conditional
-        columns of more entries before `block` forms them."""
+    def post_columns(self, w1: np.ndarray, w2: np.ndarray) -> list[np.ndarray]:
+        """Both sides' weighted columns at each of the (c+2)^n magnon
+        occupations, little-endian in declaration order.  These and their
+        conditional columns are refused together above MAX_ARRAY_ENTRIES
+        entries, before any of them is formed."""
         magnons, dm = self.plan.magnon_decls(), self.plan.settings.thermal_cutoff + 2
         d = dm ** len(magnons)
-        _check_entries(d * d, f"a heralded state over {d} magnon levels needs", "entries")
+        (da, k1), (db, k2) = ((side.out.shape[1], np.count_nonzero(side.live[w != 0]))
+                              for side, w in zip(self.sides, (w1, w2)))
+        _check_entries(d * (k1 * k2 + da * k1 + db * k2), f"the columns of a herald's "
+                       f"populations over {d} magnon levels need", "entries")
         occs = np.array(np.unravel_index(np.arange(d), [dm] * len(magnons), order="F")).T
-        xs, ys = (side.columns(w, rows) for side, w, rows
-                  in zip(self.sides, (w1, w2), self._side_rows(occs)))
-        _check_entries(d * xs.shape[2] * ys.shape[2], f"the conditional columns of a "
-                       f"heralded state over {d} magnon levels need", "entries")
-        return plans.build_registry(self.plan, magnons), xs, ys
+        return [side.columns(w, rows) for side, w, rows
+                in zip(self.sides, (w1, w2), self._side_rows(occs))]
 
 
 def _check_entries(entries: int, need: str, unit: str) -> None:
@@ -616,11 +607,19 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
                     else [None] * len(BELL_IDS))
     post_columns = cache(lambda: circuit.post_columns(w1, w2))
 
-    def post_state(k: int) -> DensityMatrix | None:
-        if masses[k] <= constants.UNREACHABLE_PROBABILITY:
+    def sector(k: int) -> HeraldedSector | None:
+        bell_id, mass = BELL_IDS[k], masses[k]
+        if mass <= constants.UNREACHABLE_PROBABILITY:
             return None
-        registry, xs, ys = post_columns()
-        return DensityMatrix(registry, circuit.block(BELL_IDS[k], xs, ys, masses[k]))
+        cols = circuit.conditional(bell_id, *post_columns())
+        pops = (cols.real ** 2 + cols.imag ** 2).sum(axis=1) / mass
+        if not abs(pops.sum() - 1.0) <= constants.TRACE_TOL:
+            raise ProtocolError(f"{bell_id.value} populations sum to {pops.sum()!r}")
+        paths = tuple(d.path for d in plan.magnon_decls())
+        levels = [settings.thermal_cutoff + 2] * len(paths)
+        rows = np.ravel_multi_index(np.array(_sector(len(paths))).T, levels, order="F")
+        return HeraldedSector(paths, circuit.block(cols[rows], mass),
+                              pops.reshape(levels, order="F"))
 
     outcomes = []
     for k, bell_id in enumerate(BELL_IDS):
@@ -634,7 +633,7 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
             included_in_aggregate=included[k],
             requires_number_resolution=not even,
             concurrence=concurrences[k],
-            build_post_state=lambda k=k: post_state(k),
+            build_sector=lambda k=k: sector(k),
         ))
 
     no_herald = _no_herald(sum(o.probability for o in outcomes))
@@ -785,64 +784,50 @@ def _port_transfer(upper: str, lower: str, apply_correction: bool) -> np.ndarray
 
 @dataclass
 class ReadoutResult:
-    """Anti-photon retrieval of a dual-rail magnon state.
+    """Anti-photon retrieval of a teleport herald's dual-rail magnon qubit.
 
-    `state` lives on the output port's (H, V) modes; the upper rail maps to
-    H and the lower rail to V (lower-arm light crosses at the recombining
-    polarizing splitter).  `partial_readout` flags magnon occupations beyond
-    the qubit sector.
+    The upper rail maps to the output port's H mode and the lower rail to
+    its V mode (lower-arm light crosses at the recombining polarizing
+    splitter).  `port` is the retrieved photon's block on the port's
+    one-photon states V and H, in the magnon sector's order (lower rail,
+    then upper).  `partial_readout` flags magnon occupations beyond the
+    qubit sector.
     """
 
-    state: State
-    upper_rail: object
-    lower_rail: object
+    port: np.ndarray
     qubit_sector_weight: float
     partial_readout: bool
 
 
-def readout(state: State, apply_correction: bool = False) -> ReadoutResult:
-    """Swap a two-mode magnon state onto the dual-rail anti-photon port.
+def readout(outcome: OutcomeReport, apply_correction: bool = False) -> ReadoutResult:
+    """Swap a teleport herald's magnon qubit onto the dual-rail anti-photon port.
 
     The optional feed-forward correction applies a pi phase on the upper arm
     before the swap, completing the even-parity minus herald.  The passive
     network maps the upper magnon onto the port's H mode and the lower onto
-    its V mode, so occupation (n_u, n_l) only picks up the phase
-    t_upper^n_u t_lower^n_l of `_port_transfer`; the port keeps the magnon
-    cutoffs.
+    its V mode, so each sector state only picks up its magnon's phase
+    t_upper or t_lower of `_port_transfer`.
     """
-    in_reg = state.registry
-    if len(in_reg) != 2 or any(m.kind is not ModeKind.MAGNON for m in in_reg.modes):
-        raise ProtocolError("readout expects a state over exactly two magnon modes")
-    upper, lower = in_reg.modes[0].path, in_reg.modes[1].path
-    t_u, t_l = _port_transfer(upper, lower, apply_correction)
-    n_u, n_l = np.unravel_index(np.arange(in_reg.dimension), in_reg.dims, order="F")
-    phase = t_u ** n_u * t_l ** n_l
-    port = ModeRegistry([optical(upper, "H"), optical(upper, "V")], in_reg.cutoffs)
-    if isinstance(state, StateVector):
-        diag = np.abs(state.amplitudes) ** 2
-        out_state: State = StateVector(port, phase * state.amplitudes,
-                                       normalized=state.normalized)
-    else:
-        diag = np.abs(np.diag(state.matrix))
-        out_state = DensityMatrix(port, phase[:, None] * state.matrix * phase.conj(),
-                                  normalized=state.normalized)
-    beyond = diag[np.maximum(n_u, n_l) >= 2].sum()      # a magnon holding 2 or more
-    return ReadoutResult(
-        state=out_state,
-        upper_rail=optical(upper, "H"),
-        lower_rail=optical(upper, "V"),
-        qubit_sector_weight=float(diag[n_u + n_l == 1].sum()),
-        partial_readout=float(beyond) > constants.PARTIAL_READOUT_TOL,
-    )
+    sector = outcome.sector
+    if sector is None or len(sector.paths) != 2:
+        raise ProtocolError(f"readout expects a reachable herald over two magnon "
+                            f"modes; {outcome.outcome.value} is not one")
+    t_u, t_l = _port_transfer(*sector.paths, apply_correction)
+    phase = np.array([t_l, t_u])                        # sector order: lower, upper
+    pops = sector.populations                           # [n_upper, n_lower]
+    beyond = pops[2:].sum() + pops[:2, 2:].sum()        # a magnon holding 2 or more
+    return ReadoutResult(port=phase[:, None] * sector.block * phase.conj(),
+                         qubit_sector_weight=float(pops[1, 0] + pops[0, 1]),
+                         partial_readout=float(beyond) > constants.PARTIAL_READOUT_TOL)
 
 
 def retrieved_qubit_fidelity(result: ReadoutResult, q: InputQubit) -> float:
     """Overlap of the readout photon with alpha |lower rail> + beta |upper rail>."""
-    reg = result.state.registry
-    vec = np.zeros(reg.dimension, dtype=complex)
-    vec[reg.index_of_occupation([0, 1])] = q.alpha   # lower rail = V
-    vec[reg.index_of_occupation([1, 0])] = q.beta    # upper rail = H
-    return fidelity(result.state, StateVector(reg, vec))
+    target = np.array([q.alpha, q.beta], dtype=complex)
+    val = complex(target.conj() @ result.port @ target)
+    if not abs(val.imag) <= constants.FIDELITY_IMAG_TOL:
+        raise ProtocolError(f"fidelity has imaginary residue {val.imag:.3e}")
+    return float(val.real)
 
 
 # ---------------------------------------------------------------------------
@@ -905,32 +890,8 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
             for g, sim in zip(grid, simulated)]
 
 
-def concurrence_dual_rail(state: State, renormalize: bool = False) -> float:
-    """Entanglement of the one-excitation-per-pair sector of four magnon modes.
-
-    The four modes (upper1, lower1, upper2, lower2) are projected onto the
-    sector with exactly one excitation in each pair, giving an effective
-    two-qubit block whose entanglement is scored with the standard
-    spin-flip (sqrt-eigenvalue) concurrence.  By default the block keeps its
-    sector weight (trace <= 1), so thermal leakage out of the qubit sector
-    shows up as a reduced value; `renormalize` rescales to a unit-trace
-    two-qubit state first.
-    """
-    rho = state if isinstance(state, DensityMatrix) else state.to_density_matrix()
-    reg = rho.registry
-    if len(reg) != 4:
-        raise ProtocolError("dual-rail concurrence expects four modes")
-    idx = [reg.index_of_occupation(occ) for occ in _sector(4)]
-    block = rho.matrix[np.ix_(idx, idx)]
-    if renormalize:
-        tr = block.trace().real
-        if tr < constants.UNREACHABLE_PROBABILITY:
-            raise ProtocolError("no weight in the dual-rail sector")
-        block = block / tr
-    return _spin_flip_concurrence(block)
-
-
 def _spin_flip_concurrence(rho4: np.ndarray) -> float:
+    """Standard (sqrt-eigenvalue) concurrence of a two-qubit block."""
     sy = np.array([[0, -1j], [1j, 0]])
     yy = np.kron(sy, sy)
     rt = rho4 @ yy @ rho4.conj() @ yy

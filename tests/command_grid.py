@@ -8,11 +8,14 @@ files shows every command whose output changed.  The grid covers `teleport`
 and `swap` at thermal cutoffs 1-3 in both scattering models, with and
 without renormalized weights, at six occupations up to 1e308; 37-point JSON
 sweeps and 61- and 601-point CSV sweeps of both protocols; `readout` at
-cutoffs 1-4 and 8, and with a `--theta 1.1 --phi 0.4` qubit at cutoffs 1-3;
-`run` on both shipped circuits; and a few large cutoffs and refusals,
-among them `readout --n-bar 0` at cutoffs 43 (the largest heralded state
-under the array limit), 44 and 60, and `readout --n-bar 0.1 --cutoff 21`.
-The commands run in this one process through `cli.main`.
+cutoffs 1-4 x five occupations x both models x renormalized weights on and
+off x three qubit flag sets (the default qubit, `--alpha`/`--beta` and
+`--theta`/`--phi`), and at cutoff 8 in both models; `run` on both shipped circuits; and a
+few large cutoffs and refusals.  Among these, `readout --n-bar 0` runs at
+cutoffs 9, 20, 43, 44, 60, 254 (the largest side under MAX_DIMENSION) and
+255, and `readout --n-bar 0.1` at cutoffs 9, 21 and 22 (the first side
+over MAX_ARRAY_ENTRIES).  The commands run in this one process through
+`cli.main`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 MODELS = ("paper", "bosonic")
 RENORMALIZE = ("--renormalize", "--no-renormalize")
 OCCUPATIONS = ("0", "0.05", "0.2", "0.45", "3", "1e308")
+QUBITS = ([], ["--alpha", "0.6,0", "--beta", "0,0.8"],
+          ["--theta", "1.1", "--phi", "0.4"])
 
 
 def commands() -> list[list[str]]:
@@ -49,20 +54,22 @@ def commands() -> list[list[str]]:
                      "--steps", "61", "--cutoff", "3"])
         grid.append(["sweep", "--protocol", protocol, "--from", "0", "--to", "0.5",
                      "--steps", "601"])
-    for cutoff in (1, 2, 3, 4, 8):
-        for model in MODELS:
-            grid.append(["readout", "--n-bar", "0.2", "--cutoff", str(cutoff),
-                         "--model", model, "--alpha", "0.6,0", "--beta", "0,0.8"])
-    grid += [["readout", "--n-bar", "0.2", "--cutoff", str(cutoff), "--theta", "1.1",
-              "--phi", "0.4"] for cutoff in (1, 2, 3)]
+    grid += [["readout", "--n-bar", "0.2", "--cutoff", "8", "--model", model]
+             + QUBITS[1] for model in MODELS]
+    for cutoff in (1, 2, 3, 4):
+        for n_bar in OCCUPATIONS[:-1]:
+            for model in MODELS:
+                for renormalize in RENORMALIZE:
+                    grid += [["readout", "--n-bar", n_bar, "--cutoff", str(cutoff),
+                              "--model", model, renormalize] + qubit for qubit in QUBITS]
     grid += [["run", str(CIRCUITS / name)] for name in ("teleport.omx", "swap.omx")]
     grid += [["swap", "--n-bar", "0.2", "--cutoff", "6"],
              ["teleport", "--n-bar", "0.2", "--cutoff", "12"],
-             ["swap", "--n-bar", "0.2", "--cutoff", "22"],
-             ["readout", "--n-bar", "0", "--cutoff", "43"],
-             ["readout", "--n-bar", "0", "--cutoff", "44"],
-             ["readout", "--n-bar", "0", "--cutoff", "60"],
-             ["readout", "--n-bar", "0.1", "--cutoff", "21"]]
+             ["swap", "--n-bar", "0.2", "--cutoff", "22"]]
+    grid += [["readout", "--n-bar", "0", "--cutoff", str(cutoff)]
+             for cutoff in (9, 20, 43, 44, 60, 254, 255)]
+    grid += [["readout", "--n-bar", "0.1", "--cutoff", str(cutoff)]
+             for cutoff in (9, 21, 22)]
     return grid
 
 

@@ -9,12 +9,17 @@ projected onto the four Bell vectors and scored against full-length
 target vectors over the magnon registry.  It allocates amplitude vectors of
 the joint dimension (65,536 for a cutoff-2 swap).
 
+Its outcomes (`DenseOutcome`) carry the full heralded magnon state, a
+density matrix over every magnon occupation, which the package never forms:
+it reads a herald's dual-rail sector block and populations instead.
+`concurrence_dual_rail` scores such a state's sector block.
+
 `dense_readout` is the retrieval that `protocols.readout` replaced with a
-phase per occupation: the magnon state, or each eigenvector of a mixed one,
-is pushed through a registry of four photon modes and the two magnons, and
-the output port is sliced or traced out.  All of them are kept out of the
-package and used only to check its results, with `tensor`, the composition
-of two states that only these checks need.
+phase per sector state: the magnon state, or each eigenvector of a mixed
+one, is pushed through a registry of four photon modes and the two magnons,
+and the output port is sliced or traced out.  All of them are kept out of
+the package and used only to check its results, with `tensor`, the
+composition of two states that only these checks need.
 """
 
 from __future__ import annotations
@@ -44,11 +49,11 @@ from omxsim.protocols import (
     OutcomeReport,
     ProtocolError,
     ProtocolReport,
-    ReadoutResult,
     _config_echo,
+    _sector,
+    _spin_flip_concurrence,
     closed_form_f1,
     closed_form_f2,
-    concurrence_dual_rail,
     full_thermal_f1,
     full_thermal_f2,
 )
@@ -172,6 +177,45 @@ def _targets_for(plan: CircuitPlan, reduced: ModeRegistry) -> dict[BellId, tuple
         BellId.PSI_PLUS: (psi_p, psi_p),
         BellId.PSI_MINUS: (psi_m, psi_m),
     }
+
+
+@dataclass
+class DenseOutcome(OutcomeReport):
+    """An outcome of `dense_report`, with its heralded magnon state over the
+    magnon registry in declaration order (None where unreachable)."""
+
+    post_state: DensityMatrix | None = None
+
+
+def concurrence_dual_rail(state: State, renormalize: bool = False) -> float:
+    """Entanglement of the one-excitation-per-pair sector of four magnon modes.
+
+    The four modes (upper1, lower1, upper2, lower2) are projected onto the
+    sector with exactly one excitation in each pair, giving an effective
+    two-qubit block whose entanglement is scored with the standard
+    spin-flip (sqrt-eigenvalue) concurrence.  By default the block keeps its
+    sector weight (trace <= 1), so thermal leakage out of the qubit sector
+    shows up as a reduced value; `renormalize` rescales to a unit-trace
+    two-qubit state first.
+    """
+    rho = state if isinstance(state, DensityMatrix) else state.to_density_matrix()
+    reg = rho.registry
+    if len(reg) != 4:
+        raise ProtocolError("dual-rail concurrence expects four modes")
+    block = sector_block(rho)
+    if renormalize:
+        tr = block.trace().real
+        if tr < constants.UNREACHABLE_PROBABILITY:
+            raise ProtocolError("no weight in the dual-rail sector")
+        block = block / tr
+    return _spin_flip_concurrence(block)
+
+
+def sector_block(rho: DensityMatrix) -> np.ndarray:
+    """A magnon state's block on the dual-rail sector, in `_sector` order."""
+    reg = rho.registry
+    idx = [reg.index_of_occupation(occ) for occ in _sector(len(reg))]
+    return rho.matrix[np.ix_(idx, idx)]
 
 
 @dataclass
@@ -304,7 +348,7 @@ def _report_from(prop: _Propagator, n_bar: float,
         conc = None
         if settings.protocol == "swap" and post is not None:
             conc = concurrence_dual_rail(post)
-        outcomes.append(OutcomeReport(
+        outcomes.append(DenseOutcome(
             outcome=bell_id,
             probability=p,
             fidelity_raw=f_raw,
@@ -312,7 +356,7 @@ def _report_from(prop: _Propagator, n_bar: float,
             included_in_aggregate=even or settings.include_odd_parity,
             requires_number_resolution=not even,
             concurrence=conc,
-            build_post_state=lambda post=post: post,
+            post_state=post,
         ))
 
     no_herald = max(0.0, 1.0 - sum(o.probability for o in outcomes))
@@ -364,7 +408,17 @@ def _project_vacuum(state: StateVector, drop: list[int]) -> StateVector:
     return StateVector(registry.reduced(keep), rows[0], normalized=state.normalized)
 
 
-def dense_readout(state: State, apply_correction: bool = False) -> ReadoutResult:
+@dataclass
+class DenseReadout:
+    """`dense_readout`'s retrieved photon: `state` lives on the output port's
+    (H, V) modes, with the magnon state's normalization."""
+
+    state: State
+    qubit_sector_weight: float
+    partial_readout: bool
+
+
+def dense_readout(state: State, apply_correction: bool = False) -> DenseReadout:
     """`protocols.readout` by propagation through the six-mode registry."""
     in_reg = state.registry
     if len(in_reg) != 2 or any(m.kind is not ModeKind.MAGNON for m in in_reg.modes):
@@ -419,10 +473,8 @@ def dense_readout(state: State, apply_correction: bool = False) -> ReadoutResult
             acc += val * partial_trace(run_pure(pure), port).matrix
         out_state = DensityMatrix(registry.reduced([0, 1]), 0.5 * (acc + acc.conj().T),
                                   normalized=state.normalized)
-    return ReadoutResult(
+    return DenseReadout(
         state=out_state,
-        upper_rail=optical(upper, "H"),
-        lower_rail=optical(upper, "V"),
         qubit_sector_weight=qubit_w,
         partial_readout=beyond > constants.PARTIAL_READOUT_TOL,
     )

@@ -20,7 +20,6 @@ from omxsim.protocols import (
     ThermalConfig,
     closed_form_f1,
     closed_form_f2,
-    concurrence_dual_rail,
     entanglement_swap,
     genuine_threshold,
     readout,
@@ -162,26 +161,26 @@ def test_criterion_07_measurement_completeness():
 def test_criterion_08_swap_entanglement():
     rep = entanglement_swap(ThermalConfig(0.0))
     out = rep.outcome(BellId.PHI_PLUS)
-    reg = out.post_state.registry
-    target = np.zeros(reg.dimension, dtype=complex)
-    target[reg.index_of_occupation([0, 1, 0, 1])] = 1 / np.sqrt(2)
-    target[reg.index_of_occupation([1, 0, 1, 0])] = 1 / np.sqrt(2)
-    state_err = np.abs(out.post_state.matrix - np.outer(target, target.conj())).max()
+    # the sector states q1 + 2 q2 hold (q1, 1 - q1, q2, 1 - q2): the block is
+    # the dual-rail Bell state (|0101> + |1010>) / sqrt(2)
+    target = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    state_err = np.abs(out.sector.block - np.outer(target, target)).max()
+    fid_err = abs(out.fidelity_corrected - 1.0)
     prob_err = max(abs(o.probability - 0.25) for o in rep.outcomes)
-    conc = concurrence_dual_rail(out.post_state)
-    ok = state_err < 1e-10 and abs(conc - 1.0) < 1e-10 and prob_err < 1e-10
+    conc = out.concurrence
+    ok = (state_err < 1e-10 and fid_err < 1e-10 and abs(conc - 1.0) < 1e-10
+          and prob_err < 1e-10)
     _gate(8, "ideal swap heralds the dual-rail Bell state with concurrence 1",
-          ok, f"state err {state_err:.2e}, concurrence {conc:.12f}, "
-              f"prob err {prob_err:.2e}")
+          ok, f"state err {state_err:.2e}, fidelity err {fid_err:.2e}, "
+              f"concurrence {conc:.12f}, prob err {prob_err:.2e}")
 
 
 def test_criterion_09_teleport_readout_round_trip():
     worst = 0.0
     for q in (InputQubit(0.6, 0.8), InputQubit.from_angles(1.2, 2.1)):
         rep = teleport(q, ThermalConfig(0.0))
-        plus = readout(rep.outcome(BellId.PHI_PLUS).post_state)
-        minus = readout(rep.outcome(BellId.PHI_MINUS).post_state,
-                        apply_correction=True)
+        plus = readout(rep.outcome(BellId.PHI_PLUS))
+        minus = readout(rep.outcome(BellId.PHI_MINUS), apply_correction=True)
         worst = max(worst,
                     abs(retrieved_qubit_fidelity(plus, q) - 1.0),
                     abs(retrieved_qubit_fidelity(minus, q) - 1.0))

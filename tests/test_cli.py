@@ -8,7 +8,12 @@ import jsonschema
 import pytest
 
 from omxsim import cli
-from omxsim.constants import MAX_ARRAY_ENTRIES, MAX_SAMPLES, MAX_SWEEP_WEIGHTS
+from omxsim.constants import (
+    MAX_ARRAY_ENTRIES,
+    MAX_DIMENSION,
+    MAX_SAMPLES,
+    MAX_SWEEP_WEIGHTS,
+)
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 SCHEMA = json.loads(
@@ -247,17 +252,25 @@ def test_oversized_herald_overlap_exits_2_before_allocating(monkeypatch, tmp_pat
                    "pairs needs 4096 entries, above the limit 3000\n")
 
 
-def test_oversized_readout_post_state_exits_2_before_allocating(capsys):
+@pytest.mark.parametrize("argv, message", [
+    # the side registry, 16 * 257**2 dimensions, exceeds MAX_DIMENSION
+    (("readout", "--n-bar", "0", "--cutoff", "255"),
+     f"registry dimension exceeds hard limit {MAX_DIMENSION}"),
+    # 23**2 components of a 16 * 24**2-dim side exceed MAX_ARRAY_ENTRIES
+    (("readout", "--n-bar", "0.2", "--cutoff", "22"),
+     "529 thermal components on a 9216-dim side need 4875264 amplitudes, above "
+     f"the limit {MAX_ARRAY_ENTRIES}"),
+], ids=["cutoff-255", "n-bar-0.2-cutoff-22"])
+def test_readout_beyond_its_side_limits_exits_2_before_allocating(capsys, argv, message):
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, "readout", "--n-bar", "0", "--cutoff", "60")
+        code, out, err = run_cli(capsys, *argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert err == ("omxsim: simulation error: a heralded state over 3844 magnon levels "
-                   f"needs 14776336 entries, above the limit {MAX_ARRAY_ENTRIES}\n")
+    assert err == f"omxsim: simulation error: {message}\n"
     assert peak < 16 << 20
 
 
@@ -273,9 +286,25 @@ def _traced_peak(capsys, *argv):
 
 
 def test_readout_forms_only_the_two_heralded_states_it_reads(capsys):
-    # 32**2 magnon levels: each heralded state is 16 MiB, and only PHI+ and
-    # PHI- are formed, from columns shared between them (112.9 MiB measured)
+    # 32**2 magnon levels: a heralded state over them would be 16 MiB, but
+    # only PHI+'s and PHI-'s sector blocks and populations are formed (1.0 MiB
+    # measured)
     assert _traced_peak(capsys, "readout", "--n-bar", "0", "--cutoff", "30") < 128 << 20
+
+
+def test_readout_at_cutoff_43_peaks_without_a_heralded_state(capsys):
+    # a 45**2-square heralded state would be 65 MiB (1.7 MiB measured)
+    assert _traced_peak(capsys, "readout", "--n-bar", "0", "--cutoff", "43") < 16 << 20
+
+
+def test_readout_runs_to_the_side_registry_limit(capsys):
+    # cutoff 254: the side registry, 16 * 256**2 dimensions, is MAX_DIMENSION
+    code, out, err = run_cli(capsys, "readout", "--n-bar", "0", "--cutoff", "254")
+    assert (code, err) == (0, "")
+    retrieved = json.loads(out)["retrieved"]
+    for herald in ("phi_plus", "phi_minus"):
+        assert retrieved[herald]["fidelity"] == 1.0
+        assert retrieved[herald]["qubit_sector_weight"] == 1.0
 
 
 def test_large_teleport_holds_its_side_stack_about_once(capsys):

@@ -3,7 +3,8 @@
 `protocols.execute_plan` propagates each side of the Bell analyzer on its
 own registry and joins the sides only in the herald; `dense_oracle` pushes
 every joint thermal component through the full joint registry.  Reports
-must agree to 1e-12 in every reported number and in the post-states.
+must agree to 1e-12 in every reported number, and each herald's sector
+block and populations with the oracle's heralded state.
 """
 
 import tracemalloc
@@ -12,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import dense_apply, dense_initial_vector, dense_report
+from dense_oracle import (
+    DenseOutcome,
+    dense_apply,
+    dense_initial_vector,
+    dense_report,
+    sector_block,
+)
 
 from omxsim import cli, dsl, fock, plans, protocols
 from omxsim.elements import ScatterModel
@@ -40,11 +47,30 @@ def assert_reports_equal(got, want):
             assert g.concurrence is None
         else:
             assert g.concurrence == pytest.approx(w.concurrence, abs=TOL)
-        if w.post_state is None:
-            assert g.post_state is None
+        want_sector = sector_of(w)
+        if want_sector is None:
+            assert g.sector is None
         else:
-            assert g.post_state.registry == w.post_state.registry
-            assert np.abs(g.post_state.matrix - w.post_state.matrix).max() < TOL
+            paths, block, populations = want_sector
+            assert g.sector.paths == paths
+            assert np.abs(g.sector.block - block).max() < TOL
+            assert np.abs(g.sector.populations - populations).max() < TOL
+
+
+def sector_of(outcome):
+    """A herald's (magnon paths, sector block, populations), None where it is
+    unreachable: the oracle's are its heralded state's sector block and
+    diagonal."""
+    if not isinstance(outcome, DenseOutcome):
+        sector = outcome.sector
+        if sector is None:
+            return None
+        return sector.paths, sector.block, sector.populations
+    post = outcome.post_state
+    if post is None:
+        return None
+    return (tuple(m.path for m in post.registry.modes), sector_block(post),
+            np.diag(post.matrix).reshape(post.registry.dims, order="F"))
 
 
 def teleport_plan(n_bar, cutoff, model=ScatterModel.PAPER_UNIFORM, renormalize=True,
@@ -360,8 +386,7 @@ def test_concurrence_of_a_non_bell_diagonal_block_matches_dense_oracle(reorder):
         assert g.concurrence == pytest.approx(w.concurrence, abs=TOL)
 
 
-@pytest.mark.parametrize("cutoff", [2, 3])
-def test_swap_command_builds_no_post_state(monkeypatch, capsys, cutoff):
+def spy_density_matrices(monkeypatch) -> list:
     built = []
     real_init = fock.DensityMatrix.__init__
 
@@ -370,34 +395,30 @@ def test_swap_command_builds_no_post_state(monkeypatch, capsys, cutoff):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(fock.DensityMatrix, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_swap_command_builds_no_post_state(monkeypatch, capsys, cutoff):
+    built = spy_density_matrices(monkeypatch)
     assert cli.main(["swap", "--n-bar", "0.2", "--cutoff", str(cutoff)]) == 0
     assert "concurrence" in capsys.readouterr().out
-    assert built == []
-    # a library caller gets every post-state on first access, built once
+    # a library caller gets every herald's sector on first access, built
+    # once, and still no density matrix
     report = protocols.entanglement_swap(ThermalConfig(0.2, cutoff))
+    sectors = [o.sector for o in report.outcomes]
+    assert all(o.sector is s for o, s in zip(report.outcomes, sectors))
+    assert all(s.block.shape == (4, 4) for s in sectors)
     assert built == []
-    posts = [o.post_state for o in report.outcomes]
-    assert built == posts
-    assert [o.post_state for o in report.outcomes] == posts
 
 
-def test_readout_command_builds_only_the_heralded_states_it_reads(monkeypatch, capsys):
-    # readout retrieves PHI+ and PHI-: two heralded magnon states, each read
-    # out onto the photon port
-    built = []
-    real_init = fock.DensityMatrix.__init__
-
-    def spy(self, registry, *args, **kwargs):
-        built.append(registry)
-        real_init(self, registry, *args, **kwargs)
-
-    monkeypatch.setattr(fock.DensityMatrix, "__init__", spy)
+def test_teleport_and_readout_commands_build_no_density_matrix(monkeypatch, capsys):
+    # readout retrieves PHI+ and PHI- from their sector blocks and populations
+    built = spy_density_matrices(monkeypatch)
+    assert cli.main(["teleport", "--n-bar", "0.2"]) == 0
     assert cli.main(["readout", "--n-bar", "0.2"]) == 0
     assert "phi_minus" in capsys.readouterr().out
-    kinds = [{m.kind for m in registry.modes} for registry in built]
-    assert kinds.count({fock.ModeKind.MAGNON}) == 2
-    assert kinds.count({fock.ModeKind.OPTICAL_PATH}) == 2
-    assert len(built) == 4
+    assert built == []
 
 
 def test_cutoff_6_swap_report_stays_small():

@@ -97,7 +97,7 @@ def test_readout_retrieves_each_even_herald_with_its_corrected_fidelity(
     report = protocols.teleport(qubit, ThermalConfig(n_bar, cutoff, renormalize), model)
     for bell_id, correct in ((BellId.PHI_PLUS, False), (BellId.PHI_MINUS, True)):
         outcome = report.outcome(bell_id)
-        result = protocols.readout(outcome.post_state, apply_correction=correct)
+        result = protocols.readout(outcome, apply_correction=correct)
         assert protocols.retrieved_qubit_fidelity(result, qubit) == pytest.approx(
             outcome.fidelity_corrected, abs=TOL)
 

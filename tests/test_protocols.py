@@ -2,16 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_pure
-from dense_oracle import dense_readout
+from dense_oracle import concurrence_dual_rail, dense_readout, dense_report
 
 from omxsim import constants, elements, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.fock import (
-    DensityMatrix,
     ModeRegistry,
     StateVector,
     apply,
+    fidelity,
     magnon,
     optical,
 )
@@ -24,7 +23,6 @@ from omxsim.protocols import (
     check_sweep_size,
     closed_form_f1,
     closed_form_f2,
-    concurrence_dual_rail,
     entanglement_swap,
     full_thermal_f1,
     genuine_threshold,
@@ -182,33 +180,35 @@ def test_build_elements_looks_constructors_up_at_call_time(monkeypatch):
 
 def test_oversized_post_state_is_refused_before_it_is_formed(monkeypatch):
     def no_columns(*args):
-        raise AssertionError("formed the columns of an over-limit post-state")
+        raise AssertionError("formed the columns of an over-limit heralded state")
 
-    # swap at cutoff 5: four magnons of 7 levels, a 7**4-square state
-    rep = entanglement_swap(ThermalConfig(0.0, cutoff=5))
+    # swap at cutoff 60: four magnons of 62 levels, whose populations alone
+    # would be 62**4 entries
+    rep = entanglement_swap(ThermalConfig(0.0, cutoff=60))
     monkeypatch.setattr(protocols._Side, "columns", no_columns)
-    with pytest.raises(ProtocolError, match="a heralded state over 2401 magnon levels "
-                       "needs 5764801 entries, above the limit "
+    with pytest.raises(ProtocolError, match="the columns of a herald's populations over "
+                       "14776336 magnon levels need 295526720 entries, above the limit "
                        f"{constants.MAX_ARRAY_ENTRIES}"):
-        rep.outcome(BellId.PHI_PLUS).post_state
+        rep.outcome(BellId.PHI_PLUS).sector
 
 
 def test_post_state_columns_are_refused_before_the_block_is_formed(monkeypatch):
-    def no_block(*args):
-        raise AssertionError("formed an over-limit post-state")
+    def no_columns(*args):
+        raise AssertionError("formed the columns of an over-limit heralded state")
 
-    # swap at cutoff 2, n_bar 0.2: a 256-square heralded state, whose
-    # conditional columns span 256 magnon levels x 18 x 18 column pairs
+    # swap at cutoff 2, n_bar 0.2: populations over 256 magnon levels, from
+    # each side's 4 x 18 weighted columns and 18 x 18 conditional columns
     rep = entanglement_swap(ThermalConfig(0.2, cutoff=2))
-    monkeypatch.setattr(protocols._Circuit, "block", no_block)
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 256 ** 2)
-    with pytest.raises(ProtocolError, match="the conditional columns of a heralded "
-                       "state over 256 magnon levels need 82944 entries, above the "
-                       "limit 65536"):
-        rep.outcome(BellId.PHI_PLUS).post_state
+    monkeypatch.setattr(protocols._Side, "columns", no_columns)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 119807)
+    with pytest.raises(ProtocolError, match="the columns of a herald's populations over "
+                       "256 magnon levels need 119808 entries, above the limit 119807"):
+        rep.outcome(BellId.PHI_PLUS).sector
     monkeypatch.undo()
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 82944)
-    assert rep.outcome(BellId.PHI_PLUS).post_state.matrix.shape == (256, 256)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 119808)
+    sector = rep.outcome(BellId.PHI_PLUS).sector
+    assert sector.block.shape == (4, 4)
+    assert sector.populations.shape == (4, 4, 4, 4)
 
 
 def test_oversized_side_is_refused_before_propagating(monkeypatch):
@@ -438,14 +438,15 @@ def test_swap_bosonic_model_squares_the_teleport_fidelity():
 
 def test_swap_ideal_heralds_exact_bell_state():
     rep = entanglement_swap(ThermalConfig(0.0))
-    out = rep.outcome(BellId.PHI_PLUS)
-    reg = out.post_state.registry
-    target = np.zeros(reg.dimension, dtype=complex)
-    target[reg.index_of_occupation([0, 1, 0, 1])] = 1 / np.sqrt(2)
-    target[reg.index_of_occupation([1, 0, 1, 0])] = 1 / np.sqrt(2)
-    expected = np.outer(target, target.conj())
-    assert np.abs(out.post_state.matrix - expected).max() < 1e-10
-    assert out.concurrence == pytest.approx(1.0, abs=1e-10)
+    sector = rep.outcome(BellId.PHI_PLUS).sector
+    # the sector states q1 + 2 q2 are (q1, 1 - q1, q2, 1 - q2)
+    target = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    assert np.abs(sector.block - np.outer(target, target)).max() < 1e-10
+    # populations over (n_A, n_B, n_C, n_D)
+    expected = np.zeros((4, 4, 4, 4))
+    expected[0, 1, 0, 1] = expected[1, 0, 1, 0] = 0.5
+    assert np.abs(sector.populations - expected).max() < 1e-10
+    assert rep.outcome(BellId.PHI_PLUS).concurrence == pytest.approx(1.0, abs=1e-10)
     for o in rep.outcomes:
         assert o.probability == pytest.approx(0.25, abs=1e-10)
         assert o.fidelity_raw == pytest.approx(1.0, abs=1e-10)
@@ -468,113 +469,119 @@ def test_swap_minus_herald_corrects_like_teleport():
 # ---------------------------------------------------------------------------
 # readout
 
-def magnon_qubit_state(alpha, beta, cutoffs=(1, 1)):
-    reg = ModeRegistry([magnon("A"), magnon("B")], cutoffs)
-    vec = np.zeros(reg.dimension, dtype=complex)
-    vec[reg.index_of_occupation([0, 1])] = alpha
-    vec[reg.index_of_occupation([1, 0])] = beta
-    return StateVector(reg, vec)
+def handmade_herald(occupation, levels=3):
+    """A teleport herald over magnons (A, B) that leaves them in one
+    occupation (n_A, n_B), outside the dual-rail sector."""
+    populations = np.zeros((levels, levels))
+    populations[occupation] = 1.0
+    sector = protocols.HeraldedSector(("A", "B"), np.zeros((2, 2)), populations)
+    return protocols.OutcomeReport(BellId.PHI_PLUS, 1.0, 1.0, 1.0, True, False,
+                                   build_sector=lambda: sector)
 
 
 def test_readout_transfers_magnon_qubit_to_photon():
     q = InputQubit(0.6, 0.8j)
-    result = readout(magnon_qubit_state(q.alpha, q.beta))
+    result = readout(teleport(q, ThermalConfig(0.0)).outcome(BellId.PHI_PLUS))
     assert retrieved_qubit_fidelity(result, q) == pytest.approx(1.0, abs=1e-10)
     assert not result.partial_readout
     assert result.qubit_sector_weight == pytest.approx(1.0, abs=1e-12)
 
 
 def test_readout_vacuum_magnons_gives_vacuum_photon():
-    reg = ModeRegistry([magnon("A"), magnon("B")], [1, 1])
-    result = readout(StateVector.vacuum(reg))
-    assert abs(result.state.amplitude([0, 0])) == pytest.approx(1.0, abs=1e-12)
+    # vacuum magnons leave nothing in the port's one-photon block
+    result = readout(handmade_herald((0, 0)))
+    assert not result.port.any()
+    assert result.qubit_sector_weight == 0.0
+    assert not result.partial_readout
 
 
 def test_readout_after_teleport_round_trip():
     q = InputQubit.from_angles(1.1, 0.7)
     rep = teleport(q, ThermalConfig(0.0))
-    plus = readout(rep.outcome(BellId.PHI_PLUS).post_state)
+    plus = readout(rep.outcome(BellId.PHI_PLUS))
     assert retrieved_qubit_fidelity(plus, q) == pytest.approx(1.0, abs=1e-10)
-    minus = readout(rep.outcome(BellId.PHI_MINUS).post_state, apply_correction=True)
+    minus = readout(rep.outcome(BellId.PHI_MINUS), apply_correction=True)
     assert retrieved_qubit_fidelity(minus, q) == pytest.approx(1.0, abs=1e-10)
-    raw_minus = readout(rep.outcome(BellId.PHI_MINUS).post_state)
+    raw_minus = readout(rep.outcome(BellId.PHI_MINUS))
     assert retrieved_qubit_fidelity(raw_minus, q) < 1.0 - 1e-3
 
 
 def test_readout_flags_partial_for_high_occupation():
-    reg = ModeRegistry([magnon("A"), magnon("B")], [2, 2])
-    vec = np.zeros(reg.dimension, dtype=complex)
-    vec[reg.index_of_occupation([2, 0])] = 1.0
-    result = readout(StateVector(reg, vec))
+    result = readout(handmade_herald((2, 0)))
     assert result.partial_readout
     assert result.qubit_sector_weight == pytest.approx(0.0, abs=1e-12)
 
 
-def random_mixed(registry, rng):
-    g = (rng.normal(size=(registry.dimension,) * 2)
-         + 1j * rng.normal(size=(registry.dimension,) * 2))
-    rho = g @ g.conj().T
-    return DensityMatrix(registry, rho / rho.trace().real)
-
-
-def assert_readouts_equal(got, want):
-    assert got.state.registry == want.state.registry
-    assert type(got.state) is type(want.state)
-    if isinstance(want.state, StateVector):
-        assert np.abs(got.state.amplitudes - want.state.amplitudes).max() < 1e-12
-    else:
-        assert np.abs(got.state.matrix - want.state.matrix).max() < 1e-12
-    assert got.state.normalized == want.state.normalized
+def assert_readout_matches_dense(got, want):
+    """`readout` against `dense_readout` of the oracle's heralded state: the
+    port block is the dense port state's block on (V, H), the lower rail
+    then the upper."""
+    reg = want.state.registry
+    idx = [reg.index_of_occupation([0, 1]), reg.index_of_occupation([1, 0])]
+    assert np.abs(got.port - want.state.matrix[np.ix_(idx, idx)]).max() < 1e-12
     assert got.qubit_sector_weight == pytest.approx(want.qubit_sector_weight, abs=1e-12)
     assert got.partial_readout == want.partial_readout
-    assert (got.upper_rail, got.lower_rail) == (want.upper_rail, want.lower_rail)
+
+
+def assert_heralds_read_out_like_dense(plan, correct):
+    got, want = protocols.execute_plan(plan), dense_report(plan)
+    q = InputQubit(plan.settings.alpha, plan.settings.beta)
+    for bell_id in (BellId.PHI_PLUS, BellId.PHI_MINUS):
+        result = readout(got.outcome(bell_id), correct)
+        dense = dense_readout(want.outcome(bell_id).post_state, correct)
+        assert_readout_matches_dense(result, dense)
+        target = np.zeros(dense.state.registry.dimension, dtype=complex)
+        target[dense.state.registry.index_of_occupation([0, 1])] = q.alpha
+        target[dense.state.registry.index_of_occupation([1, 0])] = q.beta
+        assert retrieved_qubit_fidelity(result, q) == pytest.approx(
+            fidelity(dense.state, StateVector(dense.state.registry, target)), abs=1e-12)
 
 
 @pytest.mark.parametrize("correct", [False, True])
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
 def test_readout_matches_dense_readout_on_random_inputs(rng, cutoff, correct):
-    reg = ModeRegistry([magnon("A"), magnon("B")], [cutoff, cutoff])
-    for state in (random_pure(reg, rng), random_mixed(reg, rng)):
-        assert_readouts_equal(readout(state, correct), dense_readout(state, correct))
+    # random input qubits and occupations, teleported and read out
+    for model in ScatterModel:
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        alpha, beta = z / np.linalg.norm(z)
+        cfg = ThermalConfig(float(rng.uniform(0.0, 1.0)), cutoff, bool(rng.integers(2)))
+        assert_heralds_read_out_like_dense(
+            protocols.teleport_plan(InputQubit(alpha, beta), cfg, model), correct)
 
 
 @pytest.mark.parametrize("correct", [False, True])
-@pytest.mark.parametrize("n_bar", [0.0, 0.2])
-@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@pytest.mark.parametrize("n_bar", [0.0, 0.2, 3.0])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
 def test_readout_matches_dense_readout_on_teleport_post_states(cutoff, n_bar, correct):
-    rep = teleport(InputQubit.from_angles(1.1, 0.7), ThermalConfig(n_bar, cutoff))
-    for bell_id in (BellId.PHI_PLUS, BellId.PHI_MINUS):
-        post = rep.outcome(bell_id).post_state
-        assert_readouts_equal(readout(post, correct), dense_readout(post, correct))
-
-
-def test_readout_keeps_unequal_magnon_cutoffs():
-    q = InputQubit(0.6, 0.8j)
-    result = readout(magnon_qubit_state(q.alpha, q.beta, cutoffs=(1, 2)))
-    assert result.state.registry.cutoffs == (1, 2)
-    assert retrieved_qubit_fidelity(result, q) == pytest.approx(1.0, abs=1e-12)
+    for model in ScatterModel:
+        plan = protocols.teleport_plan(InputQubit.from_angles(1.1, 0.7),
+                                       ThermalConfig(n_bar, cutoff), model)
+        assert_heralds_read_out_like_dense(plan, correct)
 
 
 def test_readout_refuses_a_network_that_does_not_map_rails_to_the_port(monkeypatch):
     # without the recombining splitter the lower rail stays on the lower path
+    outcome = teleport(InputQubit(0.6, 0.8), ThermalConfig(0.0)).outcome(BellId.PHI_PLUS)
     monkeypatch.setattr(elements, "pbs", lambda reg, path1, path2: elements.phase_shift(
         reg, reg.optical_index(path1, "H"), 0.0))
     with pytest.raises(ProtocolError, match="does not map the upper rail to H"):
-        readout(magnon_qubit_state(0.6, 0.8))
+        readout(outcome)
 
 
 def test_readout_refusal_holds_after_an_unpatched_readout(monkeypatch):
     # the element memo sits below the constructors: a transfer built earlier in
     # the process is not reused once `elements.pbs` is replaced
-    assert readout(magnon_qubit_state(0.6, 0.8)).qubit_sector_weight == pytest.approx(1.0)
+    outcome = teleport(InputQubit(0.6, 0.8), ThermalConfig(0.0)).outcome(BellId.PHI_PLUS)
+    assert readout(outcome).qubit_sector_weight == pytest.approx(1.0)
     monkeypatch.setattr(elements, "pbs", lambda reg, path1, path2: elements.phase_shift(
         reg, reg.optical_index(path1, "H"), 0.0))
     with pytest.raises(ProtocolError, match="does not map the upper rail to H"):
-        readout(magnon_qubit_state(0.6, 0.8))
+        readout(outcome)
 
 
 def test_readout_refuses_a_nan_transfer(monkeypatch):
     # the diagonal-and-unitary check is written `not x <= tol`: NaN fails it
+    outcome = teleport(InputQubit(0.6, 0.8), ThermalConfig(0.0)).outcome(BellId.PHI_PLUS)
     real_apply = protocols.apply
 
     def nan_apply(op, state):
@@ -583,13 +590,15 @@ def test_readout_refuses_a_nan_transfer(monkeypatch):
 
     monkeypatch.setattr(protocols, "apply", nan_apply)
     with pytest.raises(ProtocolError, match="does not map the upper rail to H"):
-        readout(magnon_qubit_state(0.6, 0.8))
+        readout(outcome)
 
 
-def test_readout_rejects_non_magnon_registry():
-    reg = ModeRegistry([optical("A", "H"), optical("A", "V")], [1, 1])
-    with pytest.raises(ProtocolError):
-        readout(StateVector.vacuum(reg))
+def test_readout_rejects_a_swap_herald():
+    # a swap herald spans four magnons, not one dual-rail qubit
+    rep = entanglement_swap(ThermalConfig(0.0))
+    with pytest.raises(ProtocolError, match="readout expects a reachable herald over "
+                       "two magnon modes; phi_plus is not one"):
+        readout(rep.outcome(BellId.PHI_PLUS))
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +714,8 @@ def test_swap_concurrence_decreases_with_thermal_occupation():
 
 def test_swap_concurrence_renormalized_sector_is_pure_bell():
     rep = entanglement_swap(ThermalConfig(0.1))
-    conc = concurrence_dual_rail(rep.outcome(BellId.PHI_PLUS).post_state,
-                                 renormalize=True)
+    block = rep.outcome(BellId.PHI_PLUS).sector.block
+    conc = protocols._spin_flip_concurrence(block / np.trace(block).real)
     assert conc == pytest.approx(1.0, abs=1e-10)
 
 
