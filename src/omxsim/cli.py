@@ -5,12 +5,15 @@ Exit codes: 0 success, 1 usage error (including a circuit file that cannot
 be read or an output file that cannot be written), 2 simulation error, 3
 parse or semantic error in a circuit file.  Identical invocations produce
 byte-identical output; the only nondeterminism is behind an explicit
---sample/--seed pair, and the seed pins it.
+--sample/--seed pair, and the seed pins it.  `main(argv)` may be called
+repeatedly in one process: it builds its parser on the first call, reading
+`constants.DEFAULT_THERMAL_CUTOFF` then, and each call only parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -129,6 +132,7 @@ def _report_json(report, sample: int | None, seed: int | None) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="omxsim",
                      description="Truncated-Fock-space optomagnonic protocol simulator")

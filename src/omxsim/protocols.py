@@ -886,8 +886,8 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
     circuit = _Circuit(plan)
     sums = _pair_sums(circuit.tables(), circuit.weights(grid)[2])
     simulated = _aggregate(_heralds(sums), _included(plan.settings))
-    return [SweepRow(g, float(sim), closed(g), abs(float(sim) - closed(g)))
-            for g, sim in zip(grid, simulated)]
+    return [SweepRow(g, float(sim), c, abs(float(sim) - c))
+            for g, sim, c in zip(grid, simulated, map(closed, grid))]
 
 
 def _spin_flip_concurrence(rho4: np.ndarray) -> float:

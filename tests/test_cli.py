@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import command_grid
 from omxsim import cli
 from omxsim.constants import (
     MAX_ARRAY_ENTRIES,
@@ -584,3 +586,87 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     jsonschema.validate(payload, SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+
+ONE_OF_EACH = [
+    ("teleport", "--n-bar", "0.1"),
+    ("swap", "--n-bar", "0.1"),
+    ("readout", "--n-bar", "0.1"),
+    ("sweep", "--protocol", "teleport", "--from", "0", "--to", "0.3", "--steps", "5"),
+    ("threshold",),
+    ("run", str(CIRCUITS / "teleport.omx")),
+    ("validate", str(CIRCUITS / "swap.omx")),
+    ("teleport", "--cutoff", "x"),
+]
+
+
+def test_one_parser_per_process(monkeypatch, capsys):
+    run_cli(capsys, "threshold")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [run_cli(capsys, *argv)[0] for argv in ONE_OF_EACH]
+    assert codes == [0] * 7 + [1]
+    assert built == []
+    # the counter does see a build: the parser and its seven subparsers
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "threshold")[0] == 0
+    assert len(built) == 8
+
+
+def test_no_state_carries_between_calls(capsys, tmp_path):
+    sweep = ("sweep", "--protocol", "teleport", "--from", "0", "--to", "0.3",
+             "--steps", "5")
+    plain = [("teleport", "--n-bar", "0.1"), ("swap", "--n-bar", "0.1"),
+             ("readout", "--n-bar", "0.1"), sweep, ("teleport", "--cutoff", "x")]
+    flagged = [
+        ("teleport", "--n-bar", "0.1", "--sample", "3", "--seed", "5"),
+        ("swap", "--n-bar", "0.1", "--sample", "3", "--seed", "5"),
+        ("teleport", "--n-bar", "0.1", "--no-renormalize", "--model", "bosonic"),
+        ("readout", "--n-bar", "0.1", "--theta", "1.1", "--phi", "0.4"),
+        sweep + ("--format", "json", "--no-renormalize", "--model", "bosonic"),
+        ("teleport", "--n-bar", "0.1", "--output", str(tmp_path / "teleport.json")),
+        sweep + ("--output", str(tmp_path / "sweep.csv")),
+        ("teleport", "--cutoff", "x"),
+    ]
+    fresh = []
+    for argv in plain:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    ran = [run_cli(capsys, *argv) for argv in flagged]
+    assert [code for code, _, _ in ran] == [0] * 7 + [1]
+    assert len(json.loads(ran[0][1])["sampled_heralds"]) == 3
+    assert json.loads(ran[4][1])["config"]["model"] == "bosonic"
+    later = [run_cli(capsys, *argv) for argv in plain]
+    assert later == fresh
+    assert "sampled_heralds" not in json.loads(later[0][1])
+    assert "sampled_heralds" not in json.loads(later[1][1])
+    assert later[3][1].startswith("# omxsim sweep\n")
+    assert later[4][2].startswith("usage: omxsim teleport")
+
+
+def test_command_outputs_do_not_depend_on_order():
+    kinds = {}
+    for argv in command_grid.commands():
+        cutoff = int(argv[argv.index("--cutoff") + 1]) if "--cutoff" in argv else 2
+        if cutoff <= 2 and "601" not in argv:
+            kinds.setdefault(argv[0], []).append(argv)
+    # about four per kind, at a stride that steps through the inner flag loops
+    picked = [argv for group in kinds.values() for argv in group[::len(group) // 4 + 1]]
+    # a refusal: unrenormalized weights at n_bar = 1e308 exit 2
+    picked += [argv for argv in kinds["swap"]
+               if "1e308" in argv and "--no-renormalize" in argv][:1]
+    assert set(kinds) == {"teleport", "swap", "sweep", "readout", "run"}
+    assert 15 <= len(picked) <= 25
+    forward = {tuple(argv): command_grid.digest(argv) for argv in picked}
+    backward = {tuple(argv): command_grid.digest(argv) for argv in reversed(picked)}
+    assert forward == backward
+    assert {line.split()[2] for line in forward.values()} == {"0", "2"}
