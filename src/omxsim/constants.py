@@ -36,16 +36,20 @@ CONCURRENCE_EIGENVALUE_FLOOR = 1e-14
 # complex vectors of this length stay cheap.
 MAX_DIMENSION = 1 << 20
 
-# Ceiling on one array's entries, checked from the sizes alone: a side's
-# thermal components times its registry dimension (a teleport or swap at
-# cutoff 22 or more with n_bar > 0 is refused), and the columns that a
-# herald's populations over d magnon levels are read from (d per weighted
-# and conditional column; a swap's are refused from cutoff 20 at n_bar = 0).
+# Ceiling on one array's entries, checked from the sizes alone: the
+# amplitudes one element gathers from a side's batch (`fock.apply`), a
+# side's herald factors (thermal components times a few Gram entries), and
+# the populations of a herald over d magnon levels with their per-row Grams
+# (a swap's are refused from cutoff 44).
 MAX_ARRAY_ENTRIES = 1 << 22
 
-# Ceiling on a sweep's pair-weight array: grid points times joint thermal
-# components (81 per point for a swap at the default truncation).
+# Ceiling on a sweep's thermal weights: grid points times the two sides'
+# thermal components (18 per point for a swap at the default truncation).
 MAX_SWEEP_WEIGHTS = 1 << 22
+
+# Entries of the largest array a sweep's join forms at once (a few tens
+# per grid point): it joins a slice of the grid at a time.
+SWEEP_SLICE = 1 << 13
 
 # Ceiling on the demonstration heralds one --sample draw may request.
 MAX_SAMPLES = 1 << 20

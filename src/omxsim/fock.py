@@ -372,6 +372,10 @@ def apply(op: ElementOp, state: StateVector | Batch) -> StateVector | Batch:
             "operator domain (occupation would overflow a cutoff)")
     # entry e meets the nonzeros ptr[local[e]] .. ptr[local[e] + 1] - 1
     counts = ptr[local + 1] - ptr[local]
+    gathered = int(counts.sum())
+    if gathered > constants.MAX_ARRAY_ENTRIES:
+        raise OperatorError(f"{op.label or 'op'}: {len(local)} entries gather {gathered} "
+                            f"amplitudes, above the limit {constants.MAX_ARRAY_ENTRIES}")
     source = np.repeat(np.arange(len(local)), counts)
     nz = np.arange(len(source)) + np.repeat(ptr[local] - np.cumsum(counts) + counts,
                                             counts)

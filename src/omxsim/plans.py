@@ -300,23 +300,18 @@ def iter_components(plan: CircuitPlan, magnons: Sequence[MagnonDecl] | None = No
 
 
 def component_weight(plan: CircuitPlan, n_bars: Sequence[float],
-                     magnons: Sequence[MagnonDecl] | None = None,
-                     weight: np.ndarray | None = None) -> np.ndarray:
+                     magnons: Sequence[MagnonDecl] | None = None) -> np.ndarray:
     """Thermal weights of the components of `magnons` (default all of the
     plan's) at each shared occupation of `n_bars`, as a (points, components)
     matrix whose columns follow `iter_components`.
 
     Each thermal magnon's `thermal_weights` row (its override's, if it has
     one) multiplies onto the running product in declaration order; a ground
-    magnon contributes weight 1 at n = 0.  Given another group's matrix as
-    `weight`, the product continues over this group's magnons, so column
-    i * n + j (n this group's component count) is the joint weight of that
-    group's component i with this group's component j, factor for factor
-    the joint component's product.
+    magnon contributes weight 1 at n = 0.
     """
     s = plan.settings
     n_bars = np.asarray(n_bars, dtype=float)
-    w = np.ones((len(n_bars), 1)) if weight is None else weight
+    w = np.ones((len(n_bars), 1))
     for decl in plan.magnon_decls() if magnons is None else magnons:
         if decl.init == "thermal":
             row = thermal_weights(s.n_bar_for(decl.path, n_bars), s.thermal_cutoff,

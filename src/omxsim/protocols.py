@@ -24,24 +24,23 @@ analyzer's second path, side 1 everything else, or the whole circuit if its
 elements join the two paths.  Each side's registry and elements are built
 from its own declarations and steps, and all of its thermal components run
 through them as one sparse batch, one `fock.apply` per element; no registry
-over the whole plan is built.  The sides meet only in the herald: both
-outputs are contracted with the Bell vectors and fidelity targets into
-tables over the component pairs, which each report and sweep point weights
-with the thermal mixture.  Reports and sweeps form those
-weights through one product, `plans.component_weight`, over a grid of
-occupations at once; a report is the one-point grid, so a sweep row equals
-the report at its occupation to the last bit.
+over the whole plan is built.  The sides meet only in the herald, which a
+side enters only through its output on the analyzer states that the Bell
+vectors use: each thermal component reduces to its squared norm and two
+small Gram matrices (`_Side.factors`).  Reports and sweeps weight each
+side's factors with its own thermal weights, one product
+(`plans.component_weight`) over a grid of occupations at once, and join
+the sides through the Bell vectors.  A report is the one-point grid, so a
+sweep row equals the report at its occupation to the last bit.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
-the fidelity numerators and the swap concurrence read only the sector rows
-of each side's output.  A herald's magnon state is read through one
-contraction, `_Circuit.conditional`, of both sides' weighted columns through
-the Bell vector: one conditional column per magnon occupation.  Their Gram
-matrix over the sector rows is the sector block that the swap concurrence
-and readout read, and their squared norms are the populations, where
-residual thermal occupation shows up outside the sector; no heralded state
-over every occupation is formed.  Readout's passive network is simulated
-for one excitation per magnon, whose phases the sector block picks up.
+the join forms each herald's block over the sector states, whose overlaps
+with the targets are the fidelity numerators and which the swap
+concurrence and readout read.  Readout also reads the herald's populations
+over every magnon occupation, where residual thermal occupation shows up
+outside the sector.  No heralded state is formed.  Readout's passive
+network is simulated for one excitation per magnon, whose phases the sector
+block picks up.
 """
 
 from __future__ import annotations
@@ -282,9 +281,9 @@ def _sector(n: int) -> list[tuple[int, ...]]:
     return [(q1, 1 - q1, q2, 1 - q2)[:n] for q2 in range(n // 2) for q1 in (0, 1)]
 
 
-def _targets(settings: PlanSettings) -> dict[BellId, tuple]:
-    """(raw, corrected) fidelity targets per Bell herald, as coefficients over
-    the states of `_sector`.
+def _overlaps(settings: PlanSettings) -> np.ndarray:
+    """conj(t_s) t_s' of each Bell herald's fidelity target t over the
+    `_sector` states s: the raw targets, then the corrected, (2, ids, S^2).
 
     Teleport targets the transferred qubit alpha |lower> + beta |upper>; the
     even-parity minus herald is corrected by a pi phase on the upper arm,
@@ -293,17 +292,13 @@ def _targets(settings: PlanSettings) -> dict[BellId, tuple]:
     the minus heralds onto their plus partners.
     """
     if settings.protocol == "teleport":
-        t_plus = np.array([settings.alpha, settings.beta])
-        t_minus = np.array([settings.alpha, -settings.beta])
-        return {
-            BellId.PHI_PLUS: (t_plus, t_plus),
-            BellId.PHI_MINUS: (t_plus, t_minus),
-            BellId.PSI_PLUS: (t_plus, t_plus),
-            BellId.PSI_MINUS: (t_plus, t_plus),
-        }
-    r = 1 / np.sqrt(2)
-    bell = ([r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, -r, r, 0])
-    return {b: (np.array(t), np.array(t)) for b, t in zip(BELL_IDS, bell)}
+        plus, minus = [settings.alpha, settings.beta], [settings.alpha, -settings.beta]
+        targets = [[plus] * 4, [plus, minus, plus, plus]]
+    else:
+        r = 1 / np.sqrt(2)
+        targets = [([r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, -r, r, 0])] * 2
+    t = np.array(targets, dtype=complex)
+    return (t.conj()[..., :, None] * t[..., None, :]).reshape(2, len(BELL_IDS), -1)
 
 
 class _Side:
@@ -313,15 +308,12 @@ class _Side:
     in Bell-vector order, magnons, the rest, each group in plan order.  All
     of the side's thermal components go through the elements together, as
     one sparse `fock.Batch` (each holds one drive photon and its magnon
-    occupations, a few entries), one `fock.apply` per element.  The entries
-    are then scattered into `out`: an amplitude vector, little-endian over
-    the registry, is in Fortran order the tensor `out[k]` of thermal
-    component `components[k]`, with axes (analyzer modes, magnons, other
-    modes), each flattened little-endian; `out` is one C-contiguous array.
-    Built for one report (`n_bar` given), a side keeps only its components
-    of nonzero weight, and `kept` indexes them among all of
-    `iter_components`; built for a sweep, it keeps all, and `kept` is the
-    full slice.
+    occupations, a few entries), one `fock.apply` per element.  An entry's
+    registry index is, little-endian, its analyzer state (of `da`), its
+    magnon row (of `dm`) and its other-mode index.  Built for one report
+    (`n_bar` given), a side keeps only its components of nonzero weight, and
+    `kept` indexes them among all of `iter_components`; built for a sweep,
+    it keeps all, and `kept` is the full slice.
     """
 
     def __init__(self, plan: CircuitPlan, decls: list, steps: list[ElementStep],
@@ -345,57 +337,115 @@ class _Side:
             if not len(self.kept):
                 raise ProtocolError("plan produced a zero-mass ensemble")
             self.components = [self.components[k] for k in self.kept]
-        n = len(self.components)
-        _check_entries(n * reg.dimension, f"{n} thermal components on a "
-                       f"{reg.dimension}-dim side need", "amplitudes")
         a = 2 * sum(rank(d) < 2 for d in decls)     # H and V of each analyzer path
         m = a + len(self.magnons)
-        shape = [math.prod(reg.dims[:a]), math.prod(reg.dims[a:m]), math.prod(reg.dims[m:])]
+        self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:m])
+        self.span = reg.dimension // self.da          # magnon rows x other modes
         state = plans.initial_vector(plan, reg, self.components, decls)
         for op in plans.build_elements(plan, reg, steps):
             state = apply(op, state)
-        analyzer, mags, other = np.unravel_index(state.index, shape, order="F")
-        self.out = np.zeros([n] + shape, dtype=complex)
-        self.out[state.component, analyzer, mags, other] = state.amplitudes
-        # the output columns (component, other-mode index) holding amplitude
-        self.live = np.zeros((n, shape[2]), dtype=bool)
-        self.live[state.component, other] = True
+        self.batch = state
 
-    def columns(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Output columns sqrt(w_k) out[k][:, rows, o] as (analyzer, magnon
-        row, column), ordered by o, then k; columns without amplitude (vacuum
-        dump ports, zero weights) dropped.  Only the selected magnon rows of
-        the live columns are gathered, straight into that order."""
-        o, k = np.nonzero((self.live & (w != 0)[:, None]).T)
-        _, da, dm, do = self.out.shape
-        at = (np.arange(da)[:, None, None] * (dm * do) + rows[:, None] * do
-              + k * (da * dm * do) + o)
-        return self.out.ravel()[at] * np.sqrt(w)[k]
+    def factors(self, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The side's herald factors, one row per thermal component k: its
+        squared norm; G[i, j] = sum x_k[states[i], m, o] conj(x_k[states[j],
+        m, o]) over every magnon row m and other-mode index o; and
+        H[(r, i), (r', j)], the same sum over o alone at m = rows[r] and
+        rows[r']; each Gram flattened row-major."""
+        n, ns, width = len(self.components), len(states), len(states) * len(rows)
+        _check_entries(n * (1 + ns * ns + width * width),
+                       f"the herald factors of {n} thermal components need")
+        b = self.batch
+        f = np.zeros((n, 1 + ns * ns + width * width), dtype=complex)
+        f[:, 0] = np.bincount(b.component, b.amplitudes.real ** 2 + b.amplitudes.imag ** 2,
+                              minlength=n)
+        rest, analyzer = np.divmod(b.index, self.da)
+        hit = analyzer[:, None] == states
+        use = hit.any(axis=1)
+        k, rest, slot, amplitudes = (b.component[use], rest[use], hit[use].argmax(axis=1),
+                                     b.amplitudes[use])
+        # one column per (component, magnon row, other modes), kept for `row_grams`
+        self.columns = keys, grams = _column_grams(k * self.span + rest, slot, amplitudes, ns)
+        np.add.at(f[:, 1:1 + ns * ns], keys // self.span, grams)
+        # one column per (component, other modes), over the sector rows
+        other, row = np.divmod(rest, self.dm)
+        hit = row[:, None] == rows
+        use = hit.any(axis=1)
+        span = self.span // self.dm
+        keys, grams = _column_grams(k[use] * span + other[use],
+                                    hit[use].argmax(axis=1) * ns + slot[use], amplitudes[use],
+                                    width)
+        np.add.at(f[:, 1 + ns * ns:], keys // span, grams)
+        return f
+
+    def row_grams(self, w: np.ndarray) -> np.ndarray:
+        """The G of `factors` per magnon row, summed over the components with
+        their weights `w`, (dm, states^2)."""
+        keys, grams = self.columns
+        out = np.zeros((self.dm, grams.shape[1]), dtype=complex)
+        np.add.at(out, keys % self.span % self.dm, w[keys // self.span, None] * grams)
+        return out
+
+
+def _column_grams(key: np.ndarray, slot: np.ndarray, amplitudes: np.ndarray,
+                  width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct column keys, ascending, and each column's v v^H, where
+    entry e puts amplitudes[e] at slot[e] of the vector v of column key[e]."""
+    keys, column = np.unique(key, return_inverse=True)
+    _check_entries(len(keys) * width * width,
+                   f"the Gram matrices of {len(keys)} output columns need")
+    v = np.zeros((len(keys), width), dtype=complex)
+    v[column, slot] = amplitudes
+    return keys, (v[:, :, None] * v[:, None, :].conj()).reshape(len(keys), -1)
+
+
+@cache
+def _join_layout(photon_cutoff: int, da: tuple[int, int],
+                 sectors: tuple[tuple[int, ...], ...]) -> tuple:
+    """How the herald joins two sides whose analyzer parts have `da` states,
+    where `sectors[i][s]` is sector state s's position among side i's
+    distinct sector rows: each side's analyzer states that the Bell vectors
+    use; where a join reads each side's factor row, per Bell id, quantity
+    and pair (t, u) of its terms c_t |a_t>|b_t> (quantity 0, the mass, reads
+    G[a_t, a_u]; quantity 1 + S s + s', the sector block's entry (s, s'),
+    reads H[(row of s, a_t), (row of s', a_u)]); and the coefficients
+    conj(c_t) c_u.  Read-only, as circuits share them."""
+    analyzer = ModeRegistry([optical(p, pol) for p in "12" for pol in "HV"],
+                            [photon_cutoff] * 4)
+    _, bell_vecs = measurement.bell_state_vectors(analyzer, "1", "2")
+    bell = np.array([bell_vecs[b].reshape(da, order="F") for b in BELL_IDS])
+    ids, *terms = np.nonzero(bell)
+    c = bell[(ids, *terms)].reshape(len(BELL_IDS), -1)
+    states, index = [], []
+    for on_side, q in zip(terms, map(np.array, sectors)):
+        used, slots = np.unique(on_side, return_inverse=True)
+        ns, t = len(used), slots.reshape(c.shape)[:, None, None, :, None]
+        u, r, r2 = t.swapaxes(-1, -2), q[:, None, None, None], q[:, None, None]
+        block = 1 + ns * ns + (r * ns + t) * (ns * (q.max() + 1)) + r2 * ns + u
+        states.append(used)
+        index.append(np.concatenate([(1 + t * ns + u).reshape(len(c), 1, -1),
+                                     block.reshape(len(c), len(q) ** 2, -1)], axis=1))
+    coefficients = (c.conj()[:, :, None] * c[:, None, :]).reshape(len(c), 1, -1)
+    for array in (*states, *index, coefficients):
+        array.setflags(write=False)
+    return tuple(states), tuple(index), coefficients
 
 
 class _Circuit:
     """A plan split at the Bell analyzer, its sides run one at a time.
 
     The elements never act across the two sides (`plans.split_sides`), so
-    each side's thermal components are propagated, as one batch, on a
-    registry of that side's declarations alone, and the joint state of a
-    component pair is the product of the two sides' outputs.  No registry or
-    amplitude array over the whole plan is ever formed.  The sides meet only
-    in the herald: `tables` contracts both outputs with the Bell vectors and
-    fidelity targets into per-pair tables T, and every report or sweep point
-    sums W_ij T_ij over the pairs' thermal weights (`weights`).
-
-    The heralded magnon states are read through one contraction,
-    `conditional`, of both sides' weighted columns at the rows of a list of
-    magnon states (`_side_rows`); the targets and the swap concurrence live
-    in the dual-rail sector (`_sector`), whose rows on side i are `rows[i]`.
-    With `n_bar` the circuit serves one report at that occupation and
-    propagates only components of nonzero weight; without, it keeps every
-    thermal component, for a sweep.
+    the joint state of a component pair is the product of the two sides'
+    outputs, and every herald quantity (`join`) is a sum, over pairs (t, u)
+    of a Bell vector's terms c_t |a_t>|b_t>, of conj(c_t) c_u times one
+    entry of each side's factors (`_Side.factors`) weighted by that side's
+    own thermal weights (`weights`).  With `n_bar` the circuit serves one
+    report at that occupation and propagates only components of nonzero
+    weight; without, it keeps every thermal component, for a sweep.
     """
 
     def __init__(self, plan: CircuitPlan, n_bar: float | None = None):
-        self.plan = plan
+        self.plan, self.n_bar = plan, n_bar
         s = plan.settings
         magnons = plan.magnon_decls()
         need = 2 if s.protocol == "teleport" else 4
@@ -404,170 +454,98 @@ class _Circuit:
                                 f"found {len(magnons)}")
         self.sides = [_Side(plan, decls, steps, n_bar)
                       for decls, steps in plans.split_sides(plan)]
-        x, y = (side.out for side in self.sides)
-        paths = (plan.measure.path1, plan.measure.path2)
-        analyzer = ModeRegistry([optical(p, pol) for p in paths for pol in "HV"],
-                                [s.photon_cutoff] * 4)
-        _, bell_vecs = measurement.bell_state_vectors(analyzer, *paths)
-        self.bell = {b: v.reshape(x.shape[1], y.shape[1], order="F")
-                     for b, v in bell_vecs.items()}
-        self.rows = self._side_rows(np.array(_sector(need)))
-        self.targets = _targets(s)
+        # each side's magnon row of each sector state: little-endian over the
+        # side's own magnons, so a magnon's stride is 0 on the other side
+        dm = s.thermal_cutoff + 2
+        self.rows = [np.array(_sector(need)) @ [dm ** side.magnons.index(d)
+                                                if d in side.magnons else 0
+                                                for d in magnons] for side in self.sides]
+        sector_rows = [np.unique(r, return_inverse=True) for r in self.rows]
+        self.states, self.index, self.coefficients = _join_layout(
+            s.photon_cutoff, tuple(side.da for side in self.sides),
+            tuple(tuple(q.tolist()) for _, q in sector_rows))
+        self.factors = [side.factors(st, r) for side, st, (r, _)
+                        in zip(self.sides, self.states, sector_rows)]
+        self.overlap = _overlaps(s)
 
-    def _side_rows(self, occs: np.ndarray) -> list[np.ndarray]:
-        """Each side's magnon row of the occupations `occs`, (states, magnons)
-        in declaration order: little-endian over the side's own magnons, so
-        a magnon's stride is 0 on the other side."""
-        magnons, dm = self.plan.magnon_decls(), self.plan.settings.thermal_cutoff + 2
-        return [occs @ [dm ** side.magnons.index(d) if d in side.magnons else 0
-                        for d in magnons] for side in self.sides]
+    def weights(self, grid) -> list[np.ndarray]:
+        """Each side's component weights at the shared occupations `grid`,
+        (points, n1) and (points, n2).  A report's sides select their kept
+        components; a sweep's take the full slice, so nothing is copied."""
+        return [plans.component_weight(self.plan, grid, side.magnons)[:, side.kept]
+                for side in self.sides]
 
-    def weights(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thermal weights at the shared occupations `grid`: side 1's and side
-        2's component weights, (points, n1) and (points, n2), and the
-        component pairs' weights, (points, n1, n2).
+    def join(self, w1: np.ndarray, w2: np.ndarray) -> tuple:
+        """The herald at side weights w1 and w2 over a grid of points: per
+        Bell id, its (probability, raw fidelity, corrected fidelity) at each
+        point; each herald's mass, (points, ids); and its dual-rail sector
+        block, (points, ids, S, S), whose overlap t^H block t with a target t
+        is that fidelity's numerator.  Every sum runs over one point's own
+        terms in a fixed order (the weighting sums the components in turn),
+        so a point's results do not depend on the other points, to the last
+        bit."""
+        x, y = (np.einsum("pk,kf->pf", w, f.view(float)).view(complex)
+                for w, f in zip((w1, w2), self.factors))
+        (ix, iy), c = self.index, self.coefficients
+        q = 0.0
+        for tu in range(ix.shape[-1]):      # added elementwise, one pair at a time
+            term = x[:, ix[..., tu]]
+            term *= y[:, iy[..., tu]]
+            term *= c[..., tu]
+            q = q + term
+        norm, masses, blocks = x[:, 0].real * y[:, 0].real, q[:, :, 0].real, q[:, :, 1:]
+        if np.any(norm <= 0.0):
+            raise ProtocolError("plan produced a zero-mass ensemble")
+        reach = masses > constants.UNREACHABLE_PROBABILITY
+        safe = np.where(reach, masses, 1.0)
+        raw, corrected = (np.where(reach, (blocks * o).sum(axis=-1).real / safe, 0.0)
+                          for o in self.overlap)
+        heralds = list(zip((masses / norm[:, None]).T, raw.T, corrected.T))
+        states = len(self.rows[0])
+        return heralds, masses, blocks.reshape(len(q), len(BELL_IDS), states, states)
 
-        A pair's weight continues side 1's product over side 2's magnons, so
-        it is the joint component's product, factor for factor.  A report's
-        sides select their kept components; a sweep's take the full slice,
-        so nothing is copied.
-        """
-        (s1, s2), points = self.sides, len(grid)
-        w1 = plans.component_weight(self.plan, grid, s1.magnons)
-        w2 = plans.component_weight(self.plan, grid, s2.magnons)
-        pairs = plans.component_weight(self.plan, grid, s2.magnons, weight=w1)
-        pairs = pairs.reshape(points, w1.shape[1], w2.shape[1])
-        return w1[:, s1.kept], w2[:, s2.kept], pairs[:, s1.kept][:, :, s2.kept]
+    @cached_property
+    def row_grams(self) -> list[np.ndarray]:
+        """Each side's `_Side.row_grams` at the report's weights, shared by
+        its heralds; refused with the populations they give above
+        MAX_ARRAY_ENTRIES before any is formed."""
+        d = (self.plan.settings.thermal_cutoff + 2) ** len(self.plan.magnon_decls())
+        _check_entries(d + sum(side.dm * len(st) ** 2
+                               for side, st in zip(self.sides, self.states)),
+                       f"the populations of a herald over {d} magnon levels need")
+        return [side.row_grams(w[0])
+                for side, w in zip(self.sides, self.weights([self.n_bar]))]
 
-    def tables(self) -> np.ndarray:
-        """(13, n1, n2) herald table over the component pairs (i, j).
-
-        Row 0 is the pair's squared norm; rows 1 + 3k, 2 + 3k and 3 + 3k are
-        the herald mass and the raw and corrected fidelity numerators of
-        Bell id `BELL_IDS[k]`.  The herald mass needs each side's full Gram
-        trace, but every fidelity target lies in the dual-rail sector, so the
-        numerators contract only the sector's magnon rows.
-        """
-        x, y = (side.out for side in self.sides)
-        (n1, da, dm1, do1), (n2, db, dm2, do2) = x.shape, y.shape
-        pairs = f"over {n1} x {n2} component pairs needs"
-        _check_entries(n1 * do1 * n2 * do2, f"a fidelity overlap {pairs}", "entries")
-        _check_entries((1 + 3 * len(BELL_IDS)) * n1 * n2, f"a herald table {pairs}",
-                       "entries")
-        # analyzer-mode Gram matrix of each component, (n, d, d), formed one
-        # component at a time so that no conjugate of a whole stack is held
-        gx, gy = (np.stack([c @ c.conj().T for c in r])
-                  for r in (x.reshape(n1, da, -1), y.reshape(n2, db, -1)))
-        rows = [np.outer(np.trace(gx, axis1=1, axis2=2).real,
-                         np.trace(gy, axis1=1, axis2=2).real)]
-        # each side's distinct sector rows, ascending, and each sector
-        # state's position among them
-        (s1, q1), (s2, q2) = (np.unique(r, return_inverse=True) for r in self.rows)
-        xf = x[:, :, s1].reshape(n1, da * len(s1), do1).transpose(0, 2, 1)  # (i, o1, (a m1))
-        yf = y[:, :, s2].reshape(n2, db * len(s2), do2).transpose(1, 0, 2).reshape(
-            db * len(s2), -1)
-        for bell_id in BELL_IDS:
-            b = self.bell[bell_id]
-            # sum_abcd gx[i,a,c] conj(B[a,b]) gy[j,b,d] B[c,d]
-            e = (b.conj() @ gy @ b.T).reshape(n2, -1)
-            rows.append((gx.reshape(n1, -1) @ e.T).real)
-            for coefficients in self.targets[bell_id]:
-                # overlap of the pair's conditional state with the target
-                t = np.zeros((len(s1), len(s2)), dtype=complex)
-                t[q1, q2] = coefficients
-                k = np.multiply.outer(b, t).transpose(0, 2, 1, 3)
-                k = k.reshape(da * len(s1), db * len(s2)).conj()
-                amp = (xf @ k).reshape(n1 * do1, -1) @ yf
-                amp = amp.reshape(n1, do1, n2, do2)
-                rows.append((amp.real ** 2 + amp.imag ** 2).sum(axis=(1, 3)))
-        return np.stack(rows)
-
-    def conditional(self, bell_id: BellId, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Conditional columns of `bell_id` over a list of magnon states,
-        (states, k1 k2), from side 1's and side 2's weighted columns at each
-        state's row, (da, states, k1) and (db, states, k2): a state's column
-        over the pairs (p, q) is sum_ab conj(B[a, b]) xs[a, :, p] ys[b, :, q].
-        """
-        v = np.tensordot(self.bell[bell_id].conj(), ys, axes=(1, 0))
-        return np.einsum("akp,akq->kqp", xs, v).reshape(xs.shape[1], -1)
-
-    @staticmethod
-    def block(cols: np.ndarray, mass: float) -> np.ndarray:
-        """Heralded magnon block over the states of the conditional columns
-        `cols`: their Gram matrix over the herald mass, made Hermitian."""
-        block = cols @ cols.conj().T
-        block /= mass
-        block += block.conj().T
-        block *= 0.5
-        return block
-
-    def concurrences(self, w1: np.ndarray, w2: np.ndarray,
-                     masses: list[float]) -> list[float | None]:
-        """Dual-rail concurrence per Bell id of the mixture with side weights
-        w1, w2 (None where the herald mass is unreachable): the spin-flip
-        concurrence of the `block` over the dual-rail sector, which keeps
-        its sector weight, so leakage out of the sector lowers it."""
-        xs, ys = (side.columns(w, rows)
-                  for side, w, rows in zip(self.sides, (w1, w2), self.rows))
-        return [None if mass <= constants.UNREACHABLE_PROBABILITY else
-                _spin_flip_concurrence(self.block(self.conditional(b, xs, ys), mass))
-                for b, mass in zip(BELL_IDS, masses)]
-
-    def post_columns(self, w1: np.ndarray, w2: np.ndarray) -> list[np.ndarray]:
-        """Both sides' weighted columns at each of the (c+2)^n magnon
-        occupations, little-endian in declaration order.  These and their
-        conditional columns are refused together above MAX_ARRAY_ENTRIES
-        entries, before any of them is formed."""
-        magnons, dm = self.plan.magnon_decls(), self.plan.settings.thermal_cutoff + 2
-        d = dm ** len(magnons)
-        (da, k1), (db, k2) = ((side.out.shape[1], np.count_nonzero(side.live[w != 0]))
-                              for side, w in zip(self.sides, (w1, w2)))
-        _check_entries(d * (k1 * k2 + da * k1 + db * k2), f"the columns of a herald's "
-                       f"populations over {d} magnon levels need", "entries")
-        occs = np.array(np.unravel_index(np.arange(d), [dm] * len(magnons), order="F")).T
-        return [side.columns(w, rows) for side, w, rows
-                in zip(self.sides, (w1, w2), self._side_rows(occs))]
+    def populations(self, k: int) -> np.ndarray:
+        """Unnormalized populations of the herald `BELL_IDS[k]` over the
+        occupations of the plan's magnons, indexed in declaration order:
+        sum_tu conj(c_t) c_u Px[m1][a_t, a_u] Py[m2][b_t, b_u] over the
+        `row_grams` Px and Py."""
+        (px, py), (ix, iy) = self.row_grams, (i[k, 0] - 1 for i in self.index)
+        pops = 0.0
+        for i, j, c in zip(ix, iy, self.coefficients[k, 0]):
+            pops = pops + c * np.multiply.outer(px[:, i], py[:, j])
+        order = [m for side in self.sides for m in side.magnons]
+        levels = [self.plan.settings.thermal_cutoff + 2] * len(order)
+        return pops.real.reshape(levels, order="F").transpose(
+            [order.index(d) for d in self.plan.magnon_decls()])
 
 
-def _check_entries(entries: int, need: str, unit: str) -> None:
+def _check_entries(entries: int, need: str) -> None:
     """Refuse an array of more than MAX_ARRAY_ENTRIES entries before it is
     allocated; `need` says what needs them."""
     if entries > constants.MAX_ARRAY_ENTRIES:
-        raise ProtocolError(f"{need} {entries} {unit}, above the limit "
+        raise ProtocolError(f"{need} {entries} entries, above the limit "
                             f"{constants.MAX_ARRAY_ENTRIES}")
 
 
-def _pair_sums(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_ij w_ij T_ij for every table row, over pair weights (..., n1, n2).
-
-    The sum runs sequentially in joint component order (side 1's component
-    the slower index), so each total is the one a loop over the joint
-    thermal components accumulates, to the last bit.  Every row's running
-    sum is formed in the same buffer, one array the size of the weights.
-    """
-    w = weights.reshape(weights.shape[:-2] + (-1,))
-    running = np.empty_like(w)
-    sums = np.empty(w.shape[:-1] + (len(tables),))
-    for k, row in enumerate(tables):
-        np.cumsum(np.multiply(w, row.ravel(), out=running), axis=-1, out=running)
-        sums[..., k] = running[..., -1]
-    return sums
-
-
-def _heralds(sums: np.ndarray) -> list[tuple]:
-    """(probability, raw fidelity, corrected fidelity) per Bell id, from
-    weighted table sums; works elementwise over any leading grid axes."""
-    total = sums[..., 0]
-    if np.any(total <= 0.0):
-        raise ProtocolError("plan produced a zero-mass ensemble")
-    out = []
-    for k in range(len(BELL_IDS)):
-        mass, raw, corr = (sums[..., 1 + 3 * k + r] for r in range(3))
-        reach = mass > constants.UNREACHABLE_PROBABILITY
-        safe = np.where(reach, mass, 1.0)
-        out.append((mass / total, np.where(reach, raw / safe, 0.0),
-                    np.where(reach, corr / safe, 0.0)))
-    return out
+def _sector_block(block: np.ndarray, mass: float) -> np.ndarray:
+    """A herald's magnon block over the dual-rail sector: its joined sector
+    block over the herald mass, made Hermitian."""
+    block = block / mass
+    block += block.conj().T
+    block *= 0.5
+    return block
 
 
 def _included(settings: PlanSettings) -> list[bool]:
@@ -598,32 +576,26 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
     settings = plan.settings
     n_bar = settings.n_bar
     circuit = _Circuit(plan, n_bar)
-    (w1,), (w2,), pairs = circuit.weights([n_bar])
-    sums = _pair_sums(circuit.tables(), pairs)[0]
-    heralds = _heralds(sums)
+    heralds, (masses,), (blocks,) = circuit.join(*circuit.weights([n_bar]))
     included = _included(settings)
-    masses = [float(sums[1 + 3 * k]) for k in range(len(BELL_IDS))]
-    concurrences = (circuit.concurrences(w1, w2, masses) if settings.protocol == "swap"
-                    else [None] * len(BELL_IDS))
-    post_columns = cache(lambda: circuit.post_columns(w1, w2))
+    concurrences = [None if settings.protocol != "swap"
+                    or mass <= constants.UNREACHABLE_PROBABILITY
+                    else _spin_flip_concurrence(_sector_block(block, mass))
+                    for block, mass in zip(blocks, masses)]
 
     def sector(k: int) -> HeraldedSector | None:
         bell_id, mass = BELL_IDS[k], masses[k]
         if mass <= constants.UNREACHABLE_PROBABILITY:
             return None
-        cols = circuit.conditional(bell_id, *post_columns())
-        pops = (cols.real ** 2 + cols.imag ** 2).sum(axis=1) / mass
+        pops = circuit.populations(k) / mass
         if not abs(pops.sum() - 1.0) <= constants.TRACE_TOL:
             raise ProtocolError(f"{bell_id.value} populations sum to {pops.sum()!r}")
         paths = tuple(d.path for d in plan.magnon_decls())
-        levels = [settings.thermal_cutoff + 2] * len(paths)
-        rows = np.ravel_multi_index(np.array(_sector(len(paths))).T, levels, order="F")
-        return HeraldedSector(paths, circuit.block(cols[rows], mass),
-                              pops.reshape(levels, order="F"))
+        return HeraldedSector(paths, _sector_block(blocks[k], mass), pops)
 
     outcomes = []
     for k, bell_id in enumerate(BELL_IDS):
-        p, f_raw, f_corr = (float(v) for v in heralds[k])
+        p, f_raw, f_corr = (float(v[0]) for v in heralds[k])
         even = bell_id in (BellId.PHI_PLUS, BellId.PHI_MINUS)
         outcomes.append(OutcomeReport(
             outcome=bell_id,
@@ -637,7 +609,7 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
         ))
 
     no_herald = _no_herald(sum(o.probability for o in outcomes))
-    aggregate = float(_aggregate(heralds, included))
+    aggregate = float(_aggregate(heralds, included)[0])
 
     if settings.protocol == "teleport":
         value, full = closed_form_f1(n_bar), full_thermal_f1(n_bar)
@@ -833,8 +805,7 @@ def retrieved_qubit_fidelity(result: ReadoutResult, q: InputQubit) -> float:
 # ---------------------------------------------------------------------------
 # sweeps and entanglement quantifier
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n_bar: float
     simulated: float
     closed_form: float
@@ -845,17 +816,18 @@ DEFAULT_SWEEP_QUBIT = InputQubit(complex(1 / np.sqrt(2)), complex(1 / np.sqrt(2)
 
 
 def check_sweep_size(protocol: str, points: int, cutoff: int) -> None:
-    """Refuse a sweep whose pair-weight array would be too large.
+    """Refuse a sweep that would form too many thermal weights.
 
-    A sweep holds one weight per grid point and joint thermal component
-    ((cutoff + 1) per thermal magnon: 2 for teleport, 4 for swap); the check
-    needs only the sizes, so it runs before the grid is formed.
+    A sweep weights each side's thermal components at every grid point:
+    (cutoff + 1)^2 for each interferometer, and one for a teleport's input
+    photon.  The check needs only the sizes, so it runs before the grid is
+    formed.
     """
     if protocol not in plans.PROTOCOLS:
         raise ProtocolError(f"unknown sweep protocol {protocol!r}")
-    size = points * (cutoff + 1) ** (2 if protocol == "teleport" else 4)
+    size = points * ((cutoff + 1) ** 2 + 1 if protocol == "teleport" else 2 * (cutoff + 1) ** 2)
     if size > constants.MAX_SWEEP_WEIGHTS:
-        raise ProtocolError(f"sweep of {points} points needs {size} pair weights, "
+        raise ProtocolError(f"sweep of {points} points needs {size} thermal weights, "
                             f"above the limit {constants.MAX_SWEEP_WEIGHTS}")
 
 
@@ -866,8 +838,9 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
 
     `grid` is a sequence of occupations, its length checked by
     `check_sweep_size` before anything is formed.  The circuit is propagated
-    once (conditional amplitudes are independent of n_bar); the pair weights
-    of the whole grid, one matrix, then reweight the herald tables.
+    once (its side outputs do not depend on n_bar); each side's
+    factors are then weighted and joined over a slice of the grid at a time,
+    whose largest array holds at most SWEEP_SLICE entries.
     """
     cfg = cfg or ThermalConfig()
     qubit = qubit or DEFAULT_SWEEP_QUBIT
@@ -884,9 +857,13 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
         plan = swap_plan(ThermalConfig(0.0, cfg.cutoff, cfg.renormalize), model)
         closed = closed_form_f2
     circuit = _Circuit(plan)
-    sums = _pair_sums(circuit.tables(), circuit.weights(grid)[2])
-    simulated = _aggregate(_heralds(sums), _included(plan.settings))
-    return [SweepRow(g, float(sim), c, abs(float(sim) - c))
+    included = _included(plan.settings)
+    simulated = []
+    step = max(1, constants.SWEEP_SLICE // circuit.index[0][..., 0].size)
+    for start in range(0, len(grid), step):
+        heralds, _, _ = circuit.join(*circuit.weights(grid[start:start + step]))
+        simulated += _aggregate(heralds, included).tolist()
+    return [SweepRow(g, sim, c, abs(sim - c))
             for g, sim, c in zip(grid, simulated, map(closed, grid))]
 
 

@@ -1,10 +1,14 @@
 """Digests of the CLI's output over a fixed grid of commands.
 
     PYTHONPATH=src python tests/command_grid.py > grid.txt
+    PYTHONPATH=src python tests/command_grid.py --full > grid.jsonl
 
 Each line holds the sha256 of a command's stdout, the sha256 of its stderr,
 its exit code and the command.  Running it on two checkouts and diffing the
-files shows every command whose output changed.  The grid covers `teleport`
+files shows every command whose output changed.  With `--full` each line is
+instead one JSON object holding the command, its exit code and its whole
+stdout and stderr, so that the fields that changed can be listed from the
+same two runs.  The grid covers `teleport`
 and `swap` at thermal cutoffs 1-3 in both scattering models, with and
 without renormalized weights, at six occupations up to 1e308; 37-point JSON
 sweeps and 61- and 601-point CSV sweeps of both protocols; `readout` at
@@ -13,9 +17,10 @@ off x three qubit flag sets (the default qubit, `--alpha`/`--beta` and
 `--theta`/`--phi`), and at cutoff 8 in both models; `run` on both shipped circuits; and a
 few large cutoffs and refusals.  Among these, `readout --n-bar 0` runs at
 cutoffs 9, 20, 43, 44, 60, 254 (the largest side under MAX_DIMENSION) and
-255, and `readout --n-bar 0.1` at cutoffs 9, 21 and 22 (the first side
-over MAX_ARRAY_ENTRIES).  The commands run in this one process through
-`cli.main`.
+255, `readout --n-bar 0.1` at cutoffs 9, 21 and 22, `swap --n-bar 0.2` at
+cutoffs 40, 254 and 255, `teleport --n-bar 0.2` at cutoff 254, and a
+cutoff-12 swap sweep just inside and just past MAX_SWEEP_WEIGHTS.  The
+commands run in this one process through `cli.main`.
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
 from omxsim import cli
+from omxsim.constants import MAX_SWEEP_WEIGHTS
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 MODELS = ("paper", "bosonic")
@@ -66,6 +73,12 @@ def commands() -> list[list[str]]:
     grid += [["swap", "--n-bar", "0.2", "--cutoff", "6"],
              ["teleport", "--n-bar", "0.2", "--cutoff", "12"],
              ["swap", "--n-bar", "0.2", "--cutoff", "22"]]
+    grid += [["swap", "--n-bar", "0.2", "--cutoff", str(cutoff)] for cutoff in (40, 254, 255)]
+    grid.append(["teleport", "--n-bar", "0.2", "--cutoff", "254"])
+    # a cutoff-12 swap point weights 2 x 13**2 thermal components
+    steps = MAX_SWEEP_WEIGHTS // (2 * 13 ** 2)
+    grid += [["sweep", "--protocol", "swap", "--from", "0", "--to", "0.3", "--steps",
+              str(points), "--cutoff", "12"] for points in (steps, steps + 1)]
     grid += [["readout", "--n-bar", "0", "--cutoff", str(cutoff)]
              for cutoff in (9, 20, 43, 44, 60, 254, 255)]
     grid += [["readout", "--n-bar", "0.1", "--cutoff", str(cutoff)]
@@ -73,16 +86,28 @@ def commands() -> list[list[str]]:
     return grid
 
 
-def digest(argv: list[str]) -> str:
+def _run(argv: list[str]) -> tuple[int, str, str, list[str]]:
+    """Exit code, stdout and stderr of one command, and the command with
+    its circuit paths, which differ between checkouts, shown by name."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
-    # the circuit paths differ between checkouts; print them by name
     shown = [Path(a).name if a.endswith(".omx") else a for a in argv]
+    return code, out.getvalue(), err.getvalue(), shown
+
+
+def digest(argv: list[str]) -> str:
+    code, out, err, shown = _run(argv)
+    sha = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
     return f"{sha[0]} {sha[1]} {code} {' '.join(shown)}"
 
 
+def full(argv: list[str]) -> str:
+    code, out, err, shown = _run(argv)
+    return json.dumps({"argv": shown, "code": code, "stdout": out, "stderr": err})
+
+
 if __name__ == "__main__":
+    line = full if sys.argv[1:] == ["--full"] else digest
     for argv in commands():
-        sys.stdout.write(digest(argv) + "\n")
+        sys.stdout.write(line(argv) + "\n")

@@ -11,7 +11,6 @@ import pytest
 import command_grid
 from omxsim import cli
 from omxsim.constants import (
-    MAX_ARRAY_ENTRIES,
     MAX_DIMENSION,
     MAX_SAMPLES,
     MAX_SWEEP_WEIGHTS,
@@ -192,17 +191,20 @@ def test_oversized_sweep_grid_exits_2_before_allocating(capsys):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
+    # each point weights both interferometers' 9 thermal components
     assert err == ("omxsim: simulation error: sweep of 1000000000000 points needs "
-                   f"81000000000000 pair weights, above the limit {MAX_SWEEP_WEIGHTS}\n")
+                   f"18000000000000 thermal weights, above the limit {MAX_SWEEP_WEIGHTS}\n")
     assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("argv", [
-    ("teleport", "--n-bar", "0.1", "--cutoff", "126"),
+    ("teleport", "--n-bar", "0.1", "--cutoff", "255"),
     ("sweep", "--protocol", "teleport", "--from", "0.1", "--to", "0.1",
-     "--steps", "1", "--cutoff", "126"),
+     "--steps", "1", "--cutoff", "255"),
 ])
 def test_oversized_side_exits_2_before_allocating(capsys, argv):
+    # the interferometer's side registry, 16 * 257**2 dimensions, exceeds
+    # MAX_DIMENSION: its 65,536 thermal components are never propagated
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, *argv)
@@ -211,33 +213,32 @@ def test_oversized_side_exits_2_before_allocating(capsys, argv):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert err == ("omxsim: simulation error: 16129 thermal components on a "
-                   "262144-dim side need 4228120576 amplitudes, above the limit "
-                   f"{MAX_ARRAY_ENTRIES}\n")
+    assert err == ("omxsim: simulation error: registry dimension exceeds hard limit "
+                   f"{MAX_DIMENSION}\n")
     assert peak < 16 << 20
 
 
 def test_oversized_swap_side_exits_2_before_allocating(capsys):
-    # each interferometer is its own 16 * 24**2-dim side with 23**2 components
+    # each interferometer is its own 16 * 257**2-dim side, above MAX_DIMENSION
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, "swap", "--n-bar", "0.2", "--cutoff", "22")
+        code, out, err = run_cli(capsys, "swap", "--n-bar", "0.2", "--cutoff", "255")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert err == ("omxsim: simulation error: 529 thermal components on a "
-                   "9216-dim side need 4875264 amplitudes, above the limit "
-                   f"{MAX_ARRAY_ENTRIES}\n")
+    assert err == ("omxsim: simulation error: registry dimension exceeds hard limit "
+                   f"{MAX_DIMENSION}\n")
     assert peak < 1 << 20
 
 
-def test_oversized_herald_overlap_exits_2_before_allocating(monkeypatch, tmp_path,
+def test_oversized_herald_factors_exit_2_before_allocating(monkeypatch, tmp_path,
                                                            capsys):
     # an extra photon coupled into each interferometer widens both sides'
-    # dump ports: each side holds 4 components x 2304 amplitudes, but a
-    # fidelity overlap spans the 4 x 4 component pairs' 16 x 16 port states
+    # dump ports, yet each side still enters the herald through one factor
+    # row per thermal component: its norm, its 2 x 2 analyzer Gram and its
+    # 4 x 4 sector Gram, 21 entries for each of 4 components
     source = (CIRCUITS / "swap.omx").read_text()
     source = source.replace("set thermal_cutoff = 2", "set thermal_cutoff = 1")
     source = source.replace("measure bell(B, D)", "mode photon E\nmode photon F\n"
@@ -246,23 +247,19 @@ def test_oversized_herald_overlap_exits_2_before_allocating(monkeypatch, tmp_pat
     path = tmp_path / "wide.omx"
     path.write_text(source)
     assert run_cli(capsys, "run", str(path))[0] == 0
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 3000)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 83)
     code, out, err = run_cli(capsys, "run", str(path))
     assert code == 2
     assert out == ""
-    assert err == ("omxsim: simulation error: a fidelity overlap over 4 x 4 component "
-                   "pairs needs 4096 entries, above the limit 3000\n")
+    assert err == ("omxsim: simulation error: the herald factors of 4 thermal "
+                   "components need 84 entries, above the limit 83\n")
 
 
 @pytest.mark.parametrize("argv, message", [
     # the side registry, 16 * 257**2 dimensions, exceeds MAX_DIMENSION
     (("readout", "--n-bar", "0", "--cutoff", "255"),
      f"registry dimension exceeds hard limit {MAX_DIMENSION}"),
-    # 23**2 components of a 16 * 24**2-dim side exceed MAX_ARRAY_ENTRIES
-    (("readout", "--n-bar", "0.2", "--cutoff", "22"),
-     "529 thermal components on a 9216-dim side need 4875264 amplitudes, above "
-     f"the limit {MAX_ARRAY_ENTRIES}"),
-], ids=["cutoff-255", "n-bar-0.2-cutoff-22"])
+], ids=["cutoff-255"])
 def test_readout_beyond_its_side_limits_exits_2_before_allocating(capsys, argv, message):
     tracemalloc.start()
     try:
@@ -310,18 +307,44 @@ def test_readout_runs_to_the_side_registry_limit(capsys):
 
 
 def test_large_teleport_holds_its_side_stack_about_once(capsys):
-    # 441 components x 7,744 amplitudes: a 52.1 MiB stack, written in place;
-    # the herald tables conjugate one component at a time, so the peak
-    # (53.4 MiB measured) stays near the stack alone
-    assert _traced_peak(capsys, "teleport", "--n-bar", "0.1", "--cutoff", "20") < 60 << 20
+    # 441 components x 7,744 amplitudes would be a 52.1 MiB side stack; the
+    # side is held as its batch entries and reduced to herald factors, so
+    # none is formed (0.7 MiB measured)
+    assert _traced_peak(capsys, "teleport", "--n-bar", "0.1", "--cutoff", "20") < 16 << 20
 
 
-def test_sweep_at_the_size_limit_peaks_at_two_pair_weight_arrays(capsys):
-    # 51,780 points x 81 pairs: 33.5 MB of pair weights plus one running sum
-    # of their size; a third such array alive at once would pass 100 MiB
-    steps = MAX_SWEEP_WEIGHTS // 81
-    assert _traced_peak(capsys, "sweep", "--protocol", "swap", "--from", "0", "--to",
-                        "0.3", "--steps", str(steps)) < 80 << 20
+@pytest.mark.parametrize("argv, bound", [
+    # a 9,216-dim side's 529 components in a dense stack took 271 MiB here
+    (("swap", "--n-bar", "0.2", "--cutoff", "21"), 16 << 20),
+    (("swap", "--n-bar", "0.2", "--cutoff", "40"), 32 << 20),
+    # every magnon occupation's weighted columns took 141 MiB here
+    (("readout", "--n-bar", "0.1", "--cutoff", "21"), 16 << 20),
+    (("readout", "--n-bar", "0.2", "--cutoff", "22"), 16 << 20),
+], ids=["swap-21", "swap-40", "readout-21", "readout-22"])
+def test_large_cutoffs_run_from_the_herald_factors(capsys, argv, bound):
+    assert _traced_peak(capsys, *argv) < bound
+
+
+def test_swap_runs_to_the_side_registry_limit(capsys):
+    # cutoff 254: each side registry, 16 * 256**2 dimensions, is MAX_DIMENSION
+    code, out, err = run_cli(capsys, "swap", "--n-bar", "0.2", "--cutoff", "254")
+    assert (code, err) == (0, "")
+    s = 0.2 / 1.2
+    assert json.loads(out)["aggregate_fidelity"] == pytest.approx(
+        ((1 - s) / (1 - s ** 255)) ** 4, abs=1e-12)
+
+
+def test_sweep_at_the_size_limit_stays_small(capsys):
+    # 12,409 points x 2 x 169 thermal weights at cutoff 12, joined a slice of
+    # the grid at a time (5.2 MiB measured); one point more exits 2
+    steps = MAX_SWEEP_WEIGHTS // 338
+    argv = ["sweep", "--protocol", "swap", "--from", "0", "--to", "0.3", "--cutoff", "12"]
+    assert _traced_peak(capsys, *argv, "--steps", str(steps)) < 32 << 20
+    code, out, err = run_cli(capsys, *argv, "--steps", str(steps + 1))
+    assert (code, out) == (2, "")
+    assert err == (f"omxsim: simulation error: sweep of {steps + 1} points needs "
+                   f"{(steps + 1) * 338} thermal weights, above the limit "
+                   f"{MAX_SWEEP_WEIGHTS}\n")
 
 
 # ---------------------------------------------------------------------------

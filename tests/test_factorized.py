@@ -122,7 +122,12 @@ def test_circuit_joining_both_interferometers_runs_as_one_side():
     joined = source.replace("measure bell(B, D)", "apply bs50(B.V, D.V)\nmeasure bell(B, D)")
     plan = dsl.compile_source(joined)
     circuit = protocols._Circuit(plan)
-    assert circuit.sides[1].out.shape == (1, 1, 1, 1)     # empty second side
+    # the second side is empty: one component on one analyzer state; the
+    # Bell vectors use four of the first side's joint analyzer states
+    second = circuit.sides[1]
+    assert (len(second.components), second.da, second.dm) == (1, 1, 1)
+    assert [len(states) for states in circuit.states] == [4, 1]
+    assert [f.shape[1] for f in circuit.factors] == [1 + 4 ** 2 + (4 * 4) ** 2, 1 + 1 + 1]
     assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
 
 
@@ -144,9 +149,9 @@ def test_interleaved_magnon_declarations_match_dense_oracle():
     circuit = protocols._Circuit(plan)
     assert [[d.path for d in side.magnons] for side in circuit.sides] == [
         ["mA", "mB"], ["mC", "mD"]]
-    # one excitation on mC, the second declared magnon, is side 2's row 1
-    rows = circuit._side_rows(np.array([[0, 1, 0, 0]]))
-    assert [r.tolist() for r in rows] == [[0], [1]]
+    # the sector pairs (mA, mC) and (mB, mD): state q1 + 2 q2 puts q1 on mA,
+    # 1 - q1 on mC, and so on, so each side's row counts both qubits
+    assert [r.tolist() for r in circuit.rows] == [[0, 1, 3, 4], [4, 3, 1, 0]]
     assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
 
 
@@ -196,24 +201,39 @@ def test_sweep_points_match_dense_reports(protocol):
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
-def test_pair_weights_are_the_joint_components_weights_bit_for_bit(cutoff):
-    # side 1 holds magnons A and B, side 2 holds C and D, so pair (i, j) is
-    # joint component i * n2 + j, and its weight the joint product in order
+def test_side_weights_are_each_sides_component_weights_bit_for_bit(cutoff):
+    # side 1 holds magnons A and B, side 2 holds C and D; each side's weights
+    # are its own magnons' product, and no weight of a component pair is formed
     overrides = {"D": 0.3}
     grid = [0.0, 0.05, 0.2, 0.45, 3.0]
     plan = protocols.swap_plan(ThermalConfig(0.0, cutoff), n_bar_overrides=overrides)
-    w1, w2, pairs = protocols._Circuit(plan).weights(grid)
-    joint = plans.component_weight(plan, grid)
-    assert pairs.shape == (len(grid), (cutoff + 1) ** 2, (cutoff + 1) ** 2)
-    assert pairs.reshape(len(grid), -1).tobytes() == joint.tobytes()
-    # a report's circuit keeps the components of nonzero weight, in order
+    magnons = plan.magnon_decls()
+    w1, w2 = protocols._Circuit(plan).weights(grid)
+    assert w1.shape == w2.shape == (len(grid), (cutoff + 1) ** 2)
+    assert w1.tobytes() == plans.component_weight(plan, grid, magnons[:2]).tobytes()
+    assert w2.tobytes() == plans.component_weight(plan, grid, magnons[2:]).tobytes()
+    # a report's circuit keeps each side's components of nonzero weight, in order
     for point, n_bar in enumerate(grid):
         report_plan = protocols.swap_plan(ThermalConfig(n_bar, cutoff),
                                           n_bar_overrides=overrides)
-        (r1,), (r2,), (rp,) = protocols._Circuit(report_plan, n_bar).weights([n_bar])
+        (r1,), (r2,) = protocols._Circuit(report_plan, n_bar).weights([n_bar])
         assert r1.tobytes() == w1[point][w1[point] != 0].tobytes()
         assert r2.tobytes() == w2[point][w2[point] != 0].tobytes()
-        assert rp.tobytes() == joint[point][joint[point] != 0].tobytes()
+
+
+@pytest.mark.parametrize("protocol", ["teleport", "swap"])
+@pytest.mark.parametrize("cutoff, steps", [(2, 601), (12, 41)])
+def test_sweep_rows_equal_their_reports_bit_for_bit(protocol, cutoff, steps):
+    # each point's herald is summed over its own terms only, so a row of a
+    # long grid is its one-point report, whatever the other points are
+    grid = np.linspace(0.0, 0.45, steps)
+    rows = protocols.sweep_fidelity(protocol, grid, ThermalConfig(0.0, cutoff))
+    for row in rows:
+        cfg = ThermalConfig(row.n_bar, cutoff)
+        report = (protocols.teleport(protocols.DEFAULT_SWEEP_QUBIT, cfg)
+                  if protocol == "teleport" else protocols.entanglement_swap(cfg))
+        assert row.simulated == report.aggregate_fidelity
+        assert row.abs_diff == report.closed_form["abs_diff"]
 
 
 def test_cutoff_3_swap_applies_elements_on_one_interferometer_only(monkeypatch):
@@ -268,58 +288,110 @@ def test_pdc_leaves_as_many_entries_as_the_dense_states_hold():
     assert np.abs(got - [s.amplitudes for s in dense]).max() < TOL
 
 
+def test_gathers_are_refused_above_the_array_limit(monkeypatch):
+    # a pdc's local columns are dense, so each entry gathers many amplitudes;
+    # their count is checked before any of them is gathered
+    plan = teleport_plan(0.2, 2)
+    step = plans.ElementStep("pdc", (plans.ModeRef("photon", "A", "H"),
+                                     plans.ModeRef("magnon", "A"), 0.5))
+    plan = replace(plan, steps=plan.steps + (step,))
+    (decls, steps), _ = plans.split_sides(plan)
+    registry = plans.build_registry(plan, decls)
+    *ops, pdc = plans.build_elements(plan, registry, steps)
+    magnons = [d for d in decls if isinstance(d, plans.MagnonDecl)]
+    batch = plans.initial_vector(plan, registry,
+                                 list(plans.iter_components(plan, magnons)), decls)
+    for op in ops:
+        batch = fock.apply(op, batch)
+    digits = np.unravel_index(batch.index, registry.dims, order="F")
+    local = np.ravel_multi_index([digits[t] for t in pdc.targets],
+                                 [registry.dims[t] for t in pdc.targets], order="F")
+    gathered = int(np.count_nonzero(pdc.matrix, axis=0)[local].sum())
+    assert gathered > len(local)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", gathered - 1)
+    with pytest.raises(fock.OperatorError) as exc:
+        protocols.execute_plan(plan)
+    assert str(exc.value) == (f"pdc: {len(local)} entries gather {gathered} amplitudes, "
+                              f"above the limit {gathered - 1}")
+    # at the pdc's own count the propagation passes, and the next array over
+    # the lowered limit is the herald factors
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", gathered)
+    with pytest.raises(protocols.ProtocolError, match="^the herald factors of 9 thermal "
+                       f"components need 189 entries, above the limit {gathered}$"):
+        protocols.execute_plan(plan)
+
+
 def test_herald_tables_are_refused_above_the_array_limit(monkeypatch):
-    # a teleport's second side is the input photon alone: at cutoff 2 a
-    # fidelity overlap holds 9 x 4 entries and the herald table 13 x 9 x 1
-    circuit = protocols._Circuit(teleport_plan(0.2, 2))
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 116)
+    # each side's herald table holds one row of factors per thermal
+    # component; a teleport's interferometer side holds 9 components at
+    # cutoff 2, each row 1 + 2**2 + (2 * 2)**2 = 21 entries
+    plan = teleport_plan(0.2, 2)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 188)
     with pytest.raises(protocols.ProtocolError) as exc:
-        circuit.tables()
-    assert str(exc.value) == ("a herald table over 9 x 1 component pairs needs 117 "
-                              "entries, above the limit 116")
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 35)
-    with pytest.raises(protocols.ProtocolError, match="a fidelity overlap over 9 x 1 "
-                       "component pairs needs 36 entries, above the limit 35"):
-        circuit.tables()
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 117)
-    assert circuit.tables().shape == (13, 9, 1)
+        protocols._Circuit(plan, 0.2)
+    assert str(exc.value) == ("the herald factors of 9 thermal components need 189 "
+                              "entries, above the limit 188")
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 189)
+    circuit = protocols._Circuit(plan, 0.2)
+    assert [f.shape for f in circuit.factors] == [(9, 21), (1, 9)]
 
 
 def test_concurrences_copy_only_the_sector_rows():
-    # the four sector rows are selected before the columns are weighted, so
-    # the concurrence peak stays below one copy of the side stacks (the full
-    # weighted columns took 29 MiB here, 1.8 copies)
+    # a side's sector Gram reads only its entries on the two sector rows, so
+    # a cutoff-12 swap's concurrences come from a 4 x 4 Gram per component;
+    # the whole report stays far below the 16 MiB side stacks they once read
     n_bar = 0.2
-    circuit = protocols._Circuit(swap_plan(n_bar, 12), n_bar)
-    (w1,), (w2,), pairs = circuit.weights([n_bar])
-    sums = protocols._pair_sums(circuit.tables(), pairs)[0]
-    masses = [float(sums[1 + 3 * k]) for k in range(4)]
-    stacks = sum(side.out.nbytes for side in circuit.sides)
     tracemalloc.start()
     try:
-        circuit.concurrences(w1, w2, masses)
+        report = protocols.entanglement_swap(ThermalConfig(n_bar, 12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 16 << 20 < stacks < 17 << 20
-    assert peak < 20 << 20
+    assert peak < 4 << 20
+    circuit = protocols._Circuit(swap_plan(n_bar, 12), n_bar)
+    assert [f.shape for f in circuit.factors] == [(169, 21), (169, 21)]
+    s = n_bar / (n_bar + 1)
+    for outcome in report.outcomes:
+        # each herald's sector block is Bell-diagonal, so its concurrence is
+        # twice its fidelity less its trace (the weight left in the sector)
+        assert outcome.concurrence == pytest.approx(
+            max(0.0, 2 * outcome.fidelity_corrected - np.trace(outcome.sector.block).real),
+            abs=TOL)
+    assert report.aggregate_fidelity == pytest.approx(
+        ((1 - s) / (1 - s ** 13)) ** 4, abs=TOL)
+
+
+def dense_side(side):
+    """A side's batch as the dense (component, analyzer, magnon row, other)
+    tensor."""
+    b = side.batch
+    shape = (side.da, side.dm, side.span // side.dm)
+    out = np.zeros((len(side.components),) + shape, dtype=complex)
+    out[(b.component, *np.unravel_index(b.index, shape, order="F"))] = b.amplitudes
+    return out
 
 
 @pytest.mark.parametrize("reorder", [False, True])
-def test_sector_columns_are_the_rows_of_the_full_weighted_columns(reorder):
-    # what the concurrence reads is bit for bit what selecting the sector
-    # rows from every weighted column gives
+def test_side_factors_are_the_grams_of_the_dense_side_outputs(reorder):
     source = (CIRCUITS / "swap.omx").read_text().replace("set n_bar = 0.2", "set n_bar = 0.3")
     plan = dsl.compile_source(second_side_first(source) if reorder else source)
-    circuit = protocols._Circuit(plan, plan.settings.n_bar)
-    (w1,), (w2,), _ = circuit.weights([plan.settings.n_bar])
-    for side, w, rows in zip(circuit.sides, (w1, w2), circuit.rows):
-        x = np.sqrt(w)[:, None, None, None] * side.out
-        x = np.moveaxis(x, 0, 3).reshape(x.shape[1], x.shape[2], -1)
-        full = x[:, :, np.any(x != 0, axis=(0, 1))]
-        assert side.columns(w, rows).tobytes() == full[:, rows].tobytes()
-        every = np.arange(full.shape[1])
-        assert side.columns(w, every).tobytes() == full.tobytes()
+    n_bar = plan.settings.n_bar
+    circuit = protocols._Circuit(plan, n_bar)
+    for side, f, states, rows, (w,) in zip(circuit.sides, circuit.factors, circuit.states,
+                                          circuit.rows, circuit.weights([n_bar])):
+        out = dense_side(side)
+        n, ns, rows = len(out), len(states), np.unique(rows)
+        x = out[:, states]
+        gram = np.einsum("kimo,kjmo->kij", x, x.conj()).reshape(n, -1)
+        sub = x[:, :, rows]
+        sector = np.einsum("kiro,kjso->krisj", sub, sub.conj()).reshape(n, -1)
+        norm = (np.abs(out) ** 2).sum(axis=(1, 2, 3))
+        assert f.shape == (n, 1 + ns * ns + (len(rows) * ns) ** 2)
+        assert np.abs(f[:, 0] - norm).max() < 1e-15
+        assert np.abs(f[:, 1:1 + ns * ns] - gram).max() < 1e-15
+        assert np.abs(f[:, 1 + ns * ns:] - sector).max() < 1e-15
+        by_row = np.einsum("k,kimo,kjmo->mij", w, x, x.conj()).reshape(side.dm, -1)
+        assert np.abs(side.row_grams(w) - by_row).max() < 1e-15
 
 
 @pytest.mark.parametrize("cutoff", [7, 8])

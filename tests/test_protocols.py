@@ -8,6 +8,7 @@ from omxsim import constants, elements, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.fock import (
     ModeRegistry,
+    RegistryError,
     StateVector,
     apply,
     fidelity,
@@ -132,24 +133,25 @@ def test_thermal_weights_on_an_array_equal_the_scalar_rows_bit_for_bit(cutoff,
         assert not rows[3:].any()
 
 
-def test_component_weight_continues_a_group_product_in_joint_order():
+def test_component_weight_is_the_product_in_declaration_order():
     plan = protocols.swap_plan(ThermalConfig(0.2, cutoff=2),
                                n_bar_overrides={"C": 0.05})
     grid = np.array([0.0, 0.1, 0.3, 1e17])
     magnons = plan.magnon_decls()
-    first = plans.component_weight(plan, grid, magnons[:2])
-    joint = plans.component_weight(plan, grid, magnons[2:], weight=first)
-    every = plans.component_weight(plan, grid)
-    assert first.shape == (4, 9) and every.shape == (4, 81)
-    assert joint.tobytes() == every.tobytes()
-    # column by column, the scalar product over iter_components in its order
     s = plan.settings
-    for col, occs in enumerate(plans.iter_components(plan)):
-        for point, g in enumerate(grid):
-            w = 1.0
-            for decl, n in zip(magnons, occs):
-                w *= _scalar_thermal_row(s.n_bar_for(decl.path, g), 2, True)[n]
-            assert every[point, col] == w
+    # column by column, the scalar product over iter_components in its order,
+    # for all magnons and for each interferometer's own
+    for group in (magnons, magnons[:2], magnons[2:]):
+        weights = plans.component_weight(plan, grid, group)
+        assert weights.shape == (4, 3 ** len(group))
+        for col, occs in enumerate(plans.iter_components(plan, group)):
+            for point, g in enumerate(grid):
+                w = 1.0
+                for decl, n in zip(group, occs):
+                    w *= _scalar_thermal_row(s.n_bar_for(decl.path, g), 2, True)[n]
+                assert weights[point, col] == w
+    assert plans.component_weight(plan, grid).tobytes() == plans.component_weight(
+        plan, grid, magnons).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -179,36 +181,48 @@ def test_build_elements_looks_constructors_up_at_call_time(monkeypatch):
 # array size limits
 
 def test_oversized_post_state_is_refused_before_it_is_formed(monkeypatch):
-    def no_columns(*args):
-        raise AssertionError("formed the columns of an over-limit heralded state")
+    def no_grams(*args):
+        raise AssertionError("formed the row Grams of over-limit populations")
 
     # swap at cutoff 60: four magnons of 62 levels, whose populations alone
-    # would be 62**4 entries
+    # would be 62**4 entries, plus each side's 62**2 rows of 2 x 2 Grams
     rep = entanglement_swap(ThermalConfig(0.0, cutoff=60))
-    monkeypatch.setattr(protocols._Side, "columns", no_columns)
-    with pytest.raises(ProtocolError, match="the columns of a herald's populations over "
-                       "14776336 magnon levels need 295526720 entries, above the limit "
+    monkeypatch.setattr(protocols._Side, "row_grams", no_grams)
+    with pytest.raises(ProtocolError, match="the populations of a herald over "
+                       "14776336 magnon levels need 14807088 entries, above the limit "
                        f"{constants.MAX_ARRAY_ENTRIES}"):
         rep.outcome(BellId.PHI_PLUS).sector
 
 
-def test_post_state_columns_are_refused_before_the_block_is_formed(monkeypatch):
-    def no_columns(*args):
-        raise AssertionError("formed the columns of an over-limit heralded state")
+def test_sector_populations_are_refused_before_the_row_grams_are_formed(monkeypatch):
+    def no_grams(*args):
+        raise AssertionError("formed the row Grams of over-limit populations")
 
     # swap at cutoff 2, n_bar 0.2: populations over 256 magnon levels, from
-    # each side's 4 x 18 weighted columns and 18 x 18 conditional columns
+    # each side's 16 magnon rows of 2 x 2 analyzer Grams
     rep = entanglement_swap(ThermalConfig(0.2, cutoff=2))
-    monkeypatch.setattr(protocols._Side, "columns", no_columns)
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 119807)
-    with pytest.raises(ProtocolError, match="the columns of a herald's populations over "
-                       "256 magnon levels need 119808 entries, above the limit 119807"):
+    monkeypatch.setattr(protocols._Side, "row_grams", no_grams)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 383)
+    with pytest.raises(ProtocolError, match="the populations of a herald over "
+                       "256 magnon levels need 384 entries, above the limit 383"):
         rep.outcome(BellId.PHI_PLUS).sector
     monkeypatch.undo()
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 119808)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 384)
     sector = rep.outcome(BellId.PHI_PLUS).sector
     assert sector.block.shape == (4, 4)
     assert sector.populations.shape == (4, 4, 4, 4)
+
+
+def test_library_swap_sector_builds_at_cutoff_20():
+    # 22**4 magnon levels: each side's 22**2 rows of analyzer Grams are
+    # joined through the Bell vector, with no side rows repeated
+    rep = entanglement_swap(ThermalConfig(0.0, cutoff=20))
+    for outcome in rep.outcomes:
+        sector = outcome.sector
+        assert sector.populations.shape == (22,) * 4
+        assert sector.populations.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(sector.block).real == pytest.approx(1.0, abs=1e-12)
+        assert outcome.concurrence == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oversized_side_is_refused_before_propagating(monkeypatch):
@@ -216,11 +230,10 @@ def test_oversized_side_is_refused_before_propagating(monkeypatch):
         raise AssertionError("propagated an over-limit side")
 
     monkeypatch.setattr(protocols, "apply", no_propagation)
-    # cutoff 22: 23**2 components of a 16 * 24**2-dim side
-    with pytest.raises(ProtocolError, match="529 thermal components on a 9216-dim "
-                       "side need 4875264 amplitudes, above the limit "
-                       f"{constants.MAX_ARRAY_ENTRIES}"):
-        teleport(InputQubit(1, 0), ThermalConfig(0.1, cutoff=22))
+    # cutoff 255: a 16 * 257**2-dim side registry, above MAX_DIMENSION
+    with pytest.raises(RegistryError, match="registry dimension exceeds hard limit "
+                       f"{constants.MAX_DIMENSION}"):
+        teleport(InputQubit(1, 0), ThermalConfig(0.1, cutoff=255))
 
 
 def test_side_limit_counts_only_components_with_weight():
@@ -679,12 +692,17 @@ def test_sweep_rejects_bad_grid():
 
 def test_sweep_size_is_checked_before_the_grid_is_read():
     # a range knows its length without holding its values
-    with pytest.raises(ProtocolError, match="pair weights, above the limit"):
+    with pytest.raises(ProtocolError, match="18000000000000 thermal weights, above the "
+                       "limit"):
         sweep_fidelity("swap", range(10 ** 12))
-    points = constants.MAX_SWEEP_WEIGHTS // 16 ** 2
-    check_sweep_size("teleport", points, 15)
-    with pytest.raises(ProtocolError, match=f"sweep of {points + 1} points"):
-        check_sweep_size("teleport", points + 1, 15)
+    # a teleport point weights the interferometer's 16**2 components and the
+    # input photon's one; a swap point both interferometers' 16**2
+    for protocol, per_point in (("teleport", 16 ** 2 + 1), ("swap", 2 * 16 ** 2)):
+        points = constants.MAX_SWEEP_WEIGHTS // per_point
+        check_sweep_size(protocol, points, 15)
+        with pytest.raises(ProtocolError, match=f"sweep of {points + 1} points needs "
+                           f"{(points + 1) * per_point} thermal weights"):
+            check_sweep_size(protocol, points + 1, 15)
 
 
 # ---------------------------------------------------------------------------
