@@ -32,8 +32,9 @@ CONCURRENCE_EIGENVALUE_FLOOR = 1e-14
 # Hard ceiling on the dimension of any mode registry (product of per-mode
 # Fock dimensions).  The executor builds one registry per side of the Bell
 # analyzer, never one over the whole circuit, so the ceiling applies per
-# side (a swap interferometer at thermal cutoff c has 16 (c + 2)^2); dense
-# complex vectors of this length stay cheap.
+# side (a swap interferometer at thermal cutoff c has 16 (c + 2)^2, so c
+# stops at 254).  A side is held as a sparse batch, never as a vector of
+# this length; the ceiling bounds its thermal components and magnon rows.
 MAX_DIMENSION = 1 << 20
 
 # Ceiling on one array's entries, checked from the sizes alone: the

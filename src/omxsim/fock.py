@@ -244,8 +244,8 @@ State = StateVector | DensityMatrix
 
 
 def _require_pure(state: State, operation: str):
-    """Operators act on state vectors only; a mixture goes through as its
-    pure components."""
+    """The dense operations take state vectors only; a mixture goes through
+    as its pure components."""
     if not isinstance(state, StateVector):
         raise StateError(f"{operation}: expects a StateVector, got "
                          f"{type(state).__name__}; propagate a mixture's pure components")
@@ -327,20 +327,16 @@ class Batch:
     amplitudes: np.ndarray
 
 
-def apply(op: ElementOp, state: StateVector | Batch) -> StateVector | Batch:
-    """Apply an element, lifted with identity on untouched modes.
+def apply(op: ElementOp, batch: Batch) -> Batch:
+    """Apply an element to a `Batch`, lifted with identity on untouched modes.
 
-    Every entry of a `Batch` meets the nonzeros of its column of the local
-    matrix (a gather over the matrix in compressed-column form), and the
-    entries that land on one key are summed; a `Batch` maps to a `Batch`.
-    A `StateVector` goes through as a batch of its nonzero amplitudes,
-    scattered back into a vector.
+    Every entry meets the nonzeros of its column of the local matrix (a
+    gather over the matrix in compressed-column form), and the entries that
+    land on one key are summed.
     """
-    registry, batch = state.registry, state
-    if not isinstance(state, Batch):
-        _require_pure(state, "apply")
-        index = np.flatnonzero(state.amplitudes)
-        batch = Batch(registry, np.zeros_like(index), index, state.amplitudes[index])
+    if not isinstance(batch, Batch):
+        raise StateError(f"apply: expects a Batch, got {type(batch).__name__}")
+    registry = batch.registry
     for t in op.targets:
         if not 0 <= t < len(registry):
             raise OperatorError(f"{op.label or 'op'}: target index {t} outside registry")
@@ -385,13 +381,7 @@ def apply(op: ElementOp, state: StateVector | Batch) -> StateVector | Batch:
     amplitudes = np.zeros(len(keys), dtype=complex)
     np.add.at(amplitudes, slot, batch.amplitudes[source] * square[rows[nz], col[nz]])
     live = amplitudes != 0
-    out = Batch(registry, *np.divmod(keys[live], registry.dimension), amplitudes[live])
-    if state is batch:
-        return out
-    vector = np.zeros(registry.dimension, dtype=complex)
-    vector[out.index] = out.amplitudes
-    return StateVector(registry, vector, normalized=state.normalized
-                       and op.flavor is not OpFlavor.KRAUS)
+    return Batch(registry, *np.divmod(keys[live], registry.dimension), amplitudes[live])
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,17 @@ Declarations that an element acts on together form one group (a photon
 path's H and V modes always together); side 2 is the group holding the
 analyzer's second path, side 1 everything else, or the whole circuit if its
 elements join the two paths.  Each side's registry and elements are built
-from its own declarations and steps, and all of its thermal components run
-through them as one sparse batch, one `fock.apply` per element; no registry
-over the whole plan is built.  The sides meet only in the herald, which a
-side enters only through its output on the analyzer states that the Bell
-vectors use: each thermal component reduces to its squared norm and two
-small Gram matrices (`_Side.factors`).  Reports and sweeps weight each
+from its own declarations and steps, and all of its thermal components,
+whatever their weight, run through them as one sparse batch, one
+`fock.apply` per element; no registry over the whole plan is built.  The
+sides meet only in the herald, which a side enters only through its output
+on the analyzer states that the Bell vectors use: each thermal component
+reduces to its squared norm and two small Gram matrices (`_Side.factors`).  Reports and sweeps weight each
 side's factors with its own thermal weights, one product
 (`plans.component_weight`) over a grid of occupations at once, and join
-the sides through the Bell vectors.  A report is the one-point grid, so a
-sweep row equals the report at its occupation to the last bit.
+the sides through the Bell vectors.  The occupation enters nowhere else:
+a report is the one-point grid of the same path, so a sweep row equals the
+report at its occupation to the last bit.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the join forms each herald's block over the sector states, whose overlaps
@@ -310,14 +311,13 @@ class _Side:
     one sparse `fock.Batch` (each holds one drive photon and its magnon
     occupations, a few entries), one `fock.apply` per element.  An entry's
     registry index is, little-endian, its analyzer state (of `da`), its
-    magnon row (of `dm`) and its other-mode index.  Built for one report
-    (`n_bar` given), a side keeps only its components of nonzero weight, and
-    `kept` indexes them among all of `iter_components`; built for a sweep,
-    it keeps all, and `kept` is the full slice.
+    magnon row (of `dm`) and its other-mode index.  Every component of
+    `iter_components` is propagated, whatever its weight: the occupation
+    only weights the components afterwards, so one side serves a report and
+    a sweep alike.
     """
 
-    def __init__(self, plan: CircuitPlan, decls: list, steps: list[ElementStep],
-                 n_bar: float | None):
+    def __init__(self, plan: CircuitPlan, decls: list, steps: list[ElementStep]):
         paths = (plan.measure.path1, plan.measure.path2)
 
         def rank(decl) -> int:
@@ -329,14 +329,6 @@ class _Side:
         reg = plans.build_registry(plan, decls)
         self.magnons = [d for d in decls if isinstance(d, MagnonDecl)]
         self.components = list(plans.iter_components(plan, self.magnons))
-        self.kept = slice(None)
-        if n_bar is not None:
-            # a single report: components without weight never contribute
-            w = plans.component_weight(plan, [n_bar], self.magnons)[0]
-            self.kept = np.flatnonzero(w)
-            if not len(self.kept):
-                raise ProtocolError("plan produced a zero-mass ensemble")
-            self.components = [self.components[k] for k in self.kept]
         a = 2 * sum(rank(d) < 2 for d in decls)     # H and V of each analyzer path
         m = a + len(self.magnons)
         self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:m])
@@ -439,25 +431,23 @@ class _Circuit:
     outputs, and every herald quantity (`join`) is a sum, over pairs (t, u)
     of a Bell vector's terms c_t |a_t>|b_t>, of conj(c_t) c_u times one
     entry of each side's factors (`_Side.factors`) weighted by that side's
-    own thermal weights (`weights`).  With `n_bar` the circuit serves one
-    report at that occupation and propagates only components of nonzero
-    weight; without, it keeps every thermal component, for a sweep.
+    own thermal weights (`weights`).  Nothing in it depends on the
+    occupation, so a report is the sweep over the one-point grid.
     """
 
-    def __init__(self, plan: CircuitPlan, n_bar: float | None = None):
-        self.plan, self.n_bar = plan, n_bar
+    def __init__(self, plan: CircuitPlan):
+        self.plan = plan
         s = plan.settings
         magnons = plan.magnon_decls()
         need = 2 if s.protocol == "teleport" else 4
         if len(magnons) != need:
             raise ProtocolError(f"{s.protocol} expects {need} magnon modes, "
                                 f"found {len(magnons)}")
-        self.sides = [_Side(plan, decls, steps, n_bar)
-                      for decls, steps in plans.split_sides(plan)]
+        self.sides = [_Side(plan, decls, steps) for decls, steps in plans.split_sides(plan)]
+        self.levels = s.thermal_cutoff + 2          # Fock levels of each magnon
         # each side's magnon row of each sector state: little-endian over the
         # side's own magnons, so a magnon's stride is 0 on the other side
-        dm = s.thermal_cutoff + 2
-        self.rows = [np.array(_sector(need)) @ [dm ** side.magnons.index(d)
+        self.rows = [np.array(_sector(need)) @ [self.levels ** side.magnons.index(d)
                                                 if d in side.magnons else 0
                                                 for d in magnons] for side in self.sides]
         sector_rows = [np.unique(r, return_inverse=True) for r in self.rows]
@@ -470,10 +460,8 @@ class _Circuit:
 
     def weights(self, grid) -> list[np.ndarray]:
         """Each side's component weights at the shared occupations `grid`,
-        (points, n1) and (points, n2).  A report's sides select their kept
-        components; a sweep's take the full slice, so nothing is copied."""
-        return [plans.component_weight(self.plan, grid, side.magnons)[:, side.kept]
-                for side in self.sides]
+        (points, n1) and (points, n2)."""
+        return [plans.component_weight(self.plan, grid, side.magnons) for side in self.sides]
 
     def join(self, w1: np.ndarray, w2: np.ndarray) -> tuple:
         """The herald at side weights w1 and w2 over a grid of points: per
@@ -504,30 +492,27 @@ class _Circuit:
         states = len(self.rows[0])
         return heralds, masses, blocks.reshape(len(q), len(BELL_IDS), states, states)
 
-    @cached_property
-    def row_grams(self) -> list[np.ndarray]:
-        """Each side's `_Side.row_grams` at the report's weights, shared by
-        its heralds; refused with the populations they give above
-        MAX_ARRAY_ENTRIES before any is formed."""
-        d = (self.plan.settings.thermal_cutoff + 2) ** len(self.plan.magnon_decls())
+    def row_grams(self, w1: np.ndarray, w2: np.ndarray) -> list[np.ndarray]:
+        """Each side's `_Side.row_grams` at one point's side weights w1 and
+        w2, shared by its heralds; refused with the populations they give
+        above MAX_ARRAY_ENTRIES before any is formed."""
+        d = self.levels ** len(self.plan.magnon_decls())
         _check_entries(d + sum(side.dm * len(st) ** 2
                                for side, st in zip(self.sides, self.states)),
                        f"the populations of a herald over {d} magnon levels need")
-        return [side.row_grams(w[0])
-                for side, w in zip(self.sides, self.weights([self.n_bar]))]
+        return [side.row_grams(w) for side, w in zip(self.sides, (w1, w2))]
 
-    def populations(self, k: int) -> np.ndarray:
+    def populations(self, k: int, grams: list[np.ndarray]) -> np.ndarray:
         """Unnormalized populations of the herald `BELL_IDS[k]` over the
         occupations of the plan's magnons, indexed in declaration order:
         sum_tu conj(c_t) c_u Px[m1][a_t, a_u] Py[m2][b_t, b_u] over the
         `row_grams` Px and Py."""
-        (px, py), (ix, iy) = self.row_grams, (i[k, 0] - 1 for i in self.index)
+        (px, py), (ix, iy) = grams, (i[k, 0] - 1 for i in self.index)
         pops = 0.0
         for i, j, c in zip(ix, iy, self.coefficients[k, 0]):
             pops = pops + c * np.multiply.outer(px[:, i], py[:, j])
         order = [m for side in self.sides for m in side.magnons]
-        levels = [self.plan.settings.thermal_cutoff + 2] * len(order)
-        return pops.real.reshape(levels, order="F").transpose(
+        return pops.real.reshape([self.levels] * len(order), order="F").transpose(
             [order.index(d) for d in self.plan.magnon_decls()])
 
 
@@ -575,19 +560,22 @@ def execute_plan(plan: CircuitPlan) -> ProtocolReport:
     """Run a plan exactly (no sampling) and assemble its report."""
     settings = plan.settings
     n_bar = settings.n_bar
-    circuit = _Circuit(plan, n_bar)
-    heralds, (masses,), (blocks,) = circuit.join(*circuit.weights([n_bar]))
+    circuit = _Circuit(plan)
+    weights = circuit.weights([n_bar])
+    heralds, (masses,), (blocks,) = circuit.join(*weights)
     included = _included(settings)
     concurrences = [None if settings.protocol != "swap"
                     or mass <= constants.UNREACHABLE_PROBABILITY
                     else _spin_flip_concurrence(_sector_block(block, mass))
                     for block, mass in zip(blocks, masses)]
+    # the heralds' populations share one set of row Grams, formed on first read
+    row_grams = cache(lambda: circuit.row_grams(*(w[0] for w in weights)))
 
     def sector(k: int) -> HeraldedSector | None:
         bell_id, mass = BELL_IDS[k], masses[k]
         if mass <= constants.UNREACHABLE_PROBABILITY:
             return None
-        pops = circuit.populations(k) / mass
+        pops = circuit.populations(k, row_grams()) / mass
         if not abs(pops.sum() - 1.0) <= constants.TRACE_TOL:
             raise ProtocolError(f"{bell_id.value} populations sum to {pops.sum()!r}")
         paths = tuple(d.path for d in plan.magnon_decls())

@@ -13,7 +13,7 @@ import pytest
 
 from omxsim import dsl, elements, protocols
 from omxsim.elements import ScatterModel
-from omxsim.fock import ModeRegistry, StateVector, apply, magnon, optical
+from omxsim.fock import Batch, ModeRegistry, apply, magnon, optical
 from omxsim.measurement import BellId, bell_projectors
 from omxsim.protocols import (
     InputQubit,
@@ -117,8 +117,10 @@ def test_criterion_06_weak_pdc_validation():
     ok = True
     for gt in (0.05, 0.1, 0.2):
         reg = ModeRegistry([optical("p", "H"), magnon("p")], [4, 4])
-        out = apply(elements.pdc_evolution(reg, 0, 1, gt), StateVector.vacuum(reg))
-        ratio = abs(out.amplitude([1, 1])) / abs(out.amplitude([0, 0]))
+        vacuum = Batch(reg, np.zeros(1, int), np.zeros(1, int), np.ones(1, complex))
+        out = apply(elements.pdc_evolution(reg, 0, 1, gt), vacuum)
+        amplitude = dict(zip(out.index.tolist(), out.amplitudes))
+        ratio = abs(amplitude[reg.index_of_occupation([1, 1])]) / abs(amplitude[0])
         err = abs(ratio - np.tanh(gt))
         ok = ok and err < gt ** 3
         worst_rel = max(worst_rel, err / gt ** 3)

@@ -306,10 +306,10 @@ def test_readout_runs_to_the_side_registry_limit(capsys):
         assert retrieved[herald]["qubit_sector_weight"] == 1.0
 
 
-def test_large_teleport_holds_its_side_stack_about_once(capsys):
-    # 441 components x 7,744 amplitudes would be a 52.1 MiB side stack; the
-    # side is held as its batch entries and reduced to herald factors, so
-    # none is formed (0.7 MiB measured)
+def test_large_teleport_runs_from_the_herald_factors(capsys):
+    # 441 components x 7,744 amplitudes would be a 52.1 MiB dense stack of
+    # side outputs; the side is held as its batch entries and reduced to
+    # herald factors, so none is formed (0.7 MiB measured)
     assert _traced_peak(capsys, "teleport", "--n-bar", "0.1", "--cutoff", "20") < 16 << 20
 
 

@@ -25,12 +25,12 @@ from omxsim.fock import (
     OperatorError,
     OpFlavor,
     StateVector,
-    apply,
     magnon,
     optical,
 )
 
 from conftest import random_unitary
+from dense_oracle import dense_apply
 
 
 def path_registry(*paths, cutoff=1):
@@ -51,14 +51,14 @@ def single_photon(reg, path, pol):
 
 def test_bs_splits_drive_photon():
     reg = ModeRegistry([optical("A", "V"), optical("B", "V")], [1, 1])
-    out = apply(beam_splitter_50_50(reg, 0, 1), StateVector.from_occupation(reg, [1, 0]))
+    out = dense_apply(beam_splitter_50_50(reg, 0, 1), StateVector.from_occupation(reg, [1, 0]))
     assert out.amplitude([0, 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert out.amplitude([1, 0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
 def test_bs_vacuum_invariance():
     reg = ModeRegistry([optical("A", "V"), optical("B", "V")], [1, 1])
-    out = apply(beam_splitter_50_50(reg, 0, 1), StateVector.vacuum(reg))
+    out = dense_apply(beam_splitter_50_50(reg, 0, 1), StateVector.vacuum(reg))
     assert out.amplitude([0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_bs_applied_twice_is_identity():
     reg = ModeRegistry([optical("A", "V"), optical("B", "V")], [2, 2])
     op = beam_splitter_50_50(reg, 0, 1)
     psi = StateVector.from_occupation(reg, [1, 0])
-    out = apply(op, apply(op, psi))
+    out = dense_apply(op, dense_apply(op, psi))
     assert np.abs(out.amplitudes - psi.amplitudes).max() < 1e-12
 
 
@@ -83,21 +83,21 @@ def test_bs_rejects_bad_wiring():
 
 def test_hwp_hadamard_angle():
     reg = path_registry("p")
-    out = apply(half_wave_plate(reg, "p", np.pi / 8), single_photon(reg, "p", "H"))
+    out = dense_apply(half_wave_plate(reg, "p", np.pi / 8), single_photon(reg, "p", "H"))
     assert out.amplitude([1, 0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert out.amplitude([0, 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
 def test_hwp_quarter_angle_swaps_h_and_v():
     reg = path_registry("p")
-    out = apply(half_wave_plate(reg, "p", np.pi / 4), single_photon(reg, "p", "H"))
+    out = dense_apply(half_wave_plate(reg, "p", np.pi / 4), single_photon(reg, "p", "H"))
     assert out.amplitude([0, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hwp_zero_angle_signs():
     reg = path_registry("p")
-    h = apply(half_wave_plate(reg, "p", 0.0), single_photon(reg, "p", "H"))
-    v = apply(half_wave_plate(reg, "p", 0.0), single_photon(reg, "p", "V"))
+    h = dense_apply(half_wave_plate(reg, "p", 0.0), single_photon(reg, "p", "H"))
+    v = dense_apply(half_wave_plate(reg, "p", 0.0), single_photon(reg, "p", "V"))
     assert h.amplitude([1, 0]) == pytest.approx(1.0, abs=1e-12)
     assert v.amplitude([0, 1]) == pytest.approx(-1.0, abs=1e-12)
 
@@ -107,13 +107,13 @@ def test_hwp_hadamard_involution():
     reg = path_registry("p")
     op = half_wave_plate(reg, "p", np.pi / 8)
     psi = single_photon(reg, "p", "V")
-    out = apply(op, apply(op, psi))
+    out = dense_apply(op, dense_apply(op, psi))
     assert np.abs(out.amplitudes - psi.amplitudes).max() < 1e-12
 
 
 def test_qwp_zero_angle_fixes_h_up_to_phase():
     reg = path_registry("p")
-    out = apply(quarter_wave_plate(reg, "p", 0.0), single_photon(reg, "p", "H"))
+    out = dense_apply(quarter_wave_plate(reg, "p", 0.0), single_photon(reg, "p", "H"))
     assert abs(out.amplitude([1, 0])) == pytest.approx(1.0, abs=1e-12)
     assert abs(out.amplitude([0, 1])) < 1e-12
 
@@ -136,9 +136,9 @@ def test_wave_plates_need_both_polarizations():
 def test_pbs_transmits_h_and_reflects_v():
     reg = path_registry("A", "B")
     op = pbs(reg, "A", "B")
-    h_out = apply(op, single_photon(reg, "A", "H"))
+    h_out = dense_apply(op, single_photon(reg, "A", "H"))
     assert abs(h_out.amplitude([1, 0, 0, 0])) == pytest.approx(1.0)   # stays on A
-    v_out = apply(op, single_photon(reg, "A", "V"))
+    v_out = dense_apply(op, single_photon(reg, "A", "V"))
     occ = [0] * 4
     occ[reg.optical_index("B", "V")] = 1
     assert abs(v_out.amplitude(occ)) == pytest.approx(1.0)            # crosses to B
@@ -148,7 +148,7 @@ def test_pbs_is_linear_on_superpositions():
     reg = path_registry("A", "B")
     plus = StateVector(reg, (single_photon(reg, "A", "H").amplitudes
                              + single_photon(reg, "A", "V").amplitudes) / np.sqrt(2))
-    out = apply(pbs(reg, "A", "B"), plus)
+    out = dense_apply(pbs(reg, "A", "B"), plus)
     occ_h = [0] * 4
     occ_h[reg.optical_index("A", "H")] = 1
     occ_v = [0] * 4
@@ -163,7 +163,7 @@ def test_pbs_is_linear_on_superpositions():
 def test_phase_shift_zero_is_identity():
     reg = ModeRegistry([magnon("A")], [3])
     psi = StateVector.from_occupation(reg, [2])
-    out = apply(phase_shift(reg, 0, 0.0), psi)
+    out = dense_apply(phase_shift(reg, 0, 0.0), psi)
     assert np.allclose(out.amplitudes, psi.amplitudes)
 
 
@@ -173,7 +173,7 @@ def test_phase_shift_pi_completes_feed_forward():
     vec = np.zeros(4, dtype=complex)
     vec[reg.index_of_occupation([0, 1])] = alpha    # lower-arm excitation
     vec[reg.index_of_occupation([1, 0])] = -beta    # upper-arm, wrong sign
-    out = apply(phase_shift(reg, 0, np.pi), StateVector(reg, vec))
+    out = dense_apply(phase_shift(reg, 0, np.pi), StateVector(reg, vec))
     assert out.amplitude([0, 1]) == pytest.approx(alpha, abs=1e-12)
     assert out.amplitude([1, 0]) == pytest.approx(beta, abs=1e-12)
 
@@ -182,7 +182,7 @@ def test_phase_shift_pi_twice_is_identity_on_single_excitation():
     reg = ModeRegistry([magnon("A")], [1])
     psi = StateVector.from_occupation(reg, [1])
     op = phase_shift(reg, 0, np.pi)
-    out = apply(op, apply(op, psi))
+    out = dense_apply(op, dense_apply(op, psi))
     assert out.amplitude([1]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -198,13 +198,13 @@ def test_stokes_scatter_ground_state_event():
     reg = scatter_registry()
     op = stokes_scatter(reg, 0, 1, 2)
     assert op.flavor is OpFlavor.ISOMETRY
-    out = apply(op, StateVector.from_occupation(reg, [1, 0, 0]))
+    out = dense_apply(op, StateVector.from_occupation(reg, [1, 0, 0]))
     assert out.amplitude([0, 1, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stokes_scatter_uniform_weight_on_occupied_mode():
     reg = scatter_registry()
-    out = apply(stokes_scatter(reg, 0, 1, 2), StateVector.from_occupation(reg, [1, 0, 1]))
+    out = dense_apply(stokes_scatter(reg, 0, 1, 2), StateVector.from_occupation(reg, [1, 0, 1]))
     assert out.amplitude([0, 1, 2]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -217,7 +217,7 @@ def test_stokes_scatter_bosonic_shifts_mixture_weights():
     assert op.flavor is OpFlavor.KRAUS
     post = []
     for n, w in enumerate(weights):
-        out = apply(op, StateVector.from_occupation(reg, [1, 0, n]))
+        out = dense_apply(op, StateVector.from_occupation(reg, [1, 0, n]))
         assert not out.normalized
         post.append(w * out.norm() ** 2)
     post = np.array(post) / sum(post)
@@ -230,12 +230,12 @@ def test_stokes_scatter_raises_on_cutoff_overflow():
     reg = scatter_registry(mag_cutoff=2)
     op = stokes_scatter(reg, 0, 1, 2)
     with pytest.raises(OperatorError, match="domain"):
-        apply(op, StateVector.from_occupation(reg, [1, 0, 2]))
+        dense_apply(op, StateVector.from_occupation(reg, [1, 0, 2]))
 
 
 def test_stokes_scatter_leaves_empty_drive_untouched():
     reg = scatter_registry()
-    out = apply(stokes_scatter(reg, 0, 1, 2), StateVector.from_occupation(reg, [0, 0, 2]))
+    out = dense_apply(stokes_scatter(reg, 0, 1, 2), StateVector.from_occupation(reg, [0, 0, 2]))
     assert out.amplitude([0, 0, 2]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -250,13 +250,13 @@ def test_stokes_scatter_checks_mode_kinds():
 
 def test_antistokes_swap_single_excitation_phase():
     reg = ModeRegistry([optical("p", "V"), magnon("p")], [1, 1])
-    out = apply(antistokes_swap(reg, 0, 1), StateVector.from_occupation(reg, [0, 1]))
+    out = dense_apply(antistokes_swap(reg, 0, 1), StateVector.from_occupation(reg, [0, 1]))
     assert out.amplitude([1, 0]) == pytest.approx(-1j, abs=1e-12)
 
 
 def test_antistokes_swap_vacuum():
     reg = ModeRegistry([optical("p", "V"), magnon("p")], [2, 2])
-    out = apply(antistokes_swap(reg, 0, 1), StateVector.vacuum(reg))
+    out = dense_apply(antistokes_swap(reg, 0, 1), StateVector.vacuum(reg))
     assert out.amplitude([0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -264,7 +264,7 @@ def test_antistokes_exact_swap_restores_number_states():
     reg = ModeRegistry([optical("p", "V"), magnon("p")], [3, 3])
     op = antistokes_swap(reg, 0, 1, exact_swap=True)
     for n in range(4):
-        out = apply(op, StateVector.from_occupation(reg, [0, n]))
+        out = dense_apply(op, StateVector.from_occupation(reg, [0, n]))
         assert out.amplitude([n, 0]) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -277,8 +277,8 @@ def test_antistokes_swap_retrieves_dual_rail_qubit():
     vec[reg.index_of_occupation([0, 0, 0, 1])] = alpha
     vec[reg.index_of_occupation([0, 0, 1, 0])] = beta
     psi = StateVector(reg, vec)
-    psi = apply(antistokes_swap(reg, 0, 2), psi)
-    psi = apply(antistokes_swap(reg, 1, 3), psi)
+    psi = dense_apply(antistokes_swap(reg, 0, 2), psi)
+    psi = dense_apply(antistokes_swap(reg, 1, 3), psi)
     assert psi.amplitude([0, 1, 0, 0]) == pytest.approx(-1j * alpha, abs=1e-10)
     assert psi.amplitude([1, 0, 0, 0]) == pytest.approx(-1j * beta, abs=1e-10)
 
@@ -302,7 +302,7 @@ def test_scatter_then_swap_round_trip_preserves_path_state():
     psi = StateVector(reg, vec)
     for op in (stokes_scatter(reg, 0, 1, 2), stokes_scatter(reg, 3, 4, 5),
                antistokes_swap(reg, 0, 2), antistokes_swap(reg, 3, 5)):
-        psi = apply(op, psi)
+        psi = dense_apply(op, psi)
     # magnons back to vacuum; each arm holds its drive photon plus the record
     expected = np.zeros(reg.dimension, dtype=complex)
     expected[reg.index_of_occupation([1, 1, 0, 0, 0, 0])] = -1j * c_a
@@ -315,14 +315,14 @@ def test_scatter_then_swap_round_trip_preserves_path_state():
 
 def test_pdc_zero_time_is_identity():
     reg = ModeRegistry([optical("p", "H"), magnon("p")], [4, 4])
-    out = apply(pdc_evolution(reg, 0, 1, 0.0), StateVector.vacuum(reg))
+    out = dense_apply(pdc_evolution(reg, 0, 1, 0.0), StateVector.vacuum(reg))
     assert out.amplitude([0, 0]) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("gt", [0.05, 0.1, 0.2])
 def test_pdc_pair_amplitude_ratio_matches_squeezer(gt):
     reg = ModeRegistry([optical("p", "H"), magnon("p")], [4, 4])
-    out = apply(pdc_evolution(reg, 0, 1, gt), StateVector.vacuum(reg))
+    out = dense_apply(pdc_evolution(reg, 0, 1, gt), StateVector.vacuum(reg))
     ratio = abs(out.amplitude([1, 1])) / abs(out.amplitude([0, 0]))
     assert abs(ratio - np.tanh(gt)) < gt ** 3
 
@@ -330,7 +330,7 @@ def test_pdc_pair_amplitude_ratio_matches_squeezer(gt):
 def test_pdc_double_pair_weight():
     gt = 0.1
     reg = ModeRegistry([optical("p", "H"), magnon("p")], [4, 4])
-    out = apply(pdc_evolution(reg, 0, 1, gt), StateVector.vacuum(reg))
+    out = dense_apply(pdc_evolution(reg, 0, 1, gt), StateVector.vacuum(reg))
     ratio2 = abs(out.amplitude([2, 2])) / abs(out.amplitude([0, 0]))
     assert ratio2 == pytest.approx(np.tanh(gt) ** 2, abs=1e-4)
 
@@ -342,8 +342,8 @@ def test_passive_lift_restricts_to_single_particle_matrix(rng):
     reg = ModeRegistry([optical("p", "H"), optical("p", "V")], [2, 2])
     u = random_unitary(2, rng)
     op = elements.passive_lift(reg, (0, 1), u, "rnd")
-    one_h = apply(op, StateVector.from_occupation(reg, [1, 0]))
-    one_v = apply(op, StateVector.from_occupation(reg, [0, 1]))
+    one_h = dense_apply(op, StateVector.from_occupation(reg, [1, 0]))
+    one_v = dense_apply(op, StateVector.from_occupation(reg, [0, 1]))
     assert one_h.amplitude([1, 0]) == pytest.approx(u[0, 0], abs=1e-10)
     assert one_h.amplitude([0, 1]) == pytest.approx(u[1, 0], abs=1e-10)
     assert one_v.amplitude([1, 0]) == pytest.approx(u[0, 1], abs=1e-10)

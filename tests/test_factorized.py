@@ -212,13 +212,13 @@ def test_side_weights_are_each_sides_component_weights_bit_for_bit(cutoff):
     assert w1.shape == w2.shape == (len(grid), (cutoff + 1) ** 2)
     assert w1.tobytes() == plans.component_weight(plan, grid, magnons[:2]).tobytes()
     assert w2.tobytes() == plans.component_weight(plan, grid, magnons[2:]).tobytes()
-    # a report's circuit keeps each side's components of nonzero weight, in order
+    # a report weights every component, as the one-point grid of its sweep
     for point, n_bar in enumerate(grid):
         report_plan = protocols.swap_plan(ThermalConfig(n_bar, cutoff),
                                           n_bar_overrides=overrides)
-        (r1,), (r2,) = protocols._Circuit(report_plan, n_bar).weights([n_bar])
-        assert r1.tobytes() == w1[point][w1[point] != 0].tobytes()
-        assert r2.tobytes() == w2[point][w2[point] != 0].tobytes()
+        (r1,), (r2,) = protocols._Circuit(report_plan).weights([n_bar])
+        assert r1.tobytes() == w1[point].tobytes()
+        assert r2.tobytes() == w2[point].tobytes()
 
 
 @pytest.mark.parametrize("protocol", ["teleport", "swap"])
@@ -234,6 +234,48 @@ def test_sweep_rows_equal_their_reports_bit_for_bit(protocol, cutoff, steps):
                   if protocol == "teleport" else protocols.entanglement_swap(cfg))
         assert row.simulated == report.aggregate_fidelity
         assert row.abs_diff == report.closed_form["abs_diff"]
+
+
+@pytest.mark.parametrize("make_plan", [teleport_plan, swap_plan], ids=["teleport", "swap"])
+def test_the_circuit_does_not_depend_on_the_occupation(monkeypatch, make_plan):
+    # n_bar only weights the thermal components, so the circuits of reports
+    # that differ only in it propagate every component alike and reduce to
+    # the same factors
+    built = []
+
+    class Recorded(protocols._Circuit):
+        def __init__(self, plan):
+            super().__init__(plan)
+            built.append(self)
+
+    monkeypatch.setattr(protocols, "_Circuit", Recorded)
+    for n_bar in (0.0, 0.2):
+        protocols.execute_plan(make_plan(n_bar, 2))
+    ground, warm = built
+    for a, b in zip(ground.sides, warm.sides, strict=True):
+        assert a.components == b.components
+        for field in ("component", "index", "amplitudes"):
+            assert getattr(a.batch, field).tobytes() == getattr(b.batch, field).tobytes()
+    for a, b in zip(ground.factors, warm.factors, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("command", ["teleport", "swap", "readout"])
+def test_each_side_is_weighted_once_per_command(monkeypatch, capsys, command):
+    # a report weights each side once, and its join and its heralds'
+    # populations read those same weights
+    weighted = []
+    real_weight = plans.component_weight
+
+    def spy(plan, n_bars, magnons=None):
+        weighted.append(tuple(d.path for d in magnons))
+        return real_weight(plan, n_bars, magnons)
+
+    monkeypatch.setattr(plans, "component_weight", spy)
+    assert cli.main([command, "--n-bar", "0.2"]) == 0
+    capsys.readouterr()
+    sides = [("A", "B"), ()] if command != "swap" else [("A", "B"), ("C", "D")]
+    assert sorted(weighted) == sorted(sides)
 
 
 def test_cutoff_3_swap_applies_elements_on_one_interferometer_only(monkeypatch):
@@ -328,11 +370,11 @@ def test_herald_tables_are_refused_above_the_array_limit(monkeypatch):
     plan = teleport_plan(0.2, 2)
     monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 188)
     with pytest.raises(protocols.ProtocolError) as exc:
-        protocols._Circuit(plan, 0.2)
+        protocols._Circuit(plan)
     assert str(exc.value) == ("the herald factors of 9 thermal components need 189 "
                               "entries, above the limit 188")
     monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 189)
-    circuit = protocols._Circuit(plan, 0.2)
+    circuit = protocols._Circuit(plan)
     assert [f.shape for f in circuit.factors] == [(9, 21), (1, 9)]
 
 
@@ -348,7 +390,7 @@ def test_concurrences_copy_only_the_sector_rows():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
-    circuit = protocols._Circuit(swap_plan(n_bar, 12), n_bar)
+    circuit = protocols._Circuit(swap_plan(n_bar, 12))
     assert [f.shape for f in circuit.factors] == [(169, 21), (169, 21)]
     s = n_bar / (n_bar + 1)
     for outcome in report.outcomes:
@@ -376,7 +418,7 @@ def test_side_factors_are_the_grams_of_the_dense_side_outputs(reorder):
     source = (CIRCUITS / "swap.omx").read_text().replace("set n_bar = 0.2", "set n_bar = 0.3")
     plan = dsl.compile_source(second_side_first(source) if reorder else source)
     n_bar = plan.settings.n_bar
-    circuit = protocols._Circuit(plan, n_bar)
+    circuit = protocols._Circuit(plan)
     for side, f, states, rows, (w,) in zip(circuit.sides, circuit.factors, circuit.states,
                                           circuit.rows, circuit.weights([n_bar])):
         out = dense_side(side)

@@ -5,7 +5,6 @@ from omxsim import elements
 from omxsim.fock import (
     ModeRegistry,
     StateVector,
-    apply,
     fidelity,
     magnon,
     optical,
@@ -20,7 +19,7 @@ from omxsim.measurement import (
 )
 from omxsim.protocols import InputQubit, ThermalConfig, teleport
 
-from dense_oracle import tensor
+from dense_oracle import dense_apply, tensor
 
 
 def photon_pair_registry():
@@ -79,10 +78,10 @@ def test_projector_overlaps_on_bell_inputs():
     reg = photon_pair_registry()
     projs = bell_projectors(reg, "b", "c")
     phi_plus = bell_state(reg, BellId.PHI_PLUS)
-    assert apply(projs[BellId.PHI_PLUS], phi_plus).norm() ** 2 == \
+    assert dense_apply(projs[BellId.PHI_PLUS], phi_plus).norm() ** 2 == \
         pytest.approx(1.0, abs=1e-12)
     psi_minus = bell_state(reg, BellId.PSI_MINUS)
-    assert apply(projs[BellId.PHI_PLUS], psi_minus).norm() ** 2 < 1e-14
+    assert dense_apply(projs[BellId.PHI_PLUS], psi_minus).norm() ** 2 < 1e-14
 
 
 def test_projection_teleports_qubit_onto_magnons():
@@ -92,7 +91,7 @@ def test_projection_teleports_qubit_onto_magnons():
     mag = [joint.registry.magnon_index("A"), joint.registry.magnon_index("B")]
 
     # projected states stay unnormalized: each herald carries weight 1/4
-    rho = partial_trace(apply(projs[BellId.PHI_PLUS], joint), mag)
+    rho = partial_trace(dense_apply(projs[BellId.PHI_PLUS], joint), mag)
     target = np.zeros(rho.registry.dimension, dtype=complex)
     target[rho.registry.index_of_occupation([0, 1])] = alpha
     target[rho.registry.index_of_occupation([1, 0])] = beta
@@ -100,7 +99,7 @@ def test_projection_teleports_qubit_onto_magnons():
     assert fidelity(rho, StateVector(rho.registry, target)) == pytest.approx(0.25, abs=1e-12)
 
     # the minus herald flips the upper-arm sign
-    rho_m = partial_trace(apply(projs[BellId.PHI_MINUS], joint), mag)
+    rho_m = partial_trace(dense_apply(projs[BellId.PHI_MINUS], joint), mag)
     target_m = np.zeros(rho.registry.dimension, dtype=complex)
     target_m[rho.registry.index_of_occupation([0, 1])] = alpha
     target_m[rho.registry.index_of_occupation([1, 0])] = -beta
@@ -126,7 +125,7 @@ def test_detector_patterns_realize_bell_projectors():
         for op in (elements.pbs(reg, "b", "c"),
                    elements.half_wave_plate(reg, "b", np.pi / 8),
                    elements.half_wave_plate(reg, "c", np.pi / 8)):
-            psi = apply(op, psi)
+            psi = dense_apply(op, psi)
         columns.append(psi.amplitudes)
     routed = np.column_stack(columns)
 
@@ -154,7 +153,7 @@ def test_detection_patterns_for_pure_even_parity_input():
     for op in (elements.pbs(wide, "b", "c"),
                elements.half_wave_plate(wide, "b", np.pi / 8),
                elements.half_wave_plate(wide, "c", np.pi / 8)):
-        routed = apply(op, routed)
+        routed = dense_apply(op, routed)
     # detectors: 3h = b.H, 3v = b.V, 4h = c.H, 4v = c.V
     probs = {}
     for occ in [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0)]:
@@ -170,7 +169,7 @@ def test_detection_patterns_for_pure_even_parity_input():
 
 def herald_probabilities(state, path1="b", path2="c"):
     projs = bell_projectors(state.registry, path1, path2)
-    return {bid: apply(projs[bid], state).norm() ** 2 for bid in BELL_IDS}
+    return {bid: dense_apply(projs[bid], state).norm() ** 2 for bid in BELL_IDS}
 
 
 def test_detection_on_joint_state_gives_quarter_probabilities():
@@ -200,7 +199,7 @@ def test_detection_odd_parity_states_bunch_and_need_number_resolution():
     for op in (elements.pbs(wide, "b", "c"),
                elements.half_wave_plate(wide, "b", np.pi / 8),
                elements.half_wave_plate(wide, "c", np.pi / 8)):
-        routed = apply(op, routed)
+        routed = dense_apply(op, routed)
     bunched = sum(abs(routed.amplitude(list(occ))) ** 2
                   for occ in [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
     coincident = sum(abs(routed.amplitude(list(occ))) ** 2

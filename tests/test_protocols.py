@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from dense_oracle import concurrence_dual_rail, dense_readout, dense_report
+from dense_oracle import concurrence_dual_rail, dense_apply, dense_readout, dense_report
 
 from omxsim import constants, elements, plans, protocols
 from omxsim.elements import ScatterModel
@@ -236,10 +236,20 @@ def test_oversized_side_is_refused_before_propagating(monkeypatch):
         teleport(InputQubit(1, 0), ThermalConfig(0.1, cutoff=255))
 
 
-def test_side_limit_counts_only_components_with_weight():
-    # at n_bar = 0 only the ground component is propagated
+def test_ground_teleport_propagates_every_component(monkeypatch):
+    # n_bar only weights the components: at n_bar = 0 all 31**2 of the
+    # interferometer side are propagated, and only the ground one counts
+    propagated = []
+    real_apply = protocols.apply
+
+    def spy(op, batch):
+        propagated.append(len(np.unique(batch.component)))
+        return real_apply(op, batch)
+
+    monkeypatch.setattr(protocols, "apply", spy)
     rep = teleport(InputQubit(1, 0), ThermalConfig(0.0, cutoff=30))
     assert rep.aggregate_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert max(propagated) == 31 ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +326,10 @@ def test_unsuccessful_scattering_exits_other_port():
         [optical("A", "H"), optical("A", "V"), optical("B", "H"), optical("B", "V")],
         [1, 1, 1, 1])
     psi = StateVector.from_occupation(reg, [0, 1, 0, 0])
-    psi = apply(elements.beam_splitter_50_50(
+    psi = dense_apply(elements.beam_splitter_50_50(
         reg, reg.optical_index("A", "V"), reg.optical_index("B", "V")), psi)
-    psi = apply(elements.half_wave_plate(reg, "A", np.pi / 4), psi)
-    psi = apply(elements.pbs(reg, "A", "B"), psi)
+    psi = dense_apply(elements.half_wave_plate(reg, "A", np.pi / 4), psi)
+    psi = dense_apply(elements.pbs(reg, "A", "B"), psi)
     # arm A: V -> H, transmits on A; arm B: stays V, crosses to A
     assert abs(psi.amplitude([1, 0, 0, 0])) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert abs(psi.amplitude([0, 1, 0, 0])) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
