@@ -33,7 +33,7 @@ constructor's registry checks (distinct modes, equal cutoffs, mode kinds, H/V
 pairs), the shape check on u and the `ElementOp`, which shares the read-only
 matrix and checks it for unitarity.  The constructors stay plain module
 functions above the memo, so a wrapper installed on this module's attribute
-sees every call.
+sees every call; a side kept by `protocols._sides` calls none of them again.
 """
 
 from __future__ import annotations

@@ -27,12 +27,14 @@ whatever their weight, run through them as one sparse batch, one
 `fock.apply` per element; no registry over the whole plan is built.  The
 sides meet only in the herald, which a side enters only through its output
 on the analyzer states that the Bell vectors use: each thermal component
-reduces to its squared norm and two small Gram matrices (`_Side.factors`).  Reports and sweeps weight each
-side's factors with its own thermal weights, one product
-(`plans.component_weight`) over a grid of occupations at once, and join
-the sides through the Bell vectors.  The occupation enters nowhere else:
-a report is the one-point grid of the same path, so a sweep row equals the
-report at its occupation to the last bit.
+reduces to its squared norm and two small Gram matrices (`_Side.factors`).
+Reports and sweeps weight each side's factors with its own thermal weights,
+one product (`plans.component_weight`) over a grid of occupations at once,
+and join the sides through the Bell vectors.  The occupation enters nowhere
+else: a report is the one-point grid of the same path, so a sweep row
+equals the report at its occupation to the last bit.  Nor does a side read
+it: `_sides` keeps each built side for later commands, unless it holds the
+input qubit, whose amplitudes it reads.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the join forms each herald's block over the sector states, whose overlaps
@@ -305,31 +307,24 @@ def _overlaps(settings: PlanSettings) -> np.ndarray:
 class _Side:
     """One side of the Bell analyzer, propagated on its own small registry.
 
-    The registry holds the side's declarations in the order: analyzer paths
-    in Bell-vector order, magnons, the rest, each group in plan order.  All
-    of the side's thermal components go through the elements together, as
-    one sparse `fock.Batch` (each holds one drive photon and its magnon
-    occupations, a few entries), one `fock.apply` per element.  An entry's
-    registry index is, little-endian, its analyzer state (of `da`), its
-    magnon row (of `dm`) and its other-mode index.  Every component of
-    `iter_components` is propagated, whatever its weight: the occupation
-    only weights the components afterwards, so one side serves a report and
-    a sweep alike.
+    The registry holds the side's declarations in `ranked` order: analyzer
+    paths in Bell-vector order (rank 0, 1), magnons (2), the rest (3), each
+    group in plan order.  All of the side's thermal components go through
+    the elements together, as one sparse `fock.Batch` (each holds one drive
+    photon and its magnon occupations, a few entries), one `fock.apply` per
+    element.  An entry's registry index is, little-endian, its analyzer
+    state (of `da`), its magnon row (of `dm`) and its other-mode index.
+    Every component of `iter_components` is propagated, whatever its
+    weight: the occupation only weights the components afterwards, so one
+    side serves a report, a sweep and, kept under its `key`, later commands.
     """
 
-    def __init__(self, plan: CircuitPlan, decls: list, steps: list[ElementStep]):
-        paths = (plan.measure.path1, plan.measure.path2)
-
-        def rank(decl) -> int:
-            if isinstance(decl, MagnonDecl):
-                return 2
-            return paths.index(decl.path) if decl.path in paths else 3
-
-        decls = sorted(decls, key=rank)
+    def __init__(self, plan: CircuitPlan, ranked: list, steps: list[ElementStep], key=None):
+        self.key, decls = key, [d for _, d in ranked]
         reg = plans.build_registry(plan, decls)
-        self.magnons = [d for d in decls if isinstance(d, MagnonDecl)]
-        self.components = list(plans.iter_components(plan, self.magnons))
-        a = 2 * sum(rank(d) < 2 for d in decls)     # H and V of each analyzer path
+        self.magnons = tuple(d for d in decls if isinstance(d, MagnonDecl))
+        self.components = tuple(plans.iter_components(plan, self.magnons))
+        a = 2 * sum(r < 2 for r, _ in ranked)       # H and V of each analyzer path
         m = a + len(self.magnons)
         self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:m])
         self.span = reg.dimension // self.da          # magnon rows x other modes
@@ -337,13 +332,17 @@ class _Side:
         for op in plans.build_elements(plan, reg, steps):
             state = apply(op, state)
         self.batch = state
+        self._factors: dict[tuple[bytes, bytes], tuple] = {}
 
-    def factors(self, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The side's herald factors, one row per thermal component k: its
-        squared norm; G[i, j] = sum x_k[states[i], m, o] conj(x_k[states[j],
-        m, o]) over every magnon row m and other-mode index o; and
-        H[(r, i), (r', j)], the same sum over o alone at m = rows[r] and
-        rows[r']; each Gram flattened row-major."""
+    def factors(self, states: np.ndarray, rows: np.ndarray) -> tuple:
+        """The side's herald factors, formed once per (states, rows), one row
+        per thermal component k: its squared norm; G[i, j] = sum
+        x_k[states[i], m, o] conj(x_k[states[j], m, o]) over every magnon row
+        m and other-mode index o; and H[(r, i), (r', j)], the same sum over o
+        alone at m = rows[r] and rows[r']; each Gram flattened row-major.
+        With them, G's columns, one per (k, m, o), for `row_grams`."""
+        if (key := (states.tobytes(), rows.tobytes())) in self._factors:
+            return self._factors[key]
         n, ns, width = len(self.components), len(states), len(states) * len(rows)
         _check_entries(n * (1 + ns * ns + width * width),
                        f"the herald factors of {n} thermal components need")
@@ -356,8 +355,8 @@ class _Side:
         use = hit.any(axis=1)
         k, rest, slot, amplitudes = (b.component[use], rest[use], hit[use].argmax(axis=1),
                                      b.amplitudes[use])
-        # one column per (component, magnon row, other modes), kept for `row_grams`
-        self.columns = keys, grams = _column_grams(k * self.span + rest, slot, amplitudes, ns)
+        # one column per (component, magnon row, other modes)
+        columns = keys, grams = _column_grams(k * self.span + rest, slot, amplitudes, ns)
         np.add.at(f[:, 1:1 + ns * ns], keys // self.span, grams)
         # one column per (component, other modes), over the sector rows
         other, row = np.divmod(rest, self.dm)
@@ -368,15 +367,61 @@ class _Side:
                                     hit[use].argmax(axis=1) * ns + slot[use], amplitudes[use],
                                     width)
         np.add.at(f[:, 1 + ns * ns:], keys // span, grams)
-        return f
+        self._factors[key] = f, columns
+        return f, columns
 
-    def row_grams(self, w: np.ndarray) -> np.ndarray:
-        """The G of `factors` per magnon row, summed over the components with
-        their weights `w`, (dm, states^2)."""
-        keys, grams = self.columns
+    def row_grams(self, columns: tuple, w: np.ndarray) -> np.ndarray:
+        """The G of `factors` per magnon row, summed from its `columns` over
+        the components with their weights `w`, (dm, states^2)."""
+        keys, grams = columns
         out = np.zeros((self.dm, grams.shape[1]), dtype=complex)
         np.add.at(out, keys % self.span % self.dm, w[keys // self.span, None] * grams)
         return out
+
+
+class _SideMemo(dict):
+    """Built sides, least recently used first, by all that a side reads, the
+    limits its build checks included, so a lowered limit refuses as cold.
+    The kept sides are read-only and hold at most MAX_ARRAY_ENTRIES entries
+    together.  Angles of -0.0 and 0.0 share a key: they build equal elements."""
+
+    Info = NamedTuple("Info", [("hits", int), ("misses", int), ("sides", int), ("entries", int)])
+    hits = misses = 0
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> Info:
+        return self.Info(self.hits, self.misses, len(self), sum(n for _, n in self.values()))
+
+    def side(self, plan: CircuitPlan, decls: list, steps: list[ElementStep]) -> _Side:
+        paths, s = (plan.measure.path1, plan.measure.path2), plan.settings
+        ranked = sorted(((2 if isinstance(d, MagnonDecl) else paths.index(d.path)
+                          if d.path in paths else 3, d) for d in decls), key=lambda rd: rd[0])
+        key = None if any(d.init == "qubit" for d in decls) else (
+            tuple(ranked), tuple(steps), s.thermal_cutoff, s.photon_cutoff, s.model,
+            constants.MAX_DIMENSION, constants.MAX_ARRAY_ENTRIES)
+        if key in self:
+            self.hits += 1
+            return self[key][0]
+        self.misses += key is not None
+        return _Side(plan, ranked, steps, key)
+
+    def keep(self, side: _Side) -> None:
+        """Keep `side` and its factors as the most recently used, if they fit."""
+        arrays = [side.batch.component, side.batch.index, side.batch.amplitudes,
+                  *(a for f, columns in side._factors.values() for a in (f, *columns))]
+        self.pop(side.key, None)
+        if side.key is not None and sum(a.size for a in arrays) <= constants.MAX_ARRAY_ENTRIES:
+            for array in arrays:
+                array.setflags(write=False)
+            self[side.key] = side, sum(a.size for a in arrays)
+        while self.cache_info().entries > constants.MAX_ARRAY_ENTRIES:
+            del self[next(iter(self))]
+
+
+_sides = _SideMemo()
 
 
 def _column_grams(key: np.ndarray, slot: np.ndarray, amplitudes: np.ndarray,
@@ -424,7 +469,7 @@ def _join_layout(photon_cutoff: int, da: tuple[int, int],
 
 
 class _Circuit:
-    """A plan split at the Bell analyzer, its sides run one at a time.
+    """A plan split at the Bell analyzer, each side run or taken from `_sides`.
 
     The elements never act across the two sides (`plans.split_sides`), so
     the joint state of a component pair is the product of the two sides'
@@ -443,7 +488,7 @@ class _Circuit:
         if len(magnons) != need:
             raise ProtocolError(f"{s.protocol} expects {need} magnon modes, "
                                 f"found {len(magnons)}")
-        self.sides = [_Side(plan, decls, steps) for decls, steps in plans.split_sides(plan)]
+        self.sides = [_sides.side(plan, *side) for side in plans.split_sides(plan)]
         self.levels = s.thermal_cutoff + 2          # Fock levels of each magnon
         # each side's magnon row of each sector state: little-endian over the
         # side's own magnons, so a magnon's stride is 0 on the other side
@@ -454,8 +499,10 @@ class _Circuit:
         self.states, self.index, self.coefficients = _join_layout(
             s.photon_cutoff, tuple(side.da for side in self.sides),
             tuple(tuple(q.tolist()) for _, q in sector_rows))
-        self.factors = [side.factors(st, r) for side, st, (r, _)
-                        in zip(self.sides, self.states, sector_rows)]
+        self.factors, self.columns = zip(*(side.factors(st, r) for side, st, (r, _)
+                                           in zip(self.sides, self.states, sector_rows)))
+        for side in self.sides:
+            _sides.keep(side)
         self.overlap = _overlaps(s)
 
     def weights(self, grid) -> list[np.ndarray]:
@@ -500,7 +547,7 @@ class _Circuit:
         _check_entries(d + sum(side.dm * len(st) ** 2
                                for side, st in zip(self.sides, self.states)),
                        f"the populations of a herald over {d} magnon levels need")
-        return [side.row_grams(w) for side, w in zip(self.sides, (w1, w2))]
+        return [side.row_grams(c, w) for side, c, w in zip(self.sides, self.columns, (w1, w2))]
 
     def populations(self, k: int, grams: list[np.ndarray]) -> np.ndarray:
         """Unnormalized populations of the herald `BELL_IDS[k]` over the
@@ -826,7 +873,7 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
 
     `grid` is a sequence of occupations, its length checked by
     `check_sweep_size` before anything is formed.  The circuit is propagated
-    once (its side outputs do not depend on n_bar); each side's
+    at most once (its side outputs do not depend on n_bar); each side's
     factors are then weighted and joined over a slice of the grid at a time,
     whose largest array holds at most SWEEP_SLICE entries.
     """

@@ -20,7 +20,10 @@ cutoffs 9, 20, 43, 44, 60, 254 (the largest side under MAX_DIMENSION) and
 255, `readout --n-bar 0.1` at cutoffs 9, 21 and 22, `swap --n-bar 0.2` at
 cutoffs 40, 254 and 255, `teleport --n-bar 0.2` at cutoff 254, and a
 cutoff-12 swap sweep just inside and just past MAX_SWEEP_WEIGHTS.  The
-commands run in this one process through `cli.main`.
+commands run in this one process through `cli.main`, so most of them reuse
+a side that an earlier command built and `protocols._sides` kept: the
+digests of a checkout that builds every side cold, compared with those of
+one that keeps them, compare cold output against warm output.
 """
 
 from __future__ import annotations

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from omxsim import protocols
 from omxsim.fock import ModeRegistry, StateVector
+
+
+@pytest.fixture(autouse=True)
+def cold_sides():
+    """Forget every built side after each test: a side built under a
+    monkeypatched constructor, `apply` or limit must not serve another."""
+    yield
+    protocols._sides.cache_clear()
 
 
 @pytest.fixture

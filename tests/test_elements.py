@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from omxsim import cli, constants, elements, fock
+from omxsim import cli, constants, elements, fock, protocols
 from omxsim.elements import (
     ScatterModel,
     antistokes_swap,
@@ -521,8 +521,10 @@ def test_the_memo_holds_at_most_its_bound():
 @pytest.mark.parametrize("command, misses, hits", [("swap", 2, 2), ("readout", 3, 5)])
 def test_a_command_exponentiates_each_distinct_element_once(command, misses, hits):
     # a swap lifts bs50 and hwp(pi/4) on each side; a readout lifts those two
-    # for its teleport and antistokes twice and hwp(pi/4) once per transfer
+    # for its teleport and antistokes twice and hwp(pi/4) once per transfer,
+    # each side built cold
     elements._lift.cache_clear()
+    protocols._sides.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([command]) == 0
     info = elements._lift.cache_info()

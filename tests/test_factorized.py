@@ -292,6 +292,7 @@ def test_cutoff_3_swap_applies_elements_on_one_interferometer_only(monkeypatch):
     for cutoff in (1, 3, 6):
         teleport = protocols.teleport(InputQubit(1.0, 0.0), ThermalConfig(0.2, cutoff))
         seen.clear()
+        protocols._sides.cache_clear()          # the teleport kept the (A, B) side
         report = protocols.entanglement_swap(ThermalConfig(0.2, cutoff))
         assert report.aggregate_fidelity == pytest.approx(
             teleport.aggregate_fidelity ** 2, abs=TOL)
@@ -419,8 +420,9 @@ def test_side_factors_are_the_grams_of_the_dense_side_outputs(reorder):
     plan = dsl.compile_source(second_side_first(source) if reorder else source)
     n_bar = plan.settings.n_bar
     circuit = protocols._Circuit(plan)
-    for side, f, states, rows, (w,) in zip(circuit.sides, circuit.factors, circuit.states,
-                                          circuit.rows, circuit.weights([n_bar])):
+    for side, f, columns, states, rows, (w,) in zip(
+            circuit.sides, circuit.factors, circuit.columns, circuit.states, circuit.rows,
+            circuit.weights([n_bar])):
         out = dense_side(side)
         n, ns, rows = len(out), len(states), np.unique(rows)
         x = out[:, states]
@@ -433,7 +435,7 @@ def test_side_factors_are_the_grams_of_the_dense_side_outputs(reorder):
         assert np.abs(f[:, 1:1 + ns * ns] - gram).max() < 1e-15
         assert np.abs(f[:, 1 + ns * ns:] - sector).max() < 1e-15
         by_row = np.einsum("k,kimo,kjmo->mij", w, x, x.conj()).reshape(side.dm, -1)
-        assert np.abs(side.row_grams(w) - by_row).max() < 1e-15
+        assert np.abs(side.row_grams(columns, w) - by_row).max() < 1e-15
 
 
 @pytest.mark.parametrize("cutoff", [7, 8])
@@ -448,6 +450,7 @@ def test_swap_beyond_the_joint_registry_limit_matches_the_truncated_form(cutoff)
 
 
 def test_no_registry_spans_both_interferometers(monkeypatch, capsys):
+    protocols._sides.cache_clear()              # every side built cold
     sides = ({"A", "B", "mA", "mB"}, {"C", "D", "mC", "mD"})
     calls = []
     real_build = plans.build_registry

@@ -13,7 +13,7 @@ import io
 import sys
 from pathlib import Path
 
-from omxsim import cli, elements
+from omxsim import cli, elements, protocols
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,6 +39,7 @@ def test_every_propagation_span_is_a_hook_span():
 
 def test_a_traced_report_and_sweep_record_the_weight_and_propagation_spans():
     tracer = _tracer_module()
+    protocols._sides.cache_clear()              # a kept side propagates nothing
     recorder = tracer.Tracer()
     recorder.install()
     try:
@@ -68,6 +69,7 @@ def test_a_warm_memo_still_records_one_build_span_per_constructor_call(monkeypat
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["readout"]) == 0         # warms the memo
     calls.clear()
+    protocols._sides.cache_clear()              # rebuild the sides, from warm lifts
     before = elements._lift.cache_info()
     recorder = tracer.Tracer()
     recorder.install()

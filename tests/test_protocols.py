@@ -239,6 +239,7 @@ def test_oversized_side_is_refused_before_propagating(monkeypatch):
 def test_ground_teleport_propagates_every_component(monkeypatch):
     # n_bar only weights the components: at n_bar = 0 all 31**2 of the
     # interferometer side are propagated, and only the ground one counts
+    protocols._sides.cache_clear()
     propagated = []
     real_apply = protocols.apply
 
