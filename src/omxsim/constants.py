@@ -41,8 +41,7 @@ MAX_DIMENSION = 1 << 20
 # amplitudes one element gathers from a side's batch (`fock.apply`), a
 # side's herald factors (thermal components times a few Gram entries), and
 # the populations of a herald over d magnon levels with their per-row Grams
-# (a swap's are refused from cutoff 44).  It also bounds the entries of all
-# the built sides that `protocols._sides` keeps together.
+# (a swap's are refused from cutoff 44); also the sum over `protocols._sides`.
 MAX_ARRAY_ENTRIES = 1 << 22
 
 # Ceiling on a sweep's thermal weights: grid points times the two sides'

@@ -27,14 +27,13 @@ whatever their weight, run through them as one sparse batch, one
 `fock.apply` per element; no registry over the whole plan is built.  The
 sides meet only in the herald, which a side enters only through its output
 on the analyzer states that the Bell vectors use: each thermal component
-reduces to its squared norm and two small Gram matrices (`_Side.factors`).
-Reports and sweeps weight each side's factors with its own thermal weights,
-one product (`plans.component_weight`) over a grid of occupations at once,
-and join the sides through the Bell vectors.  The occupation enters nowhere
-else: a report is the one-point grid of the same path, so a sweep row
-equals the report at its occupation to the last bit.  Nor does a side read
-it: `_sides` keeps each built side for later commands, unless it holds the
-input qubit, whose amplitudes it reads.
+reduces to its squared norm and two small Gram matrices (`_Side.factors`).  Reports and sweeps weight each
+side's factors with its own thermal weights, one product
+(`plans.component_weight`) over a grid of occupations at once, and join
+the sides through the Bell vectors.  The occupation enters nowhere else:
+a report is the one-point grid of the same path, so a sweep row equals the
+report at its occupation to the last bit.  Nor does a side read it: `_sides`
+keeps each built side for later commands, unless it holds the input qubit.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the join forms each herald's block over the sector states, whose overlaps
@@ -309,21 +308,20 @@ class _Side:
 
     The registry holds the side's declarations in `ranked` order: analyzer
     paths in Bell-vector order (rank 0, 1), magnons (2), the rest (3), each
-    group in plan order.  All of the side's thermal components go through
-    the elements together, as one sparse `fock.Batch` (each holds one drive
-    photon and its magnon occupations, a few entries), one `fock.apply` per
+    group in plan order.  All of its thermal components (`components`, one
+    row of magnon occupations each, whatever its weight) go through the
+    elements together as one sparse `fock.Batch`, one `fock.apply` per
     element.  An entry's registry index is, little-endian, its analyzer
     state (of `da`), its magnon row (of `dm`) and its other-mode index.
-    Every component of `iter_components` is propagated, whatever its
-    weight: the occupation only weights the components afterwards, so one
-    side serves a report, a sweep and, kept under its `key`, later commands.
+    The occupation only weights the components afterwards, so one side
+    serves a report, a sweep and, kept by `_sides`, later commands.
     """
 
-    def __init__(self, plan: CircuitPlan, ranked: list, steps: list[ElementStep], key=None):
-        self.key, decls = key, [d for _, d in ranked]
+    def __init__(self, plan: CircuitPlan, ranked: list, steps: list[ElementStep]):
+        decls = [d for _, d in ranked]
         reg = plans.build_registry(plan, decls)
         self.magnons = tuple(d for d in decls if isinstance(d, MagnonDecl))
-        self.components = tuple(plans.iter_components(plan, self.magnons))
+        self.components = np.array(list(plans.iter_components(plan, self.magnons)), dtype=np.int64)
         a = 2 * sum(r < 2 for r, _ in ranked)       # H and V of each analyzer path
         m = a + len(self.magnons)
         self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:m])
@@ -335,12 +333,11 @@ class _Side:
         self._factors: dict[tuple[bytes, bytes], tuple] = {}
 
     def factors(self, states: np.ndarray, rows: np.ndarray) -> tuple:
-        """The side's herald factors, formed once per (states, rows), one row
-        per thermal component k: its squared norm; G[i, j] = sum
-        x_k[states[i], m, o] conj(x_k[states[j], m, o]) over every magnon row
-        m and other-mode index o; and H[(r, i), (r', j)], the same sum over o
-        alone at m = rows[r] and rows[r']; each Gram flattened row-major.
-        With them, G's columns, one per (k, m, o), for `row_grams`."""
+        """The side's herald factors and G's columns (for `row_grams`), formed
+        once per (states, rows).  A factor row per thermal component k holds
+        |x_k|^2; G[i, j] = sum x_k[states[i], m, o] conj(x_k[states[j], m, o])
+        over magnon rows m and other-mode indices o, one column per (k, m, o);
+        and H[(r, i), (r', j)], over o alone at m = rows[r], rows[r']; row-major."""
         if (key := (states.tobytes(), rows.tobytes())) in self._factors:
             return self._factors[key]
         n, ns, width = len(self.components), len(states), len(states) * len(rows)
@@ -367,8 +364,7 @@ class _Side:
                                     hit[use].argmax(axis=1) * ns + slot[use], amplitudes[use],
                                     width)
         np.add.at(f[:, 1 + ns * ns:], keys // span, grams)
-        self._factors[key] = f, columns
-        return f, columns
+        return self._factors.setdefault(key, (f, columns))
 
     def row_grams(self, columns: tuple, w: np.ndarray) -> np.ndarray:
         """The G of `factors` per magnon row, summed from its `columns` over
@@ -380,10 +376,11 @@ class _Side:
 
 
 class _SideMemo(dict):
-    """Built sides, least recently used first, by all that a side reads, the
-    limits its build checks included, so a lowered limit refuses as cold.
-    The kept sides are read-only and hold at most MAX_ARRAY_ENTRIES entries
-    together.  Angles of -0.0 and 0.0 share a key: they build equal elements."""
+    """Built sides by all that a side reads, the limits its build checks
+    included (a lowered limit refuses as cold), least recently used first.
+    `side` gives a kept or new side and its key, None for a side holding the
+    input qubit; `keep` keeps it read-only while the kept sides' entries stay
+    within MAX_ARRAY_ENTRIES.  Angles -0.0 and 0.0 build equal elements."""
 
     Info = NamedTuple("Info", [("hits", int), ("misses", int), ("sides", int), ("entries", int)])
     hits = misses = 0
@@ -395,7 +392,7 @@ class _SideMemo(dict):
     def cache_info(self) -> Info:
         return self.Info(self.hits, self.misses, len(self), sum(n for _, n in self.values()))
 
-    def side(self, plan: CircuitPlan, decls: list, steps: list[ElementStep]) -> _Side:
+    def side(self, plan: CircuitPlan, decls: list, steps: list[ElementStep]) -> tuple:
         paths, s = (plan.measure.path1, plan.measure.path2), plan.settings
         ranked = sorted(((2 if isinstance(d, MagnonDecl) else paths.index(d.path)
                           if d.path in paths else 3, d) for d in decls), key=lambda rd: rd[0])
@@ -404,19 +401,18 @@ class _SideMemo(dict):
             constants.MAX_DIMENSION, constants.MAX_ARRAY_ENTRIES)
         if key in self:
             self.hits += 1
-            return self[key][0]
+            return self[key][0], key
         self.misses += key is not None
-        return _Side(plan, ranked, steps, key)
+        return _Side(plan, ranked, steps), key
 
-    def keep(self, side: _Side) -> None:
-        """Keep `side` and its factors as the most recently used, if they fit."""
-        arrays = [side.batch.component, side.batch.index, side.batch.amplitudes,
+    def keep(self, key, side: _Side) -> None:
+        arrays = [side.components, side.batch.component, side.batch.index, side.batch.amplitudes,
                   *(a for f, columns in side._factors.values() for a in (f, *columns))]
-        self.pop(side.key, None)
-        if side.key is not None and sum(a.size for a in arrays) <= constants.MAX_ARRAY_ENTRIES:
+        self.pop(key, None)
+        if key is not None and (n := sum(a.size for a in arrays)) <= constants.MAX_ARRAY_ENTRIES:
             for array in arrays:
                 array.setflags(write=False)
-            self[side.key] = side, sum(a.size for a in arrays)
+            self[key] = side, n
         while self.cache_info().entries > constants.MAX_ARRAY_ENTRIES:
             del self[next(iter(self))]
 
@@ -488,7 +484,7 @@ class _Circuit:
         if len(magnons) != need:
             raise ProtocolError(f"{s.protocol} expects {need} magnon modes, "
                                 f"found {len(magnons)}")
-        self.sides = [_sides.side(plan, *side) for side in plans.split_sides(plan)]
+        self.sides, keys = zip(*(_sides.side(plan, *side) for side in plans.split_sides(plan)))
         self.levels = s.thermal_cutoff + 2          # Fock levels of each magnon
         # each side's magnon row of each sector state: little-endian over the
         # side's own magnons, so a magnon's stride is 0 on the other side
@@ -501,8 +497,8 @@ class _Circuit:
             tuple(tuple(q.tolist()) for _, q in sector_rows))
         self.factors, self.columns = zip(*(side.factors(st, r) for side, st, (r, _)
                                            in zip(self.sides, self.states, sector_rows)))
-        for side in self.sides:
-            _sides.keep(side)
+        for key, side in zip(keys, self.sides):
+            _sides.keep(key, side)
         self.overlap = _overlaps(s)
 
     def weights(self, grid) -> list[np.ndarray]:
@@ -885,12 +881,9 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
         raise ProtocolError("sweep grid values must be finite and >= 0")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ProtocolError("sweep grid must be monotone nondecreasing")
-    if protocol == "teleport":
-        plan = teleport_plan(qubit, ThermalConfig(0.0, cfg.cutoff, cfg.renormalize), model)
-        closed = closed_form_f1
-    else:
-        plan = swap_plan(ThermalConfig(0.0, cfg.cutoff, cfg.renormalize), model)
-        closed = closed_form_f2
+    base = ThermalConfig(0.0, cfg.cutoff, cfg.renormalize)
+    plan = teleport_plan(qubit, base, model) if protocol == "teleport" else swap_plan(base, model)
+    closed = closed_form_f1 if protocol == "teleport" else closed_form_f2
     circuit = _Circuit(plan)
     included = _included(plan.settings)
     simulated = []

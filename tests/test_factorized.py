@@ -240,7 +240,7 @@ def test_sweep_rows_equal_their_reports_bit_for_bit(protocol, cutoff, steps):
 def test_the_circuit_does_not_depend_on_the_occupation(monkeypatch, make_plan):
     # n_bar only weights the thermal components, so the circuits of reports
     # that differ only in it propagate every component alike and reduce to
-    # the same factors
+    # the same factors; each circuit is built cold, so two builds are compared
     built = []
 
     class Recorded(protocols._Circuit):
@@ -250,14 +250,19 @@ def test_the_circuit_does_not_depend_on_the_occupation(monkeypatch, make_plan):
 
     monkeypatch.setattr(protocols, "_Circuit", Recorded)
     for n_bar in (0.0, 0.2):
+        protocols._sides.cache_clear()
         protocols.execute_plan(make_plan(n_bar, 2))
     ground, warm = built
     for a, b in zip(ground.sides, warm.sides, strict=True):
-        assert a.components == b.components
+        assert a is not b
+        assert np.array_equal(a.components, b.components)
         for field in ("component", "index", "amplitudes"):
             assert getattr(a.batch, field).tobytes() == getattr(b.batch, field).tobytes()
     for a, b in zip(ground.factors, warm.factors, strict=True):
+        assert a is not b
         assert a.tobytes() == b.tobytes()
+    for a, b in zip(ground.columns, warm.columns, strict=True):
+        assert [c.tobytes() for c in a] == [c.tobytes() for c in b]
 
 
 @pytest.mark.parametrize("command", ["teleport", "swap", "readout"])

@@ -86,7 +86,7 @@ def test_kept_sides_are_read_only():
     assert len(kept) == 2
     for side in kept:
         b = side.batch
-        arrays = [b.component, b.index, b.amplitudes]
+        arrays = [side.components, b.component, b.index, b.amplitudes]
         for f, columns in side._factors.values():
             arrays += [f, *columns]
         for array in arrays:
@@ -142,7 +142,7 @@ def test_an_argument_of_minus_zero_builds_the_element_of_zero(name):
 
 
 def test_the_kept_sides_stay_within_the_array_limit(monkeypatch):
-    # a cutoff-c interferometer side holds 40 (c + 1)^2 entries, so under
+    # a cutoff-c interferometer side holds 42 (c + 1)^2 entries, so under
     # this limit a cutoff-5 side pushes out every other and a cutoff-6 side
     # is not kept at all, nor does it push out the cutoff-5 one
     limit = 1800
@@ -157,12 +157,12 @@ def test_the_kept_sides_stay_within_the_array_limit(monkeypatch):
             sides.append(info.sides)
     assert max(sides) >= 4                        # cutoffs 1 and 2 fit together
     assert sides[-4:] == [1, 1, 1, 1]
-    assert protocols._sides.cache_info().entries == 40 * 6 ** 2
+    assert protocols._sides.cache_info().entries == 42 * 6 ** 2
     # a side's count covers every array it holds
     monkeypatch.undo()
     protocols._sides.cache_clear()
     run(["teleport", "--n-bar", "0.2"])
     (side, entries), = protocols._sides.values()
-    assert entries == 360
-    assert entries == 3 * side.batch.amplitudes.size + sum(
+    assert entries == 378
+    assert entries == side.components.size + 3 * side.batch.amplitudes.size + sum(
         f.size + keys.size + grams.size for f, (keys, grams) in side._factors.values())
