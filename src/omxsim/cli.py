@@ -52,6 +52,10 @@ def _parse_complex(text: str) -> complex:
 def _add_thermal_args(p: argparse.ArgumentParser):
     p.add_argument("--n-bar", type=float, default=0.0,
                    help="mean thermal magnon occupation (default 0)")
+    _add_model_args(p)
+
+
+def _add_model_args(p: argparse.ArgumentParser):
     cutoff = constants.DEFAULT_THERMAL_CUTOFF
     p.add_argument("--cutoff", type=int, default=cutoff,
                    help=f"thermal truncation level (default {cutoff})")
@@ -70,6 +74,12 @@ def _add_qubit_args(p: argparse.ArgumentParser):
                    help="sphere polar angle (alternative to --alpha/--beta)")
     p.add_argument("--phi", type=float, default=None,
                    help="sphere azimuth (with --theta, default 0)")
+
+
+def _add_sample_args(p: argparse.ArgumentParser):
+    p.add_argument("--sample", type=int, default=None,
+                   help="also draw this many demonstration heralds")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for --sample")
 
 
 def _add_output_args(p: argparse.ArgumentParser):
@@ -142,15 +152,12 @@ def build_parser() -> _Parser:
     _add_thermal_args(p)
     _add_qubit_args(p)
     _add_output_args(p)
-    p.add_argument("--sample", type=int, default=None,
-                   help="also draw this many demonstration heralds")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for --sample")
+    _add_sample_args(p)
 
     p = sub.add_parser("swap", help="entanglement swapping run (JSON report)")
     _add_thermal_args(p)
     _add_output_args(p)
-    p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sample_args(p)
 
     p = sub.add_parser("readout", help="teleport, then retrieve the magnon qubit")
     _add_thermal_args(p)
@@ -162,9 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--cutoff", type=int, default=constants.DEFAULT_THERMAL_CUTOFF)
-    p.add_argument("--renormalize", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--model", choices=[m.value for m in ScatterModel], default="paper")
+    _add_model_args(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_output_args(p)
 
@@ -201,17 +206,14 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "teleport":
+    if args.command in ("teleport", "swap"):
         _check_sample(args)
-        report = protocols.teleport(_qubit_from(args), _thermal_from(args),
-                                    ScatterModel(args.model))
-        _emit(_report_json(report, args.sample, args.seed), args.output)
-        return 0
-
-    if args.command == "swap":
-        _check_sample(args)
-        report = protocols.entanglement_swap(_thermal_from(args),
-                                             ScatterModel(args.model))
+        if args.command == "teleport":
+            report = protocols.teleport(_qubit_from(args), _thermal_from(args),
+                                        ScatterModel(args.model))
+        else:
+            report = protocols.entanglement_swap(_thermal_from(args),
+                                                 ScatterModel(args.model))
         _emit(_report_json(report, args.sample, args.seed), args.output)
         return 0
 
@@ -227,14 +229,12 @@ def _dispatch(args) -> int:
               f"n_bar_threshold = {_fmt(value)}\n", args.output)
         return 0
 
-    if args.command == "run":
+    if args.command in ("run", "validate"):
         plan = dsl.compile_source(_read_circuit(args.file))
-        report = protocols.execute_plan(plan)
-        _emit(report.to_json() + "\n", args.output)
-        return 0
-
-    if args.command == "validate":
-        plan = dsl.compile_source(_read_circuit(args.file))
+        if args.command == "run":
+            report = protocols.execute_plan(plan)
+            _emit(report.to_json() + "\n", args.output)
+            return 0
         n_modes = 2 * len(plan.photon_decls()) + len(plan.magnon_decls())
         print(f"OK: {args.file} ({n_modes} modes, {len(plan.steps)} elements, "
               f"protocol {plan.settings.protocol})")
@@ -244,12 +244,11 @@ def _dispatch(args) -> int:
 
 
 def _run_readout(args) -> int:
-    from .measurement import BellId
-
     q = _qubit_from(args)
     report = protocols.teleport(q, _thermal_from(args), ScatterModel(args.model))
     retrieved = {}
-    for bell_id, correct in ((BellId.PHI_PLUS, False), (BellId.PHI_MINUS, True)):
+    for bell_id, correct in ((measurement.BellId.PHI_PLUS, False),
+                             (measurement.BellId.PHI_MINUS, True)):
         outcome = report.outcome(bell_id)
         result = protocols.readout(outcome, apply_correction=correct)
         retrieved[bell_id.value] = {

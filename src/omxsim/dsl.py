@@ -14,13 +14,13 @@ import math
 import re
 from dataclasses import dataclass
 
-from . import constants
 from .fock import OmxError, RegistryError
 from .elements import ScatterModel
 from .plans import (
     ELEMENTS,
     MAGNON_INITS,
     PHOTON_INITS,
+    PROTOCOL_MAGNONS,
     PROTOCOLS,
     BellMeasure,
     CircuitPlan,
@@ -165,10 +165,10 @@ def _lex_line(text: str, line_no: int) -> list[_Token]:
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
+    def __init__(self, tokens: list[_Token], line_no: int, raw: str):
         self.tokens = tokens
         self.line = line_no
-        self.end_col = line_len + 1
+        self.raw = raw
         self.i = 0
 
     def peek(self) -> _Token | None:
@@ -177,12 +177,14 @@ class _Cursor:
     def next(self, expected: str) -> _Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError(self.line, self.end_col, expected, "end of line")
+            raise ParseError(self.line, len(self.raw) + 1, expected, "end of line")
         self.i += 1
         return tok
 
-    def expect(self, kind: str, text: str | None, expected: str) -> _Token:
-        tok = self.next(expected)
+    def expect(self, kind: str, text: str | None, expected: str,
+               at_end: str | None = None) -> _Token:
+        """Next token, of `kind` (and `text`); `at_end` names the expectation at line end."""
+        tok = self.next(at_end or expected)
         if tok.kind != kind or (text is not None and tok.text != text):
             raise ParseError(self.line, tok.column, expected, repr(tok.text))
         return tok
@@ -203,22 +205,11 @@ def parse(source: str) -> CircuitAst:
         tokens = _lex_line(raw, line_no)
         if not tokens:
             continue
-        cur = _Cursor(tokens, line_no, len(raw))
-        head = tokens[0]
-        if head.kind != "word":
-            raise ParseError(line_no, head.column,
-                             "mode, set, apply, or measure", repr(head.text))
-        if head.text == "mode":
-            decls.append(_parse_mode(cur))
-        elif head.text == "set":
-            decls.append(_parse_set(cur, raw))
-        elif head.text == "apply":
-            decls.append(_parse_apply(cur))
-        elif head.text == "measure":
-            decls.append(_parse_measure(cur))
-        else:
-            raise ParseError(line_no, head.column,
-                             "mode, set, apply, or measure", repr(head.text))
+        parse_decl = _DECLARATIONS.get(tokens[0].text)    # only a word can match
+        if parse_decl is None:
+            raise ParseError(line_no, tokens[0].column,
+                             "mode, set, apply, or measure", repr(tokens[0].text))
+        decls.append(parse_decl(_Cursor(tokens, line_no, raw)))
     return CircuitAst(tuple(decls), source)
 
 
@@ -239,13 +230,13 @@ def _parse_mode(cur: _Cursor) -> ModeDecl:
     return ModeDecl(kind.text, name.text, tuple(options), Span(cur.line, start.column))
 
 
-def _parse_set(cur: _Cursor, raw_line: str) -> SetDecl:
+def _parse_set(cur: _Cursor) -> SetDecl:
     start = cur.next("set")
     key = cur.expect("word", None, "a setting key")
     eq = cur.expect("punct", "=", "'=' after setting key")
     # the value is the raw remainder of the line (complex literals welcome)
-    eq_pos = raw_line.index("=", eq.column - 1)
-    rest = raw_line[eq_pos + 1:].split("#", 1)[0].strip()
+    eq_pos = cur.raw.index("=", eq.column - 1)
+    rest = cur.raw[eq_pos + 1:].split("#", 1)[0].strip()
     if not rest:
         raise ParseError(cur.line, eq.column + 1, "a setting value", "end of line")
     return SetDecl(key.text, rest, Span(cur.line, start.column))
@@ -264,16 +255,9 @@ def _parse_apply(cur: _Cursor) -> ElementDecl:
     for pos, kind in enumerate(signature):
         expected = f"{_ORDINALS[pos]} {kind} argument"
         if pos > 0:
-            sep = cur.next(f"',' before the {expected}")
-            if sep.kind != "punct" or sep.text != ",":
-                raise ParseError(cur.line, sep.column, expected, repr(sep.text))
-        tok = cur.next(expected)
-        if tok.kind == "punct" and tok.text == ")":
-            raise ParseError(cur.line, tok.column, expected, "')'")
-        args.append(_parse_arg(cur, tok, kind, expected))
-    closing = cur.next("')'")
-    if closing.kind != "punct" or closing.text != ")":
-        raise ParseError(cur.line, closing.column, "')'", repr(closing.text))
+            cur.expect("punct", ",", expected, f"',' before the {expected}")
+        args.append(_parse_arg(cur, cur.next(expected), kind, expected))
+    cur.expect("punct", ")", "')'")
     cur.done()
     return ElementDecl(name.text, tuple(args), Span(cur.line, start.column))
 
@@ -309,27 +293,55 @@ def _parse_arg(cur: _Cursor, tok: _Token, kind: str, expected: str):
 
 def _parse_measure(cur: _Cursor) -> MeasureDecl:
     start = cur.next("measure")
-    kind = cur.expect("word", None, "'bell'")
-    if kind.text != "bell":
-        raise ParseError(cur.line, kind.column, "'bell'", repr(kind.text))
+    cur.expect("word", "bell", "'bell'")
     cur.expect("punct", "(", "'('")
     p1 = cur.expect("word", None, "first photon path")
-    sep = cur.next("','")
-    if sep.kind != "punct" or sep.text != ",":
-        raise ParseError(cur.line, sep.column, "second photon path", repr(sep.text))
+    cur.expect("punct", ",", "second photon path", "','")
     p2 = cur.expect("word", None, "second photon path")
-    closing = cur.next("')'")
-    if closing.kind != "punct" or closing.text != ")":
-        raise ParseError(cur.line, closing.column, "')'", repr(closing.text))
+    cur.expect("punct", ")", "')'")
     cur.done()
     return MeasureDecl((p1.text, p2.text), Span(cur.line, start.column))
+
+
+_DECLARATIONS = {"mode": _parse_mode, "set": _parse_set, "apply": _parse_apply,
+                 "measure": _parse_measure}
 
 
 # ---------------------------------------------------------------------------
 # semantic analysis / compilation
 
-_SET_KEYS = ("protocol", "n_bar", "thermal_cutoff", "renormalize", "model",
-             "alpha", "beta", "photon_cutoff")
+def _flag(text: str) -> bool:
+    return {"true": True, "false": False}[text.lower()]
+
+
+def _protocol(text: str) -> str:
+    if text not in PROTOCOLS:
+        raise ValueError(text)
+    return text
+
+
+def _at_least(low: int, convert=int):
+    def bounded(text: str):
+        value = convert(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+    return bounded
+
+
+# `set` key -> (value parser, which raises KeyError or ValueError; the
+# values it takes), in the order bad values are reported.  An unset key
+# keeps its PlanSettings default.
+_SETTINGS = {
+    "protocol": (_protocol, " or ".join(PROTOCOLS)),
+    "n_bar": (_at_least(0, float), "a number >= 0"),
+    "thermal_cutoff": (_at_least(1), "an integer >= 1"),
+    "renormalize": (_flag, "true or false"),
+    "model": (ScatterModel, "paper or bosonic"),
+    "alpha": (complex, "a complex number"),
+    "beta": (complex, "a complex number"),
+    "photon_cutoff": (_at_least(1), "an integer >= 1"),
+}
 
 
 def compile(ast: CircuitAst) -> CircuitPlan:  # noqa: A001 - spec'd operation name
@@ -347,28 +359,27 @@ def compile(ast: CircuitAst) -> CircuitPlan:  # noqa: A001 - spec'd operation na
 
     for decl in ast.decls:
         if isinstance(decl, ModeDecl):
-            table = photon_paths if decl.kind == "photon" else magnons
+            table, make, allowed = ((photon_paths, PhotonDecl, PHOTON_INITS)
+                                    if decl.kind == "photon"
+                                    else (magnons, MagnonDecl, MAGNON_INITS))
             if decl.name in table:
                 issue(decl.span, f"duplicate {decl.kind} mode {decl.name!r}")
                 continue
-            init = "vacuum" if decl.kind == "photon" else "ground"
+            init = {}                   # unset: the declaration's default
             for key, value in decl.options:
                 if key != "init":
                     issue(decl.span, f"unknown mode option {key!r}")
-                    continue
-                allowed = PHOTON_INITS if decl.kind == "photon" else MAGNON_INITS
-                if value not in allowed:
+                elif value not in allowed:
                     issue(decl.span, f"bad init {value!r} for a {decl.kind} mode "
                           f"(expected one of {', '.join(allowed)})")
-                    continue
-                init = value
+                else:
+                    init = {"init": value}
             table[decl.name] = decl
-            plan_decls.append(PhotonDecl(decl.name, init) if decl.kind == "photon"
-                              else MagnonDecl(decl.name, init))
+            plan_decls.append(make(decl.name, **init))
         elif isinstance(decl, SetDecl):
-            if decl.key not in _SET_KEYS:
+            if decl.key not in _SETTINGS:
                 issue(decl.span, f"unknown setting {decl.key!r} "
-                      f"(expected one of {', '.join(_SET_KEYS)})")
+                      f"(expected one of {', '.join(_SETTINGS)})")
                 continue
             settings_raw[decl.key] = (decl.raw_value, decl.span)
         elif isinstance(decl, MeasureDecl):
@@ -382,9 +393,8 @@ def compile(ast: CircuitAst) -> CircuitPlan:  # noqa: A001 - spec'd operation na
 
     if not measures:
         issues.append(SemanticIssue(1, 1, "no measurement block"))
-    elif len(measures) > 1:
-        for extra in measures[1:]:
-            issue(extra.span, "multiple measurement blocks (exactly one allowed)")
+    for extra in measures[1:]:
+        issue(extra.span, "multiple measurement blocks (exactly one allowed)")
     measure = None
     if measures:
         m = measures[0]
@@ -396,7 +406,7 @@ def compile(ast: CircuitAst) -> CircuitPlan:  # noqa: A001 - spec'd operation na
         measure = BellMeasure(*m.paths)
 
     if settings is not None:
-        need = 2 if settings.protocol == "teleport" else 4
+        need = PROTOCOL_MAGNONS[settings.protocol]
         if len(magnons) != need:
             issues.append(SemanticIssue(
                 1, 1, f"protocol {settings.protocol!r} expects {need} magnon modes, "
@@ -422,81 +432,28 @@ def _resolve_element(decl: ElementDecl, photon_paths, magnons, issue):
     for kind, arg in zip(signature, decl.args):
         if kind in ("angle", "number"):
             args.append(arg.value)
-        elif kind == "path":
-            if arg.name not in photon_paths:
-                issue(arg.span, f"undeclared photon path {arg.name!r}")
-                ok = False
-            args.append(arg.name)
-        else:  # mode
-            if arg.pol is not None:
-                if arg.name not in photon_paths:
-                    issue(arg.span, f"undeclared photon path {arg.name!r}")
-                    ok = False
-                args.append(ModeRef("photon", arg.name, arg.pol))
-            else:
-                if arg.name not in magnons:
-                    issue(arg.span, f"undeclared magnon mode {arg.name!r}")
-                    ok = False
-                args.append(ModeRef("magnon", arg.name))
+            continue
+        mode_kind, noun, declared = (("photon", "photon path", photon_paths)
+                                     if kind == "path" or arg.pol is not None
+                                     else ("magnon", "magnon mode", magnons))
+        if arg.name not in declared:
+            issue(arg.span, f"undeclared {noun} {arg.name!r}")
+            ok = False
+        args.append(arg.name if kind == "path" else ModeRef(mode_kind, arg.name, arg.pol))
     return ElementStep(decl.name, tuple(args)) if ok else None
 
 
 def _build_settings(raw: dict, issue) -> PlanSettings | None:
     values = {}
-    ok = True
-
-    def grab(key, conv, default, description):
-        nonlocal ok
-        if key not in raw:
-            values[key] = default
-            return
-        text, span = raw[key]
-        try:
-            values[key] = conv(text)
-        except Exception:
-            issue(span, f"bad value {text!r} for {key} (expected {description})")
-            ok = False
-
-    def to_bool(text):
-        if text.lower() in ("true", "false"):
-            return text.lower() == "true"
-        raise ValueError(text)
-
-    def to_protocol(text):
-        if text not in PROTOCOLS:
-            raise ValueError(text)
-        return text
-
-    def to_model(text):
-        return ScatterModel(text)
-
-    def to_nonneg(text):
-        v = float(text)
-        if v < 0:
-            raise ValueError(text)
-        return v
-
-    def to_posint(text):
-        v = int(text)
-        if v < 1:
-            raise ValueError(text)
-        return v
-
-    grab("protocol", to_protocol, PROTOCOLS[0], " or ".join(PROTOCOLS))
-    grab("n_bar", to_nonneg, 0.0, "a number >= 0")
-    grab("thermal_cutoff", to_posint, constants.DEFAULT_THERMAL_CUTOFF, "an integer >= 1")
-    grab("renormalize", to_bool, True, "true or false")
-    grab("model", to_model, ScatterModel.PAPER_UNIFORM, "paper or bosonic")
-    grab("alpha", complex, 1.0 + 0.0j, "a complex number")
-    grab("beta", complex, 0.0 + 0.0j, "a complex number")
-    grab("photon_cutoff", to_posint, constants.DEFAULT_OPTICAL_CUTOFF, "an integer >= 1")
-    if not ok:
-        return None
-    return PlanSettings(
-        protocol=values["protocol"], n_bar=values["n_bar"],
-        thermal_cutoff=values["thermal_cutoff"], renormalize=values["renormalize"],
-        model=values["model"], alpha=values["alpha"], beta=values["beta"],
-        photon_cutoff=values["photon_cutoff"])
+    for key, (convert, takes) in _SETTINGS.items():
+        if key in raw:
+            text, span = raw[key]
+            try:
+                values[key] = convert(text)
+            except (KeyError, ValueError):
+                issue(span, f"bad value {text!r} for {key} (expected {takes})")
+    # `raw` holds known keys only, so a key missing from `values` was refused
+    return PlanSettings(**values) if len(values) == len(raw) else None
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ class PlanError(OmxError):
     """Structurally invalid simulation plan."""
 
 
-PROTOCOLS = ("teleport", "swap")
+# protocol -> magnon modes of its plan: one dual-rail pair per interferometer
+PROTOCOL_MAGNONS = {"teleport": 2, "swap": 4}
+PROTOCOLS = tuple(PROTOCOL_MAGNONS)
 PHOTON_INITS = ("vacuum", "single_h", "single_v", "qubit")
 MAGNON_INITS = ("ground", "thermal")
 

@@ -480,7 +480,7 @@ class _Circuit:
         self.plan = plan
         s = plan.settings
         magnons = plan.magnon_decls()
-        need = 2 if s.protocol == "teleport" else 4
+        need = plans.PROTOCOL_MAGNONS[s.protocol]
         if len(magnons) != need:
             raise ProtocolError(f"{s.protocol} expects {need} magnon modes, "
                                 f"found {len(magnons)}")
@@ -670,21 +670,11 @@ def teleport_plan(q: InputQubit, cfg: ThermalConfig,
                   n_bar_overrides: dict | None = None,
                   include_odd_parity: bool = False) -> CircuitPlan:
     """Single-interferometer topology: arms A (upper) and B (lower), input c."""
-    decls = (
-        PhotonDecl("A", "single_v"),
-        PhotonDecl("B"),
-        MagnonDecl("A", "thermal"),
-        MagnonDecl("B", "thermal"),
-        PhotonDecl("c", "qubit"),
-    )
-    steps = _interferometer_steps("A", "B") + (
-        ElementStep("pbs", ("A", "B")),
-    )
-    settings = PlanSettings("teleport", cfg.n_bar, cfg.cutoff, cfg.renormalize,
-                            model, complex(q.alpha), complex(q.beta),
-                            n_bar_overrides=tuple(sorted((n_bar_overrides or {}).items())),
-                            include_odd_parity=include_odd_parity)
-    return CircuitPlan(decls, steps, BellMeasure("B", "c"), settings)
+    decls, steps = _interferometer("A", "B")
+    settings = _plan_settings("teleport", cfg, model, n_bar_overrides, include_odd_parity,
+                              alpha=complex(q.alpha), beta=complex(q.beta))
+    return CircuitPlan(decls + (PhotonDecl("c", "qubit"),), steps, BellMeasure("B", "c"),
+                       settings)
 
 
 def swap_plan(cfg: ThermalConfig,
@@ -692,28 +682,21 @@ def swap_plan(cfg: ThermalConfig,
               n_bar_overrides: dict | None = None,
               include_odd_parity: bool = False) -> CircuitPlan:
     """Dual-interferometer topology: arms (A, B) and (C, D)."""
+    (decls1, steps1), (decls2, steps2) = _interferometer("A", "B"), _interferometer("C", "D")
+    settings = _plan_settings("swap", cfg, model, n_bar_overrides, include_odd_parity)
+    return CircuitPlan(decls1 + decls2, steps1 + steps2, BellMeasure("B", "D"), settings)
+
+
+def _interferometer(upper: str, lower: str) -> tuple[tuple, tuple[ElementStep, ...]]:
+    """Declarations and steps of one interferometer: the drive photon enters
+    arm `upper`, and each arm's photon scatters off that arm's thermal magnon."""
     decls = (
-        PhotonDecl("A", "single_v"),
-        PhotonDecl("B"),
-        MagnonDecl("A", "thermal"),
-        MagnonDecl("B", "thermal"),
-        PhotonDecl("C", "single_v"),
-        PhotonDecl("D"),
-        MagnonDecl("C", "thermal"),
-        MagnonDecl("D", "thermal"),
+        PhotonDecl(upper, "single_v"),
+        PhotonDecl(lower),
+        MagnonDecl(upper, "thermal"),
+        MagnonDecl(lower, "thermal"),
     )
-    steps = (_interferometer_steps("A", "B")
-             + (ElementStep("pbs", ("A", "B")),)
-             + _interferometer_steps("C", "D")
-             + (ElementStep("pbs", ("C", "D")),))
-    settings = PlanSettings("swap", cfg.n_bar, cfg.cutoff, cfg.renormalize, model,
-                            n_bar_overrides=tuple(sorted((n_bar_overrides or {}).items())),
-                            include_odd_parity=include_odd_parity)
-    return CircuitPlan(decls, steps, BellMeasure("B", "D"), settings)
-
-
-def _interferometer_steps(upper: str, lower: str) -> tuple[ElementStep, ...]:
-    return (
+    steps = (
         ElementStep("bs50", (ModeRef("photon", upper, "V"),
                              ModeRef("photon", lower, "V"))),
         ElementStep("stokes", (ModeRef("photon", upper, "V"),
@@ -723,7 +706,17 @@ def _interferometer_steps(upper: str, lower: str) -> tuple[ElementStep, ...]:
                                ModeRef("photon", lower, "H"),
                                ModeRef("magnon", lower))),
         ElementStep("hwp", (upper, np.pi / 4)),
+        ElementStep("pbs", (upper, lower)),
     )
+    return decls, steps
+
+
+def _plan_settings(protocol: str, cfg: ThermalConfig, model: ScatterModel,
+                   n_bar_overrides: dict | None, include_odd_parity: bool,
+                   **qubit: complex) -> PlanSettings:
+    return PlanSettings(protocol, cfg.n_bar, cfg.cutoff, cfg.renormalize, model,
+                        n_bar_overrides=tuple(sorted((n_bar_overrides or {}).items())),
+                        include_odd_parity=include_odd_parity, **qubit)
 
 
 def teleport(q: InputQubit, cfg: ThermalConfig | None = None,

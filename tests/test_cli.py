@@ -133,6 +133,45 @@ def test_huge_occupation_reports_the_large_occupation_limit(capsys):
     assert err == "omxsim: simulation error: plan produced a zero-mass ensemble\n"
 
 
+def _assert_agree(renormalized, raw, where: str):
+    """The same fields and text; numbers equal to within 1e-13."""
+    if isinstance(renormalized, dict):
+        assert renormalized.keys() == raw.keys(), where
+        for key in renormalized.keys() - {"renormalize"}:
+            _assert_agree(renormalized[key], raw[key], f"{where} {key}")
+    elif isinstance(renormalized, list):
+        assert len(renormalized) == len(raw), where
+        for k, (a, b) in enumerate(zip(renormalized, raw)):
+            _assert_agree(a, b, f"{where} [{k}]")
+    elif isinstance(renormalized, float):
+        assert abs(renormalized - raw) <= 1e-13, where
+    else:
+        assert renormalized == raw, where
+
+
+@pytest.mark.parametrize("model", ["paper", "bosonic"])
+@pytest.mark.parametrize("cutoff", ["1", "2", "3"])
+@pytest.mark.parametrize("command", ["teleport", "swap", "readout", "teleport-sweep",
+                                     "swap-sweep"])
+def test_renormalization_moves_reported_numbers_only_by_rounding(capsys, command, cutoff,
+                                                                 model):
+    # every reported number is a ratio of quantities bilinear in the two
+    # sides' thermal weights, so each magnon's normalization cancels
+    if command.endswith("-sweep"):
+        runs = [("sweep", "--protocol", command[:-6], "--from", "0", "--to", "3",
+                 "--steps", "37", "--format", "json")]
+    else:
+        runs = [(command, "--n-bar", n_bar) for n_bar in ("0", "0.05", "0.2", "0.45", "3")]
+    for argv in runs:
+        argv += ("--cutoff", cutoff, "--model", model)
+        reports = []
+        for flag in ("--renormalize", "--no-renormalize"):
+            code, out, _ = run_cli(capsys, *argv, flag)
+            assert code == 0, argv
+            reports.append(json.loads(out))
+        _assert_agree(*reports, " ".join(argv))
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -246,3 +246,95 @@ def test_compile_rejects_oversized_registry():
     with pytest.raises(DslSemanticError) as err:
         compile_source("\n".join(lines))
     assert any("hard limit" in str(i) for i in err.value.issues)
+
+
+# ---------------------------------------------------------------------------
+# refusals: the exact message of each form
+
+def _issues(source: str) -> list[str]:
+    with pytest.raises(DslSemanticError) as err:
+        compile_source(source)
+    return [str(i) for i in err.value.issues]
+
+
+def test_unknown_setting_lists_every_key_in_order():
+    assert _issues("set wavelength = 1550\n" + MINIMAL) == [
+        "line 1, column 1: unknown setting 'wavelength' (expected one of protocol, "
+        "n_bar, thermal_cutoff, renormalize, model, alpha, beta, photon_cutoff)"]
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("protocol", "teleports", "teleport or swap"),
+    ("n_bar", "-2", "a number >= 0"),
+    ("n_bar", "x", "a number >= 0"),
+    ("thermal_cutoff", "0", "an integer >= 1"),
+    ("thermal_cutoff", "2.0", "an integer >= 1"),
+    ("renormalize", "yes", "true or false"),
+    ("model", "Paper", "paper or bosonic"),
+    ("alpha", "one", "a complex number"),
+    ("beta", "1e", "a complex number"),
+    ("photon_cutoff", "0", "an integer >= 1"),
+])
+def test_bad_setting_value_names_what_the_key_takes(key, value, expected):
+    # MINIMAL has 14 lines, and a later `set` of a key replaces an earlier one
+    assert _issues(MINIMAL + f"set {key} = {value}\n") == [
+        f"line 15, column 1: bad value {value!r} for {key} (expected {expected})"]
+
+
+def test_flag_settings_ignore_case():
+    assert compile_source(MINIMAL + "set renormalize = TRUE\n").settings.renormalize is True
+    assert compile_source(MINIMAL + "set renormalize = False\n").settings.renormalize is False
+
+
+def test_bad_setting_values_are_reported_in_key_order():
+    assert _issues(MINIMAL + "set photon_cutoff = 0\nset n_bar = -1\n") == [
+        "line 16, column 1: bad value '-1' for n_bar (expected a number >= 0)",
+        "line 15, column 1: bad value '0' for photon_cutoff (expected an integer >= 1)"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("apply bs50(A.V B.V)", "line 1, column 16: expected second mode argument, found 'B'"),
+    ("apply bs50(A.V",
+     "line 1, column 15: expected ',' before the second mode argument, found end of line"),
+    ("apply bs50(A.V, B.V", "line 1, column 20: expected ')', found end of line"),
+    ("apply bs50(A.V, B.V B", "line 1, column 21: expected ')', found 'B'"),
+    ("apply hwp(A, )", "line 1, column 14: expected second angle argument, found ')'"),
+    ("apply hwp(A )", "line 1, column 13: expected second angle argument, found ')'"),
+    ("apply bs50()", "line 1, column 12: expected first mode argument, found ')'"),
+    ("measure bell(B c)", "line 1, column 16: expected second photon path, found 'c'"),
+    ("measure bell(B", "line 1, column 15: expected ',', found end of line"),
+    ("measure bell(B, c", "line 1, column 18: expected ')', found end of line"),
+    ("measure bell(B, c c)", "line 1, column 19: expected ')', found 'c'"),
+    ("measure bell(B, )", "line 1, column 17: expected second photon path, found ')'"),
+])
+def test_separator_and_closing_refusals(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("old, new, issues", [
+    ("apply pbs(A, B)", "apply pbs(A, Z)",
+     ["line 13, column 14: undeclared photon path 'Z'"]),
+    ("apply bs50(A.V, B.V)", "apply bs50(A.V, Z.V)",
+     ["line 9, column 17: undeclared photon path 'Z'"]),
+    ("stokes(B.V, B.H, mB)", "stokes(B.V, B.H, mQ)",
+     ["line 11, column 24: undeclared magnon mode 'mQ'"]),
+    ("mode photon B\n", "mode photon B init=lit\n",
+     ["line 5, column 1: bad init 'lit' for a photon mode "
+      "(expected one of vacuum, single_h, single_v, qubit)"]),
+    ("mode magnon mB init=thermal", "mode magnon mB init=hot",
+     ["line 7, column 1: bad init 'hot' for a magnon mode (expected one of ground, thermal)"]),
+    ("mode photon B\n", "mode photon B color=red init=vacuum\n",
+     ["line 5, column 1: unknown mode option 'color'"]),
+    ("measure bell(B, c)\n", "measure bell(B, c)\nmode photon A\nmode magnon mA\n",
+     ["line 15, column 1: duplicate photon mode 'A'",
+      "line 16, column 1: duplicate magnon mode 'mA'"]),
+    ("mode magnon mB init=thermal\n", "",
+     ["line 10, column 24: undeclared magnon mode 'mB'",
+      "line 1, column 1: protocol 'teleport' expects 2 magnon modes, found 1"]),
+    ("set protocol = teleport", "set protocol = swap",
+     ["line 1, column 1: protocol 'swap' expects 4 magnon modes, found 2"]),
+])
+def test_declaration_refusals(old, new, issues):
+    assert _issues(MINIMAL.replace(old, new)) == issues
