@@ -284,21 +284,20 @@ def split_sides(plan: CircuitPlan) -> list[tuple[list, list[ElementStep]]]:
             for side in (0, 1)]
 
 
+def occupation_ranges(cutoff: int, decls: Sequence) -> list[range]:
+    """The thermal occupations, up to `cutoff`, of each magnon among `decls`,
+    a ground magnon's pinned to 0."""
+    return [range(cutoff + 1 if d.init == "thermal" else 1)
+            for d in decls if isinstance(d, MagnonDecl)]
+
+
 def iter_components(plan: CircuitPlan, magnons: Sequence[MagnonDecl] | None = None
                     ) -> Iterator[tuple[int, ...]]:
-    """All joint thermal occupations (ground magnons pinned to 0).
-
-    Yields one occupation per magnon declaration (`magnons`, default all of
-    the plan's), in declaration order; the component set depends only on the
-    thermal cutoff, not on n_bar.
-    """
-    ranges = []
-    for decl in plan.magnon_decls() if magnons is None else magnons:
-        if decl.init == "thermal":
-            ranges.append(range(plan.settings.thermal_cutoff + 1))
-        else:
-            ranges.append(range(1))
-    yield from itertools.product(*ranges)
+    """All joint thermal occupations of `magnons` (default all of the plan's),
+    one per magnon in declaration order, over their `occupation_ranges`; the
+    set depends only on the thermal cutoff, not on n_bar."""
+    yield from itertools.product(*occupation_ranges(
+        plan.settings.thermal_cutoff, plan.magnon_decls() if magnons is None else magnons))
 
 
 def component_weight(plan: CircuitPlan, n_bars: Sequence[float],

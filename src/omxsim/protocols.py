@@ -27,12 +27,12 @@ whatever their weight, run through them as one sparse batch, one
 `fock.apply` per element; no registry over the whole plan is built.  The
 sides meet only in the herald, which a side enters only through its output
 on the analyzer states that the Bell vectors use: each thermal component
-reduces to its squared norm and two small Gram matrices (`_Side.factors`).  Reports and sweeps weight each
-side's factors with its own thermal weights, one product
-(`plans.component_weight`) over a grid of occupations at once, and join
-the sides through the Bell vectors.  The occupation enters nowhere else:
-a report is the one-point grid of the same path, so a sweep row equals the
-report at its occupation to the last bit.  Nor does a side read it: `_sides`
+reduces to its squared norm and two small Gram matrices (`_Side.factors`),
+and only these are kept.  Reports and sweeps weight each side's factors
+with its own thermal weights (`plans.component_weight`) over a grid of
+occupations at once, and join the sides through the Bell vectors.  A report
+is the one-point grid of the same path, so a sweep row equals the report at
+its occupation to the last bit.  No side reads the occupation: `_sides`
 keeps each built side for later commands, unless it holds the input qubit.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
@@ -304,46 +304,35 @@ def _overlaps(settings: PlanSettings) -> np.ndarray:
 
 
 class _Side:
-    """One side of the Bell analyzer, propagated on its own small registry.
+    """One side of the Bell analyzer, propagated on its own small registry
+    and reduced at once to the herald factors that the join reads.
 
-    The registry holds the side's declarations in `ranked` order: analyzer
-    paths in Bell-vector order (rank 0, 1), magnons (2), the rest (3), each
-    group in plan order.  All of its thermal components (`components`, one
-    row of magnon occupations each, whatever its weight) go through the
-    elements together as one sparse `fock.Batch`, one `fock.apply` per
-    element.  An entry's registry index is, little-endian, its analyzer
-    state (of `da`), its magnon row (of `dm`) and its other-mode index.
-    The occupation only weights the components afterwards, so one side
-    serves a report, a sweep and, kept by `_sides`, later commands.
+    The registry holds the side's declarations in `_rank` order.  All of
+    its thermal components, whatever their weight, go through the elements
+    as one sparse `fock.Batch`, one `fock.apply` per element.  An entry's
+    registry index is, little-endian, its analyzer state (of `da`), its
+    magnon row (of `dm`) and its other-mode index.  Per component k, the
+    `factors` row holds |x_k|^2, G[i, j] = sum x_k[states[i], m, o]
+    conj(x_k[states[j], m, o]) over magnon rows m and other modes o, and
+    H[(r, i), (r', j)], over o alone at m = rows[r], rows[r'], row-major;
+    `columns` holds G's columns, one per (k, m, o).  The batch is dropped.
     """
 
-    def __init__(self, plan: CircuitPlan, ranked: list, steps: list[ElementStep]):
+    def __init__(self, plan: CircuitPlan, ranked: list, steps: list[ElementStep],
+                 states: np.ndarray, rows: np.ndarray):
         decls = [d for _, d in ranked]
         reg = plans.build_registry(plan, decls)
         self.magnons = tuple(d for d in decls if isinstance(d, MagnonDecl))
-        self.components = np.array(list(plans.iter_components(plan, self.magnons)), dtype=np.int64)
+        components = list(plans.iter_components(plan, self.magnons))
         a = 2 * sum(r < 2 for r, _ in ranked)       # H and V of each analyzer path
-        m = a + len(self.magnons)
-        self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:m])
+        self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:a + len(self.magnons)])
         self.span = reg.dimension // self.da          # magnon rows x other modes
-        state = plans.initial_vector(plan, reg, self.components, decls)
+        b = plans.initial_vector(plan, reg, components, decls)
         for op in plans.build_elements(plan, reg, steps):
-            state = apply(op, state)
-        self.batch = state
-        self._factors: dict[tuple[bytes, bytes], tuple] = {}
-
-    def factors(self, states: np.ndarray, rows: np.ndarray) -> tuple:
-        """The side's herald factors and G's columns (for `row_grams`), formed
-        once per (states, rows).  A factor row per thermal component k holds
-        |x_k|^2; G[i, j] = sum x_k[states[i], m, o] conj(x_k[states[j], m, o])
-        over magnon rows m and other-mode indices o, one column per (k, m, o);
-        and H[(r, i), (r', j)], over o alone at m = rows[r], rows[r']; row-major."""
-        if (key := (states.tobytes(), rows.tobytes())) in self._factors:
-            return self._factors[key]
-        n, ns, width = len(self.components), len(states), len(states) * len(rows)
+            b = apply(op, b)
+        n, ns, width = len(components), len(states), len(states) * len(rows)
         _check_entries(n * (1 + ns * ns + width * width),
                        f"the herald factors of {n} thermal components need")
-        b = self.batch
         f = np.zeros((n, 1 + ns * ns + width * width), dtype=complex)
         f[:, 0] = np.bincount(b.component, b.amplitudes.real ** 2 + b.amplitudes.imag ** 2,
                               minlength=n)
@@ -353,7 +342,7 @@ class _Side:
         k, rest, slot, amplitudes = (b.component[use], rest[use], hit[use].argmax(axis=1),
                                      b.amplitudes[use])
         # one column per (component, magnon row, other modes)
-        columns = keys, grams = _column_grams(k * self.span + rest, slot, amplitudes, ns)
+        self.columns = keys, grams = _column_grams(k * self.span + rest, slot, amplitudes, ns)
         np.add.at(f[:, 1:1 + ns * ns], keys // self.span, grams)
         # one column per (component, other modes), over the sector rows
         other, row = np.divmod(rest, self.dm)
@@ -364,12 +353,12 @@ class _Side:
                                     hit[use].argmax(axis=1) * ns + slot[use], amplitudes[use],
                                     width)
         np.add.at(f[:, 1 + ns * ns:], keys // span, grams)
-        return self._factors.setdefault(key, (f, columns))
+        self.factors = f
 
-    def row_grams(self, columns: tuple, w: np.ndarray) -> np.ndarray:
+    def row_grams(self, w: np.ndarray) -> np.ndarray:
         """The G of `factors` per magnon row, summed from its `columns` over
         the components with their weights `w`, (dm, states^2)."""
-        keys, grams = columns
+        keys, grams = self.columns
         out = np.zeros((self.dm, grams.shape[1]), dtype=complex)
         np.add.at(out, keys % self.span % self.dm, w[keys // self.span, None] * grams)
         return out
@@ -378,9 +367,9 @@ class _Side:
 class _SideMemo(dict):
     """Built sides by all that a side reads, the limits its build checks
     included (a lowered limit refuses as cold), least recently used first.
-    `side` gives a kept or new side and its key, None for a side holding the
-    input qubit; `keep` keeps it read-only while the kept sides' entries stay
-    within MAX_ARRAY_ENTRIES.  Angles -0.0 and 0.0 build equal elements."""
+    A hit moves its side to most recent; a new side is kept read-only while
+    the kept sides' entries stay within MAX_ARRAY_ENTRIES, unless it holds
+    the input qubit.  Angles -0.0 and 0.0 build equal elements."""
 
     Info = NamedTuple("Info", [("hits", int), ("misses", int), ("sides", int), ("entries", int)])
     hits = misses = 0
@@ -392,32 +381,37 @@ class _SideMemo(dict):
     def cache_info(self) -> Info:
         return self.Info(self.hits, self.misses, len(self), sum(n for _, n in self.values()))
 
-    def side(self, plan: CircuitPlan, decls: list, steps: list[ElementStep]) -> tuple:
-        paths, s = (plan.measure.path1, plan.measure.path2), plan.settings
-        ranked = sorted(((2 if isinstance(d, MagnonDecl) else paths.index(d.path)
-                          if d.path in paths else 3, d) for d in decls), key=lambda rd: rd[0])
-        key = None if any(d.init == "qubit" for d in decls) else (
-            tuple(ranked), tuple(steps), s.thermal_cutoff, s.photon_cutoff, s.model,
-            constants.MAX_DIMENSION, constants.MAX_ARRAY_ENTRIES)
+    def side(self, plan: CircuitPlan, ranked: list, steps: list[ElementStep],
+             states: np.ndarray, rows: np.ndarray) -> _Side:
+        s = plan.settings
+        key = None if any(d.init == "qubit" for _, d in ranked) else (
+            tuple(ranked), tuple(steps), states.tobytes(), rows.tobytes(), s.thermal_cutoff,
+            s.photon_cutoff, s.model, constants.MAX_DIMENSION, constants.MAX_ARRAY_ENTRIES)
         if key in self:
             self.hits += 1
-            return self[key][0], key
+            self[key] = self.pop(key)               # most recently used last
+            return self[key][0]
         self.misses += key is not None
-        return _Side(plan, ranked, steps), key
-
-    def keep(self, key, side: _Side) -> None:
-        arrays = [side.components, side.batch.component, side.batch.index, side.batch.amplitudes,
-                  *(a for f, columns in side._factors.values() for a in (f, *columns))]
-        self.pop(key, None)
+        side = _Side(plan, ranked, steps, states, rows)
+        arrays = (side.factors, *side.columns)
         if key is not None and (n := sum(a.size for a in arrays)) <= constants.MAX_ARRAY_ENTRIES:
             for array in arrays:
                 array.setflags(write=False)
             self[key] = side, n
-        while self.cache_info().entries > constants.MAX_ARRAY_ENTRIES:
-            del self[next(iter(self))]
+            while self.cache_info().entries > constants.MAX_ARRAY_ENTRIES:
+                del self[next(iter(self))]
+        return side
 
 
 _sides = _SideMemo()
+
+
+def _rank(plan: CircuitPlan, decls: list) -> list[tuple[int, object]]:
+    """A side's declarations and ranks in registry order: analyzer paths in
+    Bell-vector order (0, 1), magnons (2), the rest (3), each in plan order."""
+    paths = (plan.measure.path1, plan.measure.path2)
+    return sorted(((2 if isinstance(d, MagnonDecl) else paths.index(d.path)
+                    if d.path in paths else 3, d) for d in decls), key=lambda rd: rd[0])
 
 
 def _column_grams(key: np.ndarray, slot: np.ndarray, amplitudes: np.ndarray,
@@ -433,9 +427,9 @@ def _column_grams(key: np.ndarray, slot: np.ndarray, amplitudes: np.ndarray,
 
 
 @cache
-def _join_layout(photon_cutoff: int, da: tuple[int, int],
+def _join_layout(photon_cutoff: int, paths: tuple[int, int],
                  sectors: tuple[tuple[int, ...], ...]) -> tuple:
-    """How the herald joins two sides whose analyzer parts have `da` states,
+    """How the herald joins two sides that hold `paths` analyzer paths each,
     where `sectors[i][s]` is sector state s's position among side i's
     distinct sector rows: each side's analyzer states that the Bell vectors
     use; where a join reads each side's factor row, per Bell id, quantity
@@ -446,6 +440,7 @@ def _join_layout(photon_cutoff: int, da: tuple[int, int],
     analyzer = ModeRegistry([optical(p, pol) for p in "12" for pol in "HV"],
                             [photon_cutoff] * 4)
     _, bell_vecs = measurement.bell_state_vectors(analyzer, "1", "2")
+    da = [(photon_cutoff + 1) ** (2 * n) for n in paths]     # H and V of each path
     bell = np.array([bell_vecs[b].reshape(da, order="F") for b in BELL_IDS])
     ids, *terms = np.nonzero(bell)
     c = bell[(ids, *terms)].reshape(len(BELL_IDS), -1)
@@ -465,15 +460,16 @@ def _join_layout(photon_cutoff: int, da: tuple[int, int],
 
 
 class _Circuit:
-    """A plan split at the Bell analyzer, each side run or taken from `_sides`.
+    """A plan split at the Bell analyzer, each side built or taken from `_sides`.
 
     The elements never act across the two sides (`plans.split_sides`), so
     the joint state of a component pair is the product of the two sides'
     outputs, and every herald quantity (`join`) is a sum, over pairs (t, u)
     of a Bell vector's terms c_t |a_t>|b_t>, of conj(c_t) c_u times one
     entry of each side's factors (`_Side.factors`) weighted by that side's
-    own thermal weights (`weights`).  Nothing in it depends on the
-    occupation, so a report is the sweep over the one-point grid.
+    own thermal weights (`weights`).  The join is laid out from the
+    declarations before any side is asked for.  Nothing in it depends on
+    the occupation, so a report is the sweep over the one-point grid.
     """
 
     def __init__(self, plan: CircuitPlan):
@@ -484,21 +480,19 @@ class _Circuit:
         if len(magnons) != need:
             raise ProtocolError(f"{s.protocol} expects {need} magnon modes, "
                                 f"found {len(magnons)}")
-        self.sides, keys = zip(*(_sides.side(plan, *side) for side in plans.split_sides(plan)))
+        sides = [(_rank(plan, decls), steps) for decls, steps in plans.split_sides(plan)]
         self.levels = s.thermal_cutoff + 2          # Fock levels of each magnon
         # each side's magnon row of each sector state: little-endian over the
         # side's own magnons, so a magnon's stride is 0 on the other side
-        self.rows = [np.array(_sector(need)) @ [self.levels ** side.magnons.index(d)
-                                                if d in side.magnons else 0
-                                                for d in magnons] for side in self.sides]
+        self.rows = [np.array(_sector(need)) @ [self.levels ** own.index(d) if d in own else 0
+                                                for d in magnons]
+                     for own in ([d for r, d in ranked if r == 2] for ranked, _ in sides)]
         sector_rows = [np.unique(r, return_inverse=True) for r in self.rows]
         self.states, self.index, self.coefficients = _join_layout(
-            s.photon_cutoff, tuple(side.da for side in self.sides),
+            s.photon_cutoff, tuple(sum(r < 2 for r, _ in ranked) for ranked, _ in sides),
             tuple(tuple(q.tolist()) for _, q in sector_rows))
-        self.factors, self.columns = zip(*(side.factors(st, r) for side, st, (r, _)
-                                           in zip(self.sides, self.states, sector_rows)))
-        for key, side in zip(keys, self.sides):
-            _sides.keep(key, side)
+        self.sides = tuple(_sides.side(plan, ranked, steps, st, r) for (ranked, steps), st, (r, _)
+                           in zip(sides, self.states, sector_rows))
         self.overlap = _overlaps(s)
 
     def weights(self, grid) -> list[np.ndarray]:
@@ -516,7 +510,7 @@ class _Circuit:
         so a point's results do not depend on the other points, to the last
         bit."""
         x, y = (np.einsum("pk,kf->pf", w, f.view(float)).view(complex)
-                for w, f in zip((w1, w2), self.factors))
+                for w, f in zip((w1, w2), (side.factors for side in self.sides)))
         (ix, iy), c = self.index, self.coefficients
         q = 0.0
         for tu in range(ix.shape[-1]):      # added elementwise, one pair at a time
@@ -543,7 +537,7 @@ class _Circuit:
         _check_entries(d + sum(side.dm * len(st) ** 2
                                for side, st in zip(self.sides, self.states)),
                        f"the populations of a herald over {d} magnon levels need")
-        return [side.row_grams(c, w) for side, c, w in zip(self.sides, self.columns, (w1, w2))]
+        return [side.row_grams(w) for side, w in zip(self.sides, (w1, w2))]
 
     def populations(self, k: int, grams: list[np.ndarray]) -> np.ndarray:
         """Unnormalized populations of the herald `BELL_IDS[k]` over the
@@ -839,25 +833,33 @@ class SweepRow(NamedTuple):
 DEFAULT_SWEEP_QUBIT = InputQubit(complex(1 / np.sqrt(2)), complex(1 / np.sqrt(2)))
 
 
-def check_sweep_size(protocol: str, points: int, cutoff: int) -> None:
-    """Refuse a sweep that would form too many thermal weights.
+def _sweep_plan(protocol: str, cfg: ThermalConfig,
+                model: ScatterModel = ScatterModel.PAPER_UNIFORM) -> CircuitPlan:
+    """A sweep's circuit (it reads no occupation); a teleport sends DEFAULT_SWEEP_QUBIT."""
+    return (teleport_plan(DEFAULT_SWEEP_QUBIT, cfg, model) if protocol == "teleport"
+            else swap_plan(cfg, model))
 
-    A sweep weights each side's thermal components at every grid point:
-    (cutoff + 1)^2 for each interferometer, and one for a teleport's input
-    photon.  The check needs only the sizes, so it runs before the grid is
-    formed.
-    """
+
+@cache
+def _sweep_sides(protocol: str) -> tuple:
+    """Each side's declarations in a sweep's circuit, which no setting changes."""
+    return tuple(decls for decls, _ in plans.split_sides(_sweep_plan(protocol, ThermalConfig())))
+
+
+def check_sweep_size(protocol: str, points: int, cutoff: int) -> None:
+    """Refuse a sweep that would form too many thermal weights: each side's
+    thermal components at every grid point, counted before anything is formed."""
     if protocol not in plans.PROTOCOLS:
         raise ProtocolError(f"unknown sweep protocol {protocol!r}")
-    size = points * ((cutoff + 1) ** 2 + 1 if protocol == "teleport" else 2 * (cutoff + 1) ** 2)
+    size = points * sum(math.prod(map(len, plans.occupation_ranges(cutoff, decls)))
+                        for decls in _sweep_sides(protocol))
     if size > constants.MAX_SWEEP_WEIGHTS:
         raise ProtocolError(f"sweep of {points} points needs {size} thermal weights, "
                             f"above the limit {constants.MAX_SWEEP_WEIGHTS}")
 
 
 def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
-                   model: ScatterModel = ScatterModel.PAPER_UNIFORM,
-                   qubit: InputQubit | None = None) -> list[SweepRow]:
+                   model: ScatterModel = ScatterModel.PAPER_UNIFORM) -> list[SweepRow]:
     """Heralded fidelity against the closed form over a thermal-occupation grid.
 
     `grid` is a sequence of occupations, its length checked by
@@ -867,15 +869,13 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
     whose largest array holds at most SWEEP_SLICE entries.
     """
     cfg = cfg or ThermalConfig()
-    qubit = qubit or DEFAULT_SWEEP_QUBIT
     check_sweep_size(protocol, len(grid), cfg.cutoff)
     grid = [float(g) for g in grid]
     if not all(math.isfinite(g) and g >= 0 for g in grid):
         raise ProtocolError("sweep grid values must be finite and >= 0")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ProtocolError("sweep grid must be monotone nondecreasing")
-    base = ThermalConfig(0.0, cfg.cutoff, cfg.renormalize)
-    plan = teleport_plan(qubit, base, model) if protocol == "teleport" else swap_plan(base, model)
+    plan = _sweep_plan(protocol, cfg, model)
     closed = closed_form_f1 if protocol == "teleport" else closed_form_f2
     circuit = _Circuit(plan)
     included = _included(plan.settings)

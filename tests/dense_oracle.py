@@ -14,6 +14,11 @@ density matrix over every magnon occupation, which the package never forms:
 it reads a herald's dual-rail sector block and populations instead.
 `concurrence_dual_rail` scores such a state's sector block.
 
+`side_start` builds one side's registry, thermal components, initial batch
+and elements from the `plans` primitives, for the checks that compare a
+side's propagation, or the herald factors the package keeps in its place,
+against these dense states.
+
 `dense_readout` is the retrieval that `protocols.readout` replaced with a
 phase per sector state: the magnon state, or each eigenvector of a mixed
 one, is pushed through a registry of four photon modes and the two magnons,
@@ -85,6 +90,18 @@ def dense_initial_vector(plan: CircuitPlan, registry: ModeRegistry, occupations,
         full = np.kron(vec, full)
     assert full.shape == (registry.dimension,)
     return full
+
+
+def side_start(plan: CircuitPlan, decls, steps) -> tuple:
+    """The registry over `decls` (in their order), its thermal components,
+    their initial batch and the elements of `steps`, built from the `plans`
+    primitives that a side runs; applying the elements to the batch in turn
+    gives the side's output."""
+    registry = plans.build_registry(plan, decls)
+    magnons = [d for d in decls if isinstance(d, plans.MagnonDecl)]
+    components = list(plans.iter_components(plan, magnons))
+    batch = plans.initial_vector(plan, registry, components, decls)
+    return registry, components, batch, plans.build_elements(plan, registry, steps)
 
 
 def dense_apply(op: ElementOp, state: StateVector) -> StateVector:

@@ -19,6 +19,7 @@ from dense_oracle import (
     dense_initial_vector,
     dense_report,
     sector_block,
+    side_start,
 )
 
 from omxsim import cli, dsl, fock, plans, protocols
@@ -125,9 +126,10 @@ def test_circuit_joining_both_interferometers_runs_as_one_side():
     # the second side is empty: one component on one analyzer state; the
     # Bell vectors use four of the first side's joint analyzer states
     second = circuit.sides[1]
-    assert (len(second.components), second.da, second.dm) == (1, 1, 1)
+    assert (len(second.factors), second.da, second.dm) == (1, 1, 1)
     assert [len(states) for states in circuit.states] == [4, 1]
-    assert [f.shape[1] for f in circuit.factors] == [1 + 4 ** 2 + (4 * 4) ** 2, 1 + 1 + 1]
+    assert [side.factors.shape[1] for side in circuit.sides] == [1 + 4 ** 2 + (4 * 4) ** 2,
+                                                                 1 + 1 + 1]
     assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
 
 
@@ -236,6 +238,15 @@ def test_sweep_rows_equal_their_reports_bit_for_bit(protocol, cutoff, steps):
         assert row.abs_diff == report.closed_form["abs_diff"]
 
 
+def side_output(plan, decls, steps):
+    """The thermal components and output batch of the side of `decls` (on a
+    registry in their order) and `steps`, rebuilt from the plans."""
+    _, components, batch, ops = side_start(plan, decls, steps)
+    for op in ops:
+        batch = fock.apply(op, batch)
+    return components, batch
+
+
 @pytest.mark.parametrize("make_plan", [teleport_plan, swap_plan], ids=["teleport", "swap"])
 def test_the_circuit_does_not_depend_on_the_occupation(monkeypatch, make_plan):
     # n_bar only weights the thermal components, so the circuits of reports
@@ -254,15 +265,15 @@ def test_the_circuit_does_not_depend_on_the_occupation(monkeypatch, make_plan):
         protocols.execute_plan(make_plan(n_bar, 2))
     ground, warm = built
     for a, b in zip(ground.sides, warm.sides, strict=True):
-        assert a is not b
-        assert np.array_equal(a.components, b.components)
+        assert a is not b and a.factors is not b.factors
+        assert a.factors.tobytes() == b.factors.tobytes()
+        assert [c.tobytes() for c in a.columns] == [c.tobytes() for c in b.columns]
+    # so do the batches they reduce, rebuilt from the plans
+    for sides in zip(*(plans.split_sides(c.plan) for c in built), strict=True):
+        (ca, a), (cb, b) = (side_output(c.plan, *side) for c, side in zip(built, sides))
+        assert ca == cb
         for field in ("component", "index", "amplitudes"):
-            assert getattr(a.batch, field).tobytes() == getattr(b.batch, field).tobytes()
-    for a, b in zip(ground.factors, warm.factors, strict=True):
-        assert a is not b
-        assert a.tobytes() == b.tobytes()
-    for a, b in zip(ground.columns, warm.columns, strict=True):
-        assert [c.tobytes() for c in a] == [c.tobytes() for c in b]
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 @pytest.mark.parametrize("command", ["teleport", "swap", "readout"])
@@ -317,13 +328,10 @@ def test_pdc_leaves_as_many_entries_as_the_dense_states_hold():
                                     plans.ModeRef("magnon", "A"), 0.5))
     plan = replace(plan, steps=plan.steps + (pdc,))
     (decls, steps), _ = plans.split_sides(plan)
-    registry = plans.build_registry(plan, decls)
-    magnons = [d for d in decls if isinstance(d, plans.MagnonDecl)]
-    components = list(plans.iter_components(plan, magnons))
-    batch = plans.initial_vector(plan, registry, components, decls)
+    registry, components, batch, ops = side_start(plan, decls, steps)
     dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, decls),
                               normalized=False) for occ in components]
-    for op in plans.build_elements(plan, registry, steps):
+    for op in ops:
         batch = fock.apply(op, batch)
         dense = [dense_apply(op, state) for state in dense]
         per_component = np.bincount(batch.component, minlength=len(components))
@@ -344,11 +352,7 @@ def test_gathers_are_refused_above_the_array_limit(monkeypatch):
                                      plans.ModeRef("magnon", "A"), 0.5))
     plan = replace(plan, steps=plan.steps + (step,))
     (decls, steps), _ = plans.split_sides(plan)
-    registry = plans.build_registry(plan, decls)
-    *ops, pdc = plans.build_elements(plan, registry, steps)
-    magnons = [d for d in decls if isinstance(d, plans.MagnonDecl)]
-    batch = plans.initial_vector(plan, registry,
-                                 list(plans.iter_components(plan, magnons)), decls)
+    registry, _, batch, (*ops, pdc) = side_start(plan, decls, steps)
     for op in ops:
         batch = fock.apply(op, batch)
     digits = np.unravel_index(batch.index, registry.dims, order="F")
@@ -381,7 +385,7 @@ def test_herald_tables_are_refused_above_the_array_limit(monkeypatch):
                               "entries, above the limit 188")
     monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 189)
     circuit = protocols._Circuit(plan)
-    assert [f.shape for f in circuit.factors] == [(9, 21), (1, 9)]
+    assert [side.factors.shape for side in circuit.sides] == [(9, 21), (1, 9)]
 
 
 def test_concurrences_copy_only_the_sector_rows():
@@ -397,7 +401,7 @@ def test_concurrences_copy_only_the_sector_rows():
         tracemalloc.stop()
     assert peak < 4 << 20
     circuit = protocols._Circuit(swap_plan(n_bar, 12))
-    assert [f.shape for f in circuit.factors] == [(169, 21), (169, 21)]
+    assert [side.factors.shape for side in circuit.sides] == [(169, 21), (169, 21)]
     s = n_bar / (n_bar + 1)
     for outcome in report.outcomes:
         # each herald's sector block is Bell-diagonal, so its concurrence is
@@ -409,12 +413,13 @@ def test_concurrences_copy_only_the_sector_rows():
         ((1 - s) / (1 - s ** 13)) ** 4, abs=TOL)
 
 
-def dense_side(side):
-    """A side's batch as the dense (component, analyzer, magnon row, other)
+def dense_side(plan, decls, steps, side):
+    """The output of `side`, the side of `decls` and `steps`, rebuilt on its
+    registry's layout as the dense (component, analyzer, magnon row, other)
     tensor."""
-    b = side.batch
+    components, b = side_output(plan, [d for _, d in protocols._rank(plan, decls)], steps)
     shape = (side.da, side.dm, side.span // side.dm)
-    out = np.zeros((len(side.components),) + shape, dtype=complex)
+    out = np.zeros((len(components),) + shape, dtype=complex)
     out[(b.component, *np.unravel_index(b.index, shape, order="F"))] = b.amplitudes
     return out
 
@@ -425,10 +430,10 @@ def test_side_factors_are_the_grams_of_the_dense_side_outputs(reorder):
     plan = dsl.compile_source(second_side_first(source) if reorder else source)
     n_bar = plan.settings.n_bar
     circuit = protocols._Circuit(plan)
-    for side, f, columns, states, rows, (w,) in zip(
-            circuit.sides, circuit.factors, circuit.columns, circuit.states, circuit.rows,
-            circuit.weights([n_bar])):
-        out = dense_side(side)
+    for side, (decls, steps), states, rows, (w,) in zip(
+            circuit.sides, plans.split_sides(plan), circuit.states, circuit.rows,
+            circuit.weights([n_bar]), strict=True):
+        out, f = dense_side(plan, decls, steps, side), side.factors
         n, ns, rows = len(out), len(states), np.unique(rows)
         x = out[:, states]
         gram = np.einsum("kimo,kjmo->kij", x, x.conj()).reshape(n, -1)
@@ -440,7 +445,7 @@ def test_side_factors_are_the_grams_of_the_dense_side_outputs(reorder):
         assert np.abs(f[:, 1:1 + ns * ns] - gram).max() < 1e-15
         assert np.abs(f[:, 1 + ns * ns:] - sector).max() < 1e-15
         by_row = np.einsum("k,kimo,kjmo->mij", w, x, x.conj()).reshape(side.dm, -1)
-        assert np.abs(side.row_grams(columns, w) - by_row).max() < 1e-15
+        assert np.abs(side.row_grams(w) - by_row).max() < 1e-15
 
 
 @pytest.mark.parametrize("cutoff", [7, 8])

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import dense_apply, dense_initial_vector, dense_report
+from dense_oracle import dense_apply, dense_initial_vector, dense_report, side_start
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_factorized import assert_reports_equal
@@ -265,13 +265,10 @@ def test_generated_circuits_match_the_dense_oracle(plan):
 @given(plan=circuits(magnon_steps=True))
 def test_each_sides_batch_matches_dense_propagation_element_by_element(plan):
     for decls, steps in plans.split_sides(plan):
-        registry = plans.build_registry(plan, decls)
-        magnons = [d for d in decls if isinstance(d, MagnonDecl)]
-        components = list(plans.iter_components(plan, magnons))
-        batch = plans.initial_vector(plan, registry, components, decls)
+        registry, components, batch, ops = side_start(plan, decls, steps)
         dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, decls),
                                   normalized=False) for occ in components]
-        for op in plans.build_elements(plan, registry, steps):
+        for op in ops:
             batch = fock.apply(op, batch)
             dense = [dense_apply(op, state) for state in dense]
             want = np.array([state.amplitudes for state in dense])

@@ -716,6 +716,25 @@ def test_sweep_size_is_checked_before_the_grid_is_read():
             check_sweep_size(protocol, points + 1, 15)
 
 
+@pytest.mark.parametrize("protocol", ["teleport", "swap"])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_the_sweep_size_counts_the_components_of_the_sides_built(monkeypatch, protocol,
+                                                                 cutoff):
+    # the check counts on the plan's sides, unpropagated, what the sweep's
+    # circuit then weights: one factor row per thermal component of a side
+    cfg = ThermalConfig(0.0, cutoff)
+    plan = (protocols.teleport_plan(protocols.DEFAULT_SWEEP_QUBIT, cfg)
+            if protocol == "teleport" else protocols.swap_plan(cfg))
+    components = sum(len(side.factors) for side in protocols._Circuit(plan).sides)
+    points = 7
+    monkeypatch.setattr("omxsim.constants.MAX_SWEEP_WEIGHTS", points * components)
+    check_sweep_size(protocol, points, cutoff)
+    monkeypatch.setattr("omxsim.constants.MAX_SWEEP_WEIGHTS", points * components - 1)
+    with pytest.raises(ProtocolError, match=f"^sweep of {points} points needs "
+                       f"{points * components} thermal weights"):
+        check_sweep_size(protocol, points, cutoff)
+
+
 # ---------------------------------------------------------------------------
 # concurrence
 

@@ -4,8 +4,9 @@ A side depends only on its declarations, steps, cutoffs, scattering model
 and the limits its build is checked against, so a process keeps it for later
 commands.  These checks pin that a warm command prints what a cold one
 prints, that a warm interferometer side propagates nothing, that kept sides
-cannot be changed, that a side reading the input qubit is rebuilt, and that
-the kept sides stay within MAX_ARRAY_ENTRIES.
+cannot be changed, that a side reading the input qubit is rebuilt, that
+the kept sides stay within MAX_ARRAY_ENTRIES, and that a hit keeps its side
+from being the next to leave.
 """
 
 import contextlib
@@ -85,11 +86,7 @@ def test_kept_sides_are_read_only():
     kept = [side for side, _ in protocols._sides.values()]
     assert len(kept) == 2
     for side in kept:
-        b = side.batch
-        arrays = [side.components, b.component, b.index, b.amplitudes]
-        for f, columns in side._factors.values():
-            arrays += [f, *columns]
-        for array in arrays:
+        for array in (side.factors, *side.columns):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -142,10 +139,10 @@ def test_an_argument_of_minus_zero_builds_the_element_of_zero(name):
 
 
 def test_the_kept_sides_stay_within_the_array_limit(monkeypatch):
-    # a cutoff-c interferometer side holds 42 (c + 1)^2 entries, so under
+    # a cutoff-c interferometer side holds 31 (c + 1)^2 entries, so under
     # this limit a cutoff-5 side pushes out every other and a cutoff-6 side
     # is not kept at all, nor does it push out the cutoff-5 one
-    limit = 1800
+    limit = 1500
     monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", limit)
     sides = []
     for cutoff in range(1, 7):
@@ -157,12 +154,35 @@ def test_the_kept_sides_stay_within_the_array_limit(monkeypatch):
             sides.append(info.sides)
     assert max(sides) >= 4                        # cutoffs 1 and 2 fit together
     assert sides[-4:] == [1, 1, 1, 1]
-    assert protocols._sides.cache_info().entries == 42 * 6 ** 2
-    # a side's count covers every array it holds
+    assert protocols._sides.cache_info().entries == 31 * 6 ** 2
+    # a side's count covers every array it holds: its herald factors, 21
+    # entries per component, and its row-Gram columns, two per component,
+    # each a key and 2 x 2 Gram entries
     monkeypatch.undo()
     protocols._sides.cache_clear()
     run(["teleport", "--n-bar", "0.2"])
     (side, entries), = protocols._sides.values()
-    assert entries == 378
-    assert entries == side.components.size + 3 * side.batch.amplitudes.size + sum(
-        f.size + keys.size + grams.size for f, (keys, grams) in side._factors.values())
+    assert entries == 279 == 31 * 3 ** 2
+    assert entries == side.factors.size + sum(array.size for array in side.columns)
+
+
+def test_a_hit_makes_its_side_the_most_recently_used(monkeypatch):
+    # under a limit that holds any two of sides A, B and C but not all
+    # three, the side that leaves for C is the one least recently used:
+    # B, once A has been hit after B was built
+    a, b, c = (["teleport", "--cutoff", cutoff, "--model", model]
+               for cutoff, model in (("1", "paper"), ("1", "bosonic"), ("2", "paper")))
+    sizes = []
+    for argv in (a, b, c):
+        protocols._sides.cache_clear()
+        run(argv)
+        sizes.append(protocols._sides.cache_info().entries)
+    protocols._sides.cache_clear()
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", sum(sizes) - 1)
+    for argv in (a, b, a, c):
+        run(argv)
+    assert tuple(protocols._sides.cache_info())[:3] == (1, 3, 2)
+    run(a)                                        # A is still kept
+    assert tuple(protocols._sides.cache_info())[:3] == (2, 3, 2)
+    run(b)                                        # B left and is built again
+    assert tuple(protocols._sides.cache_info())[:3] == (2, 4, 2)
