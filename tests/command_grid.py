@@ -11,7 +11,10 @@ stdout and stderr, so that the fields that changed can be listed from the
 same two runs.  The grid covers `teleport`
 and `swap` at thermal cutoffs 1-3 in both scattering models, with and
 without renormalized weights, at six occupations up to 1e308; 37-point JSON
-sweeps and 61- and 601-point CSV sweeps of both protocols; `readout` at
+sweeps, 61- and 601-point CSV sweeps and 601-point JSON sweeps of both
+protocols, and sweeps of both protocols in both formats over ranges where
+`%.12g` and JSON's float text are laid out differently (from 0 to 1e300,
+from 1e-20 to 1e-10, from 123456789 to 1e13, and one point); `readout` at
 cutoffs 1-4 x five occupations x both models x renormalized weights on and
 off x three qubit flag sets (the default qubit, `--alpha`/`--beta` and
 `--theta`/`--phi`), and at cutoff 8 in both models; `run` on both shipped circuits; and a
@@ -44,6 +47,8 @@ RENORMALIZE = ("--renormalize", "--no-renormalize")
 OCCUPATIONS = ("0", "0.05", "0.2", "0.45", "3", "1e308")
 QUBITS = ([], ["--alpha", "0.6,0", "--beta", "0,0.8"],
           ["--theta", "1.1", "--phi", "0.4"])
+WIDE_RANGES = (("0", "1e300", "7"), ("1e-20", "1e-10", "7"),
+               ("123456789", "1e13", "7"), ("0.2", "0.2", "1"))
 
 
 def commands() -> list[list[str]]:
@@ -64,6 +69,14 @@ def commands() -> list[list[str]]:
                      "--steps", "61", "--cutoff", "3"])
         grid.append(["sweep", "--protocol", protocol, "--from", "0", "--to", "0.5",
                      "--steps", "601"])
+        grid.append(["sweep", "--protocol", protocol, "--from", "0", "--to", "0.5",
+                     "--steps", "601", "--format", "json"])
+        # ends where %.12g and JSON's float text differ: a bare 0 (0.0 in
+        # JSON), exponents from 1e12 (repr waits until 1e16), one point
+        for fmt in ("csv", "json"):
+            grid += [["sweep", "--protocol", protocol, "--from", start, "--to", stop,
+                      "--steps", steps, "--format", fmt]
+                     for start, stop, steps in WIDE_RANGES]
     grid += [["readout", "--n-bar", "0.2", "--cutoff", "8", "--model", model]
              + QUBITS[1] for model in MODELS]
     for cutoff in (1, 2, 3, 4):
