@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -279,34 +280,32 @@ def _run_sweep(args) -> int:
     grid = np.linspace(args.start, args.stop, args.steps)
     rows = protocols.sweep_fidelity(args.protocol, grid, cfg,
                                     ScatterModel(args.model))
+    # every value at 12 significant digits, the rows formatted as one table
+    flat = tuple(itertools.chain.from_iterable(rows))
     if args.format == "json":
-        payload = {
-            "protocol": args.protocol,
-            "config": {"thermal_cutoff": args.cutoff, "renormalize": args.renormalize,
-                       "model": args.model, "from": float(_fmt(args.start)),
-                       "to": float(_fmt(args.stop)), "steps": args.steps},
-            "rows": [{"n_bar": float(_fmt(r.n_bar)),
-                      "simulated": float(_fmt(r.simulated)),
-                      "closed_form": float(_fmt(r.closed_form)),
-                      "abs_diff": float(_fmt(r.abs_diff))} for r in rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    lines = [
-        "# omxsim sweep",
-        f"# protocol = {args.protocol}",
-        f"# from = {_fmt(args.start)}",
-        f"# to = {_fmt(args.stop)}",
-        f"# steps = {args.steps}",
-        f"# thermal_cutoff = {args.cutoff}",
-        f"# renormalize = {str(args.renormalize).lower()}",
-        f"# model = {args.model}",
-        "n_bar,simulated,closed_form,abs_diff",
-    ]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in
-                              (r.n_bar, r.simulated, r.closed_form, r.abs_diff)))
-    _emit("\n".join(lines) + "\n", args.output)
+        config = {"thermal_cutoff": args.cutoff, "renormalize": args.renormalize,
+                  "model": args.model, "from": float(_fmt(args.start)),
+                  "to": float(_fmt(args.stop)), "steps": args.steps}
+        head = json.dumps({"protocol": args.protocol, "config": config}, indent=2)
+        # json (its C encoder, used without indent) writes each float's text
+        values = json.dumps(list(map(float, ("%.12g " * len(flat) % flat).split())))
+        row = ('    {\n      "n_bar": %s,\n      "simulated": %s,\n'
+               '      "closed_form": %s,\n      "abs_diff": %s\n    },\n')
+        body = (row * len(rows))[:-2] % tuple(values[1:-1].split(", "))
+        text = f'{head[:-2]},\n  "rows": [\n{body}\n  ]\n}}\n'
+    else:
+        text = "\n".join([
+            "# omxsim sweep",
+            f"# protocol = {args.protocol}",
+            f"# from = {_fmt(args.start)}",
+            f"# to = {_fmt(args.stop)}",
+            f"# steps = {args.steps}",
+            f"# thermal_cutoff = {args.cutoff}",
+            f"# renormalize = {str(args.renormalize).lower()}",
+            f"# model = {args.model}",
+            "n_bar,simulated,closed_form,abs_diff\n",
+        ]) + "%.12g,%.12g,%.12g,%.12g\n" * len(rows) % flat
+    _emit(text, args.output)
     return 0
 
 

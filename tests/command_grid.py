@@ -2,13 +2,15 @@
 
     PYTHONPATH=src python tests/command_grid.py > grid.txt
     PYTHONPATH=src python tests/command_grid.py --full > grid.jsonl
+    PYTHONPATH=src python tests/command_grid.py --diff base.jsonl head.jsonl
 
 Each line holds the sha256 of a command's stdout, the sha256 of its stderr,
 its exit code and the command.  Running it on two checkouts and diffing the
 files shows every command whose output changed.  With `--full` each line is
 instead one JSON object holding the command, its exit code and its whole
-stdout and stderr, so that the fields that changed can be listed from the
-same two runs.  The grid covers `teleport`
+stdout and stderr.  `--diff` reads two such files, prints each command
+whose record differs with its exit codes and the first changed lines of
+each changed output, and exits 1 if any differs.  The grid covers `teleport`
 and `swap` at thermal cutoffs 1-3 in both scattering models, with and
 without renormalized weights, at six occupations up to 1e308; 37-point JSON
 sweeps, 61- and 601-point CSV sweeps and 601-point JSON sweeps of both
@@ -32,8 +34,10 @@ one that keeps them, compare cold output against warm output.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -123,7 +127,31 @@ def full(argv: list[str]) -> str:
     return json.dumps({"argv": shown, "code": code, "stdout": out, "stderr": err})
 
 
+def differences(base: list[str], head: list[str]) -> list[str]:
+    """The records of two `--full` runs that differ: each command with its
+    exit codes, and the first changed lines of each changed output."""
+    report = []
+    if len(base) != len(head):
+        report.append(f"{len(base)} base records against {len(head)} head records")
+    for old, new in zip(map(json.loads, base), map(json.loads, head)):
+        if old == new:
+            continue
+        report.append(f"{' '.join(new['argv'])}: exit {old['code']} -> {new['code']}")
+        for field in ("stdout", "stderr"):
+            if old[field] != new[field]:
+                lines = difflib.unified_diff(old[field].splitlines(),
+                                             new[field].splitlines(),
+                                             f"base {field}", f"head {field}", lineterm="")
+                report += ["    " + line for line in itertools.islice(lines, 12)]
+    return report
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--diff"]:
+        base, head = (Path(name).read_text().splitlines() for name in sys.argv[2:4])
+        report = differences(base, head)
+        print("\n".join(report) if report else "no record differs")
+        sys.exit(1 if report else 0)
     line = full if sys.argv[1:] == ["--full"] else digest
     for argv in commands():
         sys.stdout.write(line(argv) + "\n")

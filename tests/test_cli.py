@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -6,15 +8,20 @@ import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import command_grid
-from omxsim import cli
+from omxsim import cli, protocols
 from omxsim.constants import (
     MAX_DIMENSION,
     MAX_SAMPLES,
     MAX_SWEEP_WEIGHTS,
 )
+from omxsim.elements import ScatterModel
+from omxsim.fock import OmxError
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 SCHEMA = json.loads(
@@ -211,6 +218,67 @@ def test_sweep_usage_errors(capsys):
     assert code == 1
 
 
+def _sweep_reference(protocol, start, stop, steps, cutoff, model, renormalize, fmt):
+    """A sweep's text built one value at a time: `_fmt` of each value, the
+    JSON rows as dicts written by `json.dumps(..., indent=2)`, the CSV rows
+    as joined lines."""
+    rows = protocols.sweep_fidelity(protocol, np.linspace(start, stop, steps),
+                                    protocols.ThermalConfig(0.0, cutoff, renormalize),
+                                    ScatterModel(model))
+    f = cli._fmt
+    if fmt == "json":
+        payload = {
+            "protocol": protocol,
+            "config": {"thermal_cutoff": cutoff, "renormalize": renormalize,
+                       "model": model, "from": float(f(start)), "to": float(f(stop)),
+                       "steps": steps},
+            "rows": [{key: float(f(v)) for key, v in row._asdict().items()}
+                     for row in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = ["# omxsim sweep", f"# protocol = {protocol}", f"# from = {f(start)}",
+             f"# to = {f(stop)}", f"# steps = {steps}", f"# thermal_cutoff = {cutoff}",
+             f"# renormalize = {str(renormalize).lower()}", f"# model = {model}",
+             "n_bar,simulated,closed_form,abs_diff"]
+    lines += [",".join(f(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# a bare 0 (0.0 in JSON), small occupations, and ends from 1e12, where %.12g
+# takes an exponent and JSON's float text does not until 1e16
+SWEEP_ENDS = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e12, 1e300))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(protocol=st.sampled_from(["teleport", "swap"]), fmt=st.sampled_from(["csv", "json"]),
+       model=st.sampled_from(["paper", "bosonic"]), renormalize=st.booleans(),
+       cutoff=st.integers(1, 3), steps=st.integers(1, 61), ends=st.lists(
+           SWEEP_ENDS, min_size=2, max_size=2).map(sorted))
+def test_sweep_prints_the_text_built_one_value_at_a_time(
+        tmp_path_factory, protocol, fmt, model, renormalize, cutoff, steps, ends):
+    start, stop = ends
+    argv = ["sweep", "--protocol", protocol, "--from", repr(start), "--to", repr(stop),
+            "--steps", str(steps), "--cutoff", str(cutoff), "--model", model,
+            "--renormalize" if renormalize else "--no-renormalize", "--format", fmt]
+    try:
+        expected = _sweep_reference(protocol, start, stop, steps, cutoff, model,
+                                    renormalize, fmt)
+    except OmxError as exc:
+        assert _main_output(argv) == (2, "", f"omxsim: simulation error: {exc}\n")
+        return
+    assert _main_output(argv) == (0, expected, "")
+    path = tmp_path_factory.mktemp("sweep") / f"sweep.{fmt}"
+    assert _main_output(argv + ["--output", str(path)]) == (0, "", "")
+    assert path.read_bytes() == expected.encode()
+
+
 @pytest.mark.parametrize("start, stop", [("0", "inf"), ("nan", "1"), ("0", "nan")])
 def test_non_finite_sweep_end_is_one_line_simulation_error(capsys, start, stop):
     code, out, err = run_cli(capsys, "sweep", "--protocol", "teleport",
@@ -375,7 +443,7 @@ def test_swap_runs_to_the_side_registry_limit(capsys):
 
 def test_sweep_at_the_size_limit_stays_small(capsys):
     # 12,409 points x 2 x 169 thermal weights at cutoff 12, joined a slice of
-    # the grid at a time (5.2 MiB measured); one point more exits 2
+    # the grid at a time (4.5 MiB measured); one point more exits 2
     steps = MAX_SWEEP_WEIGHTS // 338
     argv = ["sweep", "--protocol", "swap", "--from", "0", "--to", "0.3", "--cutoff", "12"]
     assert _traced_peak(capsys, *argv, "--steps", str(steps)) < 32 << 20
@@ -384,6 +452,14 @@ def test_sweep_at_the_size_limit_stays_small(capsys):
     assert err == (f"omxsim: simulation error: sweep of {steps + 1} points needs "
                    f"{(steps + 1) * 338} thermal weights, above the limit "
                    f"{MAX_SWEEP_WEIGHTS}\n")
+
+
+def test_json_sweep_at_the_size_limit_stays_small(capsys):
+    # the same 12,409 points as JSON: one float list for json's C encoder
+    # and one row template, not a dict per row (9.9 MiB measured)
+    argv = ["sweep", "--protocol", "swap", "--from", "0", "--to", "0.3", "--cutoff", "12",
+            "--steps", str(MAX_SWEEP_WEIGHTS // 338), "--format", "json"]
+    assert _traced_peak(capsys, *argv) < 32 << 20
 
 
 # ---------------------------------------------------------------------------
