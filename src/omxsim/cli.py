@@ -280,7 +280,7 @@ def _run_sweep(args) -> int:
     grid = np.linspace(args.start, args.stop, args.steps)
     rows = protocols.sweep_fidelity(args.protocol, grid, cfg,
                                     ScatterModel(args.model))
-    # every value at 12 significant digits, the rows formatted as one table
+    # each value as _fmt writes it (%.12g), the whole table in one format call
     flat = tuple(itertools.chain.from_iterable(rows))
     if args.format == "json":
         config = {"thermal_cutoff": args.cutoff, "renormalize": args.renormalize,

@@ -1,6 +1,4 @@
 import argparse
-import contextlib
-import io
 import json
 import subprocess
 import sys
@@ -244,13 +242,6 @@ def _sweep_reference(protocol, start, stop, steps, cutoff, model, renormalize, f
     return "\n".join(lines) + "\n"
 
 
-def _main_output(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 # a bare 0 (0.0 in JSON), small occupations, and ends from 1e12, where %.12g
 # takes an exponent and JSON's float text does not until 1e16
 SWEEP_ENDS = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e12, 1e300))
@@ -271,11 +262,11 @@ def test_sweep_prints_the_text_built_one_value_at_a_time(
         expected = _sweep_reference(protocol, start, stop, steps, cutoff, model,
                                     renormalize, fmt)
     except OmxError as exc:
-        assert _main_output(argv) == (2, "", f"omxsim: simulation error: {exc}\n")
+        assert command_grid._run(argv)[:3] == (2, "", f"omxsim: simulation error: {exc}\n")
         return
-    assert _main_output(argv) == (0, expected, "")
+    assert command_grid._run(argv)[:3] == (0, expected, "")
     path = tmp_path_factory.mktemp("sweep") / f"sweep.{fmt}"
-    assert _main_output(argv + ["--output", str(path)]) == (0, "", "")
+    assert command_grid._run(argv + ["--output", str(path)])[:3] == (0, "", "")
     assert path.read_bytes() == expected.encode()
 
 
