@@ -10,6 +10,7 @@ in docs/dsl.md.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .plans import (
     PhotonDecl,
     PlanSettings,
     build_registry,
-    split_sides,
+    sides,
 )
 
 
@@ -314,33 +315,28 @@ def _flag(text: str) -> bool:
     return {"true": True, "false": False}[text.lower()]
 
 
-def _protocol(text: str) -> str:
-    if text not in PROTOCOLS:
-        raise ValueError(text)
-    return text
-
-
-def _at_least(low: int, convert=int):
-    def bounded(text: str):
+def _checked(convert, ok=cmath.isfinite):
+    """`convert`, refusing with ValueError a value that `ok` does not accept."""
+    def parse(text: str):
         value = convert(text)
-        if value < low:
+        if not ok(value):
             raise ValueError(text)
         return value
-    return bounded
+    return parse
 
 
 # `set` key -> (value parser, which raises KeyError or ValueError; the
 # values it takes), in the order bad values are reported.  An unset key
 # keeps its PlanSettings default.
 _SETTINGS = {
-    "protocol": (_protocol, " or ".join(PROTOCOLS)),
-    "n_bar": (_at_least(0, float), "a number >= 0"),
-    "thermal_cutoff": (_at_least(1), "an integer >= 1"),
+    "protocol": (_checked(str, lambda value: value in PROTOCOLS), " or ".join(PROTOCOLS)),
+    "n_bar": (_checked(float, lambda value: 0 <= value < math.inf), "a number >= 0"),
+    "thermal_cutoff": (_checked(int, lambda value: value >= 1), "an integer >= 1"),
     "renormalize": (_flag, "true or false"),
     "model": (ScatterModel, "paper or bosonic"),
-    "alpha": (complex, "a complex number"),
-    "beta": (complex, "a complex number"),
-    "photon_cutoff": (_at_least(1), "an integer >= 1"),
+    "alpha": (_checked(complex), "a complex number"),
+    "beta": (_checked(complex), "a complex number"),
+    "photon_cutoff": (_checked(int, lambda value: value >= 1), "an integer >= 1"),
 }
 
 
@@ -418,8 +414,8 @@ def compile(ast: CircuitAst) -> CircuitPlan:  # noqa: A001 - spec'd operation na
     plan = CircuitPlan(tuple(plan_decls), tuple(steps), measure, settings)
     try:
         # the executor builds one registry per side of the Bell analyzer
-        for decls, _ in split_sides(plan):
-            build_registry(plan, decls)
+        for side in sides(plan):
+            build_registry(settings, side.decls)
     except RegistryError as exc:
         raise DslSemanticError([SemanticIssue(1, 1, str(exc))]) from exc
     return plan

@@ -1,19 +1,22 @@
 """Executable simulation plans: declarations, registries, element wiring.
 
 A CircuitPlan is the common executable form behind both the built-in
-protocol runners and circuits compiled from `.omx` text.  A registry lays
-out the declarations it is built from in their given order (photon paths
-contribute an H then a V mode), so a plan determines the basis layout
-completely and runs are deterministic.  `split_sides` divides a plan into
-the Bell analyzer's two sides, which are built and run apart.
+protocol runners and circuits compiled from `.omx` text.  `sides` resolves
+a plan, once per (declarations, steps, measurement), into the Bell
+analyzer's two sides, each a small immutable `Side` value that the
+executor, the sweep-size check and the `.omx` compiler's side-limit check
+all read.  A registry lays out the declarations it is built from in their
+given order (photon paths contribute an H then a V mode), so a side
+determines its basis layout completely and runs are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +45,7 @@ MAGNON_INITS = ("ground", "thermal")
 
 # The element catalogue: name -> (constructor in `elements`, argument kinds,
 # PlanSettings fields passed by keyword).  The `.omx` parser checks a step's
-# arguments against the kinds; `build_elements` converts and passes them.
+# arguments against the kinds; `sides` resolves them for `build_elements`.
 ELEMENTS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
     "bs50": ("beam_splitter_50_50", ("mode", "mode"), ()),
     "hwp": ("half_wave_plate", ("path", "angle"), ()),
@@ -189,162 +192,185 @@ def thermal_weights(n_bar: float | np.ndarray, cutoff: int,
     return weights
 
 
-def build_registry(plan: CircuitPlan, decls: Sequence | None = None) -> ModeRegistry:
-    """Registry over `decls` (default all of the plan's), in their order;
-    magnon cutoffs keep scattering headroom."""
+def build_registry(settings: PlanSettings, decls: Sequence) -> ModeRegistry:
+    """Registry over `decls`, in their order; magnon cutoffs keep scattering
+    headroom."""
     modes: list[ModeLabel] = []
     cutoffs: list[int] = []
-    s = plan.settings
-    for decl in plan.decls if decls is None else decls:
+    for decl in decls:
         if isinstance(decl, PhotonDecl):
             modes += [optical(decl.path, "H"), optical(decl.path, "V")]
-            cutoffs += [s.photon_cutoff, s.photon_cutoff]
+            cutoffs += [settings.photon_cutoff, settings.photon_cutoff]
         else:
             modes.append(magnon(decl.path))
-            cutoffs.append(s.thermal_cutoff + 1)
+            cutoffs.append(settings.thermal_cutoff + 1)
     return ModeRegistry(modes, cutoffs)
 
 
-def _argument(registry: ModeRegistry, kind: str, value):
-    if kind == "mode":
-        if value.kind == "photon":
-            return registry.optical_index(value.path, value.pol)
-        return registry.magnon_index(value.path)
-    return value if kind == "path" else float(value)
-
-
-def _signature(step: ElementStep) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
-    """The step's catalogue entry, checked against its argument count."""
-    if step.name not in ELEMENTS:
-        raise PlanError(f"unknown element {step.name!r}")
-    entry = ELEMENTS[step.name]
-    if len(step.args) != len(entry[1]):
-        raise PlanError(f"element {step.name!r} takes {len(entry[1])} arguments, "
-                        f"got {len(step.args)}")
-    return entry
-
-
-def build_elements(plan: CircuitPlan, registry: ModeRegistry,
-                   steps: Sequence[ElementStep] | None = None) -> list[ElementOp]:
-    """Instantiate `steps` (default all of the plan's) against the registry,
-    in order.
+def build_elements(settings: PlanSettings, registry: ModeRegistry,
+                   steps: Sequence[tuple]) -> list[ElementOp]:
+    """Instantiate a side's resolved `steps` (`Side.elements`) on its
+    registry, in order.
 
     Constructors are looked up on `elements` at call time, so a wrapper
     installed on that module's attribute is the one called.
     """
-    ops = []
-    for step in plan.steps if steps is None else steps:
-        constructor, kinds, keywords = _signature(step)
-        args = [_argument(registry, k, a) for k, a in zip(kinds, step.args)]
-        options = {key: getattr(plan.settings, key) for key in keywords}
-        ops.append(getattr(elements, constructor)(registry, *args, **options))
-    return ops
+    return [getattr(elements, constructor)(
+                registry, *args, **{key: getattr(settings, key) for key in keywords})
+            for constructor, args, keywords in steps]
 
 
-def _position(index: dict[tuple[str, str], int], kind: str, path: str) -> int:
-    if (kind, path) not in index:
-        raise PlanError(f"undeclared {kind} {path!r}")
-    return index[kind, path]
+def dual_rail_sector(n: int) -> list[tuple[int, ...]]:
+    """The dual-rail sector of n magnons in declaration order, one excitation
+    per pair: state q1 + 2 q2 holds (q1, 1 - q1, q2, 1 - q2), where qubit
+    value 0 excites the lower rail (a pair of magnons has q1 only)."""
+    return [(q1, 1 - q1, q2, 1 - q2)[:n] for q2 in range(n // 2) for q1 in (0, 1)]
 
 
-def step_decls(step: ElementStep, index: dict[tuple[str, str], int]) -> list[int]:
-    """Plan positions of the declarations `step` acts on, in argument order.
+class Side(NamedTuple):
+    """One side of the Bell analyzer, as `sides` resolves it.
 
-    `index` maps each declaration's (kind, path), kind "photon" or "magnon",
-    to its position.  A photon path is one declaration: an element on one
-    of its modes acts on the path, whose H and V modes a qubit init
-    entangles.
+    `decls` are in registry order: the analyzer paths in Bell-vector order,
+    then the magnons, then the rest, each in plan order.  `measured` holds
+    the Bell-vector positions (0 and 1) of the analyzer paths on the side.
+    `sector` holds the side's distinct magnon occupations over the
+    `dual_rail_sector` states, in magnon-row order (little-endian over its
+    magnons).  Each of `elements` is (constructor name on `elements`,
+    arguments with each mode resolved to its registry position, the
+    PlanSettings fields it takes).
     """
-    _, kinds, _ = _signature(step)
-    return [_position(index, arg.kind, arg.path) if kind == "mode"
-            else _position(index, "photon", arg)
-            for kind, arg in zip(kinds, step.args) if kind in ("mode", "path")]
+
+    decls: tuple
+    measured: tuple[int, ...]
+    sector: tuple[tuple[int, ...], ...]
+    elements: tuple[tuple[str, tuple, tuple[str, ...]], ...]
+
+    @property
+    def magnons(self) -> tuple[MagnonDecl, ...]:
+        return tuple(d for d in self.decls if isinstance(d, MagnonDecl))
 
 
-def split_sides(plan: CircuitPlan) -> list[tuple[list, list[ElementStep]]]:
-    """(declarations, steps) of the Bell analyzer's two sides, in plan order.
+def sides(plan: CircuitPlan) -> tuple[Side, Side]:
+    """The Bell analyzer's two sides of `plan`, side 1 then side 2.
 
-    The declarations an element acts on join one group.  Side 2 is the group
+    The declarations an element acts on join one group; a photon path is
+    one declaration, as an element on one of its modes acts on the path,
+    whose H and V modes a qubit init entangles.  Side 2 is the group
     holding the analyzer's second path, unless the elements join it to the
     first path's group; side 1 is everything else.  A circuit that couples
-    everything runs as side 1 alone, with an empty side 2.
+    everything runs as side 1 alone, with an empty side 2.  Resolved once
+    per (declarations, steps, measurement), which no setting changes.
     """
+    return _resolve(plan.decls, plan.steps, plan.measure)
+
+
+@functools.lru_cache(maxsize=64)
+def _resolve(decls: tuple, steps: tuple, measure: BellMeasure) -> tuple[Side, Side]:
     index = {("photon" if isinstance(d, PhotonDecl) else "magnon", d.path): k
-             for k, d in enumerate(plan.decls)}
-    group = list(range(len(plan.decls)))
-    acted = [step_decls(step, index) for step in plan.steps]
-    for acts_on in acted:
+             for k, d in enumerate(decls)}
+
+    def position(kind: str, path: str) -> int:
+        if (kind, path) not in index:
+            raise PlanError(f"undeclared {kind} {path!r}")
+        return index[kind, path]
+
+    acted = []          # each step's catalogue entry and the declarations it acts on
+    for step in steps:
+        if step.name not in ELEMENTS:
+            raise PlanError(f"unknown element {step.name!r}")
+        entry = ELEMENTS[step.name]
+        if len(step.args) != len(entry[1]):
+            raise PlanError(f"element {step.name!r} takes {len(entry[1])} arguments, "
+                            f"got {len(step.args)}")
+        acted.append((entry, [position(arg.kind, arg.path) if kind == "mode"
+                              else position("photon", arg)
+                              for kind, arg in zip(entry[1], step.args)
+                              if kind in ("mode", "path")]))
+    group = list(range(len(decls)))
+    for _, acts_on in acted:
         joined = {group[k] for k in acts_on}
         group = [min(joined) if g in joined else g for g in group]
-    g1, g2 = (group[_position(index, "photon", path)]
-              for path in (plan.measure.path1, plan.measure.path2))
-    side_of = [int(g2 != g1 and g == g2) for g in group]
-    return [([d for d, s in zip(plan.decls, side_of) if s == side],
-             [st for st, ks in zip(plan.steps, acted) if side_of[ks[0]] == side])
-            for side in (0, 1)]
+    paths = (measure.path1, measure.path2)
+    ends = [position("photon", path) for path in paths]
+    side_of = [int(group[ends[1]] != group[ends[0]] and g == group[ends[1]]) for g in group]
+    magnons = [d for d in decls if isinstance(d, MagnonDecl)]
+    out = []
+    for side in (0, 1):
+        own = sorted((d for d, s in zip(decls, side_of) if s == side),
+                     key=lambda d: 2 if isinstance(d, MagnonDecl)
+                     else paths.index(d.path) if d.path in paths else 3)
+        # the side's modes in the order `build_registry` lays them out
+        modes = [ref for d in own for ref in (
+            [ModeRef("magnon", d.path)] if isinstance(d, MagnonDecl)
+            else [ModeRef("photon", d.path, "H"), ModeRef("photon", d.path, "V")])]
+        sector = {tuple(state[magnons.index(d)] for d in own if isinstance(d, MagnonDecl))
+                  for state in dual_rail_sector(len(magnons))}
+        out.append(Side(
+            tuple(own), tuple(i for i, k in enumerate(ends) if side_of[k] == side),
+            tuple(sorted(sector, key=lambda occupations: occupations[::-1])),
+            tuple((constructor, tuple(modes.index(arg) if kind == "mode" else
+                                      arg if kind == "path" else float(arg)
+                                      for kind, arg in zip(kinds, step.args)), keywords)
+                  for step, ((constructor, kinds, keywords), acts_on) in zip(steps, acted)
+                  if side_of[acts_on[0]] == side)))
+    return tuple(out)
 
 
-def occupation_ranges(cutoff: int, decls: Sequence) -> list[range]:
-    """The thermal occupations, up to `cutoff`, of each magnon among `decls`,
-    a ground magnon's pinned to 0."""
-    return [range(cutoff + 1 if d.init == "thermal" else 1)
-            for d in decls if isinstance(d, MagnonDecl)]
+def occupation_ranges(cutoff: int, magnons: Sequence[MagnonDecl]) -> list[range]:
+    """The thermal occupations, up to `cutoff`, of each of `magnons`, a
+    ground magnon's pinned to 0."""
+    return [range(cutoff + 1 if d.init == "thermal" else 1) for d in magnons]
 
 
-def iter_components(plan: CircuitPlan, magnons: Sequence[MagnonDecl] | None = None
-                    ) -> Iterator[tuple[int, ...]]:
-    """All joint thermal occupations of `magnons` (default all of the plan's),
-    one per magnon in declaration order, over their `occupation_ranges`; the
-    set depends only on the thermal cutoff, not on n_bar."""
-    yield from itertools.product(*occupation_ranges(
-        plan.settings.thermal_cutoff, plan.magnon_decls() if magnons is None else magnons))
+def iter_components(cutoff: int, magnons: Sequence[MagnonDecl]) -> Iterator[tuple[int, ...]]:
+    """All joint thermal occupations of `magnons`, one per magnon in their
+    order, over their `occupation_ranges`; the set depends only on the
+    thermal cutoff, not on n_bar."""
+    yield from itertools.product(*occupation_ranges(cutoff, magnons))
 
 
-def component_weight(plan: CircuitPlan, n_bars: Sequence[float],
-                     magnons: Sequence[MagnonDecl] | None = None) -> np.ndarray:
-    """Thermal weights of the components of `magnons` (default all of the
-    plan's) at each shared occupation of `n_bars`, as a (points, components)
-    matrix whose columns follow `iter_components`.
+def component_weight(settings: PlanSettings, n_bars: Sequence[float],
+                     magnons: Sequence[MagnonDecl]) -> np.ndarray:
+    """Thermal weights of the components of `magnons` at each shared
+    occupation of `n_bars`, as a (points, components) matrix whose columns
+    follow `iter_components`.
 
     Each thermal magnon's `thermal_weights` row (its override's, if it has
     one) multiplies onto the running product in declaration order; a ground
     magnon contributes weight 1 at n = 0.
     """
-    s = plan.settings
     n_bars = np.asarray(n_bars, dtype=float)
     w = np.ones((len(n_bars), 1))
-    for decl in plan.magnon_decls() if magnons is None else magnons:
+    for decl in magnons:
         if decl.init == "thermal":
-            row = thermal_weights(s.n_bar_for(decl.path, n_bars), s.thermal_cutoff,
-                                  s.renormalize)
+            row = thermal_weights(settings.n_bar_for(decl.path, n_bars),
+                                  settings.thermal_cutoff, settings.renormalize)
             w = (w[:, :, None] * row[..., None, :]).reshape(len(n_bars), -1)
     return w
 
 
-def initial_vector(plan: CircuitPlan, registry: ModeRegistry,
-                   components: Sequence[Sequence[int]], decls: Sequence | None = None
-                   ) -> Batch:
+def initial_vector(settings: PlanSettings, registry: ModeRegistry,
+                   components: Sequence[Sequence[int]], decls: Sequence) -> Batch:
     """Initial states of the thermal `components` as one batch, component k
     the state of occupations `components[k]`.
 
-    `decls` (default all of the plan's) are the declarations `registry`
-    holds, in plan order; each occupation tuple belongs to their magnons.
+    `decls` are the declarations `registry` holds, in its order; each
+    occupation tuple belongs to their magnons.
     """
-    s = plan.settings
     occupations = np.array(components, dtype=np.int64).reshape(len(components), -1)
     component = np.arange(len(components))
     index = np.zeros(len(components), dtype=np.int64)
     amplitudes = np.ones(len(components), dtype=complex)
     strides = iter(registry.strides)
     magnon = 0
-    for decl in plan.decls if decls is None else decls:
+    for decl in decls:
         if isinstance(decl, MagnonDecl):
             index = index + occupations[component, magnon] * next(strides)
             magnon += 1
             continue
         h, v = next(strides), next(strides)
         local = {"vacuum": {0: 1.0}, "single_h": {h: 1.0}, "single_v": {v: 1.0},
-                 "qubit": {h: s.alpha, v: s.beta}}[decl.init]
+                 "qubit": {h: settings.alpha, v: settings.beta}}[decl.init]
         offsets = np.array([o for o, a in local.items() if a != 0], dtype=np.int64)
         values = np.array([a for a in local.values() if a != 0], dtype=complex)
         component = np.repeat(component, len(offsets))

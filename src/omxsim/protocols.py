@@ -17,23 +17,21 @@ n = 2 the heralded fidelities take the closed forms
 while the untruncated mixture gives (1-s)^2 and (1-s)^4; reports carry both
 so the truncation sensitivity stays visible.
 
-Execution splits a plan at the Bell analyzer (`plans.split_sides`).
-Declarations that an element acts on together form one group (a photon
-path's H and V modes always together); side 2 is the group holding the
-analyzer's second path, side 1 everything else, or the whole circuit if its
-elements join the two paths.  Each side's registry and elements are built
-from its own declarations and steps, and all of its thermal components,
+Execution splits a plan at the Bell analyzer into the two sides that
+`plans.sides` resolves, each a `plans.Side` spec.  Each side's registry and
+elements are built from its own spec, and all of its thermal components,
 whatever their weight, run through them as one sparse batch, one
-`fock.apply` per element; no registry over the whole plan is built.  The
-sides meet only in the herald, which a side enters only through its output
-on the analyzer states that the Bell vectors use: each thermal component
-reduces to its squared norm and two small Gram matrices (`_Side.factors`),
-and only these are kept.  Reports and sweeps weight each side's factors
-with its own thermal weights (`plans.component_weight`) over a grid of
-occupations at once, and join the sides through the Bell vectors.  A report
-is the one-point grid of the same path, so a sweep row equals the report at
-its occupation to the last bit.  No side reads the occupation: `_sides`
-keeps each built side for later commands, unless it holds the input qubit.
+`fock.apply` per element; no registry over the whole plan is built.
+The sides meet only in the herald, which a side enters only through its
+output on the analyzer states that the Bell vectors use: each thermal
+component reduces to its squared norm and two small Gram matrices
+(`_Side.factors`), and only these are kept.  Reports and sweeps weight each
+side's factors with its own thermal weights (`plans.component_weight`) over
+a grid of occupations at once, and join the sides through the Bell vectors.
+A report is the one-point grid of the same path, so a sweep row equals the
+report at its occupation to the last bit.  No side reads the occupation:
+`_sides` keeps each built side for later commands, keyed on its spec and
+the settings its build reads, unless it holds the input qubit.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the join forms each herald's block over the sector states, whose overlaps
@@ -176,8 +174,8 @@ def genuine_threshold(target: float = 2.0 / 3.0) -> float:
 
 class HeraldedSector(NamedTuple):
     """A herald's magnon state as readout reads it: its block on the
-    dual-rail sector, in `_sector` order, and its populations, indexed by
-    the occupations of the magnons `paths` in declaration order."""
+    dual-rail sector (`plans.dual_rail_sector`) and its populations, indexed
+    by the occupations of the magnons `paths` in declaration order."""
 
     paths: tuple[str, ...]
     block: np.ndarray
@@ -276,16 +274,9 @@ def _config_echo(settings: PlanSettings) -> dict:
 # ---------------------------------------------------------------------------
 # plan execution
 
-def _sector(n: int) -> list[tuple[int, ...]]:
-    """The dual-rail sector of n magnons in declaration order, one excitation
-    per pair: state q1 + 2 q2 holds (q1, 1 - q1, q2, 1 - q2), where qubit
-    value 0 excites the lower rail (a pair of magnons has q1 only)."""
-    return [(q1, 1 - q1, q2, 1 - q2)[:n] for q2 in range(n // 2) for q1 in (0, 1)]
-
-
 def _overlaps(settings: PlanSettings) -> np.ndarray:
     """conj(t_s) t_s' of each Bell herald's fidelity target t over the
-    `_sector` states s: the raw targets, then the corrected, (2, ids, S^2).
+    sector states s (`plans.dual_rail_sector`): raw, then corrected, (2, ids, S^2).
 
     Teleport targets the transferred qubit alpha |lower> + beta |upper>; the
     even-parity minus herald is corrected by a pi phase on the upper arm,
@@ -307,28 +298,30 @@ class _Side:
     """One side of the Bell analyzer, propagated on its own small registry
     and reduced at once to the herald factors that the join reads.
 
-    The registry holds the side's declarations in `_rank` order.  All of
-    its thermal components, whatever their weight, go through the elements
-    as one sparse `fock.Batch`, one `fock.apply` per element.  An entry's
+    The registry holds the spec's declarations in their order.  All of its
+    thermal components, whatever their weight, go through the elements as
+    one sparse `fock.Batch`, one `fock.apply` per element.  An entry's
     registry index is, little-endian, its analyzer state (of `da`), its
-    magnon row (of `dm`) and its other-mode index.  Per component k, the
+    magnon row (of `dm`) and its other-mode index.  `states`, the analyzer
+    states that the Bell vectors use, follow from the spec's measured paths
+    and the photon cutoff; the sector rows hold its sector occupations.  Per
+    component k, the
     `factors` row holds |x_k|^2, G[i, j] = sum x_k[states[i], m, o]
     conj(x_k[states[j], m, o]) over magnon rows m and other modes o, and
-    H[(r, i), (r', j)], over o alone at m = rows[r], rows[r'], row-major;
+    H[(r, i), (r', j)], over o alone at sector rows r, r', row-major;
     `columns` holds G's columns, one per (k, m, o).  The batch is dropped.
     """
 
-    def __init__(self, plan: CircuitPlan, ranked: list, steps: list[ElementStep],
-                 states: np.ndarray, rows: np.ndarray):
-        decls = [d for _, d in ranked]
-        reg = plans.build_registry(plan, decls)
-        self.magnons = tuple(d for d in decls if isinstance(d, MagnonDecl))
-        components = list(plans.iter_components(plan, self.magnons))
-        a = 2 * sum(r < 2 for r, _ in ranked)       # H and V of each analyzer path
-        self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:a + len(self.magnons)])
+    def __init__(self, spec: plans.Side, settings: PlanSettings, states: np.ndarray):
+        reg = plans.build_registry(settings, spec.decls)
+        self.magnons = spec.magnons
+        components = list(plans.iter_components(settings.thermal_cutoff, self.magnons))
+        a, m = 2 * len(spec.measured), len(self.magnons)    # H and V of each analyzer path
+        self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:a + m])
         self.span = reg.dimension // self.da          # magnon rows x other modes
-        b = plans.initial_vector(plan, reg, components, decls)
-        for op in plans.build_elements(plan, reg, steps):
+        rows = np.array(spec.sector, np.int64) @ (settings.thermal_cutoff + 2) ** np.arange(m)
+        b = plans.initial_vector(settings, reg, components, spec.decls)
+        for op in plans.build_elements(settings, reg, spec.elements):
             b = apply(op, b)
         n, ns, width = len(components), len(states), len(states) * len(rows)
         _check_entries(n * (1 + ns * ns + width * width),
@@ -365,11 +358,12 @@ class _Side:
 
 
 class _SideMemo(dict):
-    """Built sides by all that a side reads, the limits its build checks
-    included (a lowered limit refuses as cold), least recently used first.
-    A hit moves its side to most recent; a new side is kept read-only while
-    the kept sides' entries stay within MAX_ARRAY_ENTRIES, unless it holds
-    the input qubit.  Angles -0.0 and 0.0 build equal elements."""
+    """Built sides by all that a side reads, its spec, settings and the
+    limits its build checks (a lowered limit refuses as cold), least
+    recently used first.  A hit moves its side to most recent; a new side is
+    kept read-only while the kept sides' entries stay within
+    MAX_ARRAY_ENTRIES, unless it holds the input qubit.  Angles -0.0 and 0.0
+    build equal elements."""
 
     Info = NamedTuple("Info", [("hits", int), ("misses", int), ("sides", int), ("entries", int)])
     hits = misses = 0
@@ -381,18 +375,16 @@ class _SideMemo(dict):
     def cache_info(self) -> Info:
         return self.Info(self.hits, self.misses, len(self), sum(n for _, n in self.values()))
 
-    def side(self, plan: CircuitPlan, ranked: list, steps: list[ElementStep],
-             states: np.ndarray, rows: np.ndarray) -> _Side:
-        s = plan.settings
-        key = None if any(d.init == "qubit" for _, d in ranked) else (
-            tuple(ranked), tuple(steps), states.tobytes(), rows.tobytes(), s.thermal_cutoff,
-            s.photon_cutoff, s.model, constants.MAX_DIMENSION, constants.MAX_ARRAY_ENTRIES)
+    def side(self, spec: plans.Side, s: PlanSettings, states: np.ndarray) -> _Side:
+        key = None if any(d.init == "qubit" for d in spec.decls) else (
+            spec, s.thermal_cutoff, s.photon_cutoff, s.model, constants.MAX_DIMENSION,
+            constants.MAX_ARRAY_ENTRIES)
         if key in self:
             self.hits += 1
             self[key] = self.pop(key)               # most recently used last
             return self[key][0]
         self.misses += key is not None
-        side = _Side(plan, ranked, steps, states, rows)
+        side = _Side(spec, s, states)
         arrays = (side.factors, *side.columns)
         if key is not None and (n := sum(a.size for a in arrays)) <= constants.MAX_ARRAY_ENTRIES:
             for array in arrays:
@@ -404,14 +396,6 @@ class _SideMemo(dict):
 
 
 _sides = _SideMemo()
-
-
-def _rank(plan: CircuitPlan, decls: list) -> list[tuple[int, object]]:
-    """A side's declarations and ranks in registry order: analyzer paths in
-    Bell-vector order (0, 1), magnons (2), the rest (3), each in plan order."""
-    paths = (plan.measure.path1, plan.measure.path2)
-    return sorted(((2 if isinstance(d, MagnonDecl) else paths.index(d.path)
-                    if d.path in paths else 3, d) for d in decls), key=lambda rd: rd[0])
 
 
 def _column_grams(key: np.ndarray, slot: np.ndarray, amplitudes: np.ndarray,
@@ -462,14 +446,14 @@ def _join_layout(photon_cutoff: int, paths: tuple[int, int],
 class _Circuit:
     """A plan split at the Bell analyzer, each side built or taken from `_sides`.
 
-    The elements never act across the two sides (`plans.split_sides`), so
-    the joint state of a component pair is the product of the two sides'
+    The elements never act across the two sides (`plans.sides`), so the
+    joint state of a component pair is the product of the two sides'
     outputs, and every herald quantity (`join`) is a sum, over pairs (t, u)
     of a Bell vector's terms c_t |a_t>|b_t>, of conj(c_t) c_u times one
     entry of each side's factors (`_Side.factors`) weighted by that side's
-    own thermal weights (`weights`).  The join is laid out from the
-    declarations before any side is asked for.  Nothing in it depends on
-    the occupation, so a report is the sweep over the one-point grid.
+    own thermal weights (`weights`).  The join is laid out from the side
+    specs before any side is asked for.  Nothing in it depends on the
+    occupation, so a report is the sweep over the one-point grid.
     """
 
     def __init__(self, plan: CircuitPlan):
@@ -480,25 +464,23 @@ class _Circuit:
         if len(magnons) != need:
             raise ProtocolError(f"{s.protocol} expects {need} magnon modes, "
                                 f"found {len(magnons)}")
-        sides = [(_rank(plan, decls), steps) for decls, steps in plans.split_sides(plan)]
+        specs = plans.sides(plan)
         self.levels = s.thermal_cutoff + 2          # Fock levels of each magnon
-        # each side's magnon row of each sector state: little-endian over the
-        # side's own magnons, so a magnon's stride is 0 on the other side
-        self.rows = [np.array(_sector(need)) @ [self.levels ** own.index(d) if d in own else 0
-                                                for d in magnons]
-                     for own in ([d for r, d in ranked if r == 2] for ranked, _ in sides)]
-        sector_rows = [np.unique(r, return_inverse=True) for r in self.rows]
+        self.sector = plans.dual_rail_sector(need)
+        # each sector state's position among each side's sector occupations
+        own = [[magnons.index(d) for d in spec.magnons] for spec in specs]
+        self.positions = tuple(tuple(spec.sector.index(tuple(state[m] for m in o))
+                                     for state in self.sector) for spec, o in zip(specs, own))
         self.states, self.index, self.coefficients = _join_layout(
-            s.photon_cutoff, tuple(sum(r < 2 for r, _ in ranked) for ranked, _ in sides),
-            tuple(tuple(q.tolist()) for _, q in sector_rows))
-        self.sides = tuple(_sides.side(plan, ranked, steps, st, r) for (ranked, steps), st, (r, _)
-                           in zip(sides, self.states, sector_rows))
+            s.photon_cutoff, tuple(len(spec.measured) for spec in specs), self.positions)
+        self.sides = tuple(_sides.side(spec, s, st) for spec, st in zip(specs, self.states))
         self.overlap = _overlaps(s)
 
     def weights(self, grid) -> list[np.ndarray]:
         """Each side's component weights at the shared occupations `grid`,
         (points, n1) and (points, n2)."""
-        return [plans.component_weight(self.plan, grid, side.magnons) for side in self.sides]
+        return [plans.component_weight(self.plan.settings, grid, side.magnons)
+                for side in self.sides]
 
     def join(self, w1: np.ndarray, w2: np.ndarray) -> tuple:
         """The herald at side weights w1 and w2 over a grid of points: per
@@ -526,7 +508,7 @@ class _Circuit:
         raw, corrected = (np.where(reach, (blocks * o).sum(axis=-1).real / safe, 0.0)
                           for o in self.overlap)
         heralds = list(zip((masses / norm[:, None]).T, raw.T, corrected.T))
-        states = len(self.rows[0])
+        states = len(self.sector)
         return heralds, masses, blocks.reshape(len(q), len(BELL_IDS), states, states)
 
     def row_grams(self, w1: np.ndarray, w2: np.ndarray) -> list[np.ndarray]:
@@ -681,6 +663,7 @@ def swap_plan(cfg: ThermalConfig,
     return CircuitPlan(decls1 + decls2, steps1 + steps2, BellMeasure("B", "D"), settings)
 
 
+@cache
 def _interferometer(upper: str, lower: str) -> tuple[tuple, tuple[ElementStep, ...]]:
     """Declarations and steps of one interferometer: the drive photon enters
     arm `upper`, and each arm's photon scatters off that arm's thermal magnon."""
@@ -840,19 +823,13 @@ def _sweep_plan(protocol: str, cfg: ThermalConfig,
             else swap_plan(cfg, model))
 
 
-@cache
-def _sweep_sides(protocol: str) -> tuple:
-    """Each side's declarations in a sweep's circuit, which no setting changes."""
-    return tuple(decls for decls, _ in plans.split_sides(_sweep_plan(protocol, ThermalConfig())))
-
-
 def check_sweep_size(protocol: str, points: int, cutoff: int) -> None:
     """Refuse a sweep that would form too many thermal weights: each side's
     thermal components at every grid point, counted before anything is formed."""
     if protocol not in plans.PROTOCOLS:
         raise ProtocolError(f"unknown sweep protocol {protocol!r}")
-    size = points * sum(math.prod(map(len, plans.occupation_ranges(cutoff, decls)))
-                        for decls in _sweep_sides(protocol))
+    size = points * sum(math.prod(map(len, plans.occupation_ranges(cutoff, side.magnons)))
+                        for side in plans.sides(_sweep_plan(protocol, ThermalConfig())))
     if size > constants.MAX_SWEEP_WEIGHTS:
         raise ProtocolError(f"sweep of {points} points needs {size} thermal weights, "
                             f"above the limit {constants.MAX_SWEEP_WEIGHTS}")

@@ -14,10 +14,12 @@ density matrix over every magnon occupation, which the package never forms:
 it reads a herald's dual-rail sector block and populations instead.
 `concurrence_dual_rail` scores such a state's sector block.
 
-`side_start` builds one side's registry, thermal components, initial batch
-and elements from the `plans` primitives, for the checks that compare a
-side's propagation, or the herald factors the package keeps in its place,
-against these dense states.
+The oracle builds the joint registry over all of a plan's declarations and
+resolves every element against it itself (`joint_elements`), so it shares
+no side resolution with the package.  `side_start` builds one side's
+registry, thermal components, initial batch and elements from its
+`plans.Side` spec, for the checks that compare a side's propagation, or the
+herald factors the package keeps in its place, against these dense states.
 
 `dense_readout` is the retrieval that `protocols.readout` replaced with a
 phase per sector state: the magnon state, or each eigenvector of a mixed
@@ -55,7 +57,6 @@ from omxsim.protocols import (
     ProtocolError,
     ProtocolReport,
     _config_echo,
-    _sector,
     _spin_flip_concurrence,
     closed_form_f1,
     closed_form_f2,
@@ -92,16 +93,31 @@ def dense_initial_vector(plan: CircuitPlan, registry: ModeRegistry, occupations,
     return full
 
 
-def side_start(plan: CircuitPlan, decls, steps) -> tuple:
-    """The registry over `decls` (in their order), its thermal components,
-    their initial batch and the elements of `steps`, built from the `plans`
-    primitives that a side runs; applying the elements to the batch in turn
-    gives the side's output."""
-    registry = plans.build_registry(plan, decls)
-    magnons = [d for d in decls if isinstance(d, plans.MagnonDecl)]
-    components = list(plans.iter_components(plan, magnons))
-    batch = plans.initial_vector(plan, registry, components, decls)
-    return registry, components, batch, plans.build_elements(plan, registry, steps)
+def side_start(plan: CircuitPlan, side: plans.Side) -> tuple:
+    """The registry over the `side` spec's declarations (in their order), its
+    thermal components, their initial batch and its elements, built from
+    the `plans` primitives that a side runs; applying the elements to the
+    batch in turn gives the side's output."""
+    s = plan.settings
+    registry = plans.build_registry(s, side.decls)
+    components = list(plans.iter_components(s.thermal_cutoff, side.magnons))
+    batch = plans.initial_vector(s, registry, components, side.decls)
+    return registry, components, batch, plans.build_elements(s, registry, side.elements)
+
+
+def joint_elements(plan: CircuitPlan, registry: ModeRegistry) -> list[ElementOp]:
+    """The plan's elements, in order, with every mode looked up on the joint
+    `registry` over all of its declarations."""
+    ops = []
+    for step in plan.steps:
+        constructor, kinds, keywords = plans.ELEMENTS[step.name]
+        args = [(registry.optical_index(arg.path, arg.pol) if arg.kind == "photon"
+                 else registry.magnon_index(arg.path)) if kind == "mode"
+                else arg if kind == "path" else float(arg)
+                for kind, arg in zip(kinds, step.args)]
+        options = {key: getattr(plan.settings, key) for key in keywords}
+        ops.append(getattr(elements, constructor)(registry, *args, **options))
+    return ops
 
 
 def dense_apply(op: ElementOp, state: StateVector) -> StateVector:
@@ -229,9 +245,10 @@ def concurrence_dual_rail(state: State, renormalize: bool = False) -> float:
 
 
 def sector_block(rho: DensityMatrix) -> np.ndarray:
-    """A magnon state's block on the dual-rail sector, in `_sector` order."""
+    """A magnon state's block on the dual-rail sector, in
+    `plans.dual_rail_sector` order."""
     reg = rho.registry
-    idx = [reg.index_of_occupation(occ) for occ in _sector(len(reg))]
+    idx = [reg.index_of_occupation(occ) for occ in plans.dual_rail_sector(len(reg))]
     return rho.matrix[np.ix_(idx, idx)]
 
 
@@ -256,8 +273,8 @@ class _Propagator:
 
     def __init__(self, plan: CircuitPlan):
         self.plan = plan
-        self.registry = plans.build_registry(plan)
-        self.ops = plans.build_elements(plan, self.registry)
+        self.registry = plans.build_registry(plan.settings, plan.decls)
+        self.ops = joint_elements(plan, self.registry)
         self.bell_targets, self.bell_vecs = measurement.bell_state_vectors(
             self.registry, plan.measure.path1, plan.measure.path2)
         self.mag_idx = _magnon_targets(plan, self.registry)
@@ -269,7 +286,8 @@ class _Propagator:
                      if i not in self.bell_targets]
         self.rest_dims = [self.registry.dims[i] for i in self.rest]
         self.mag_pos = [self.rest.index(i) for i in self.mag_idx]
-        self.components = list(plans.iter_components(plan))
+        self.components = list(plans.iter_components(plan.settings.thermal_cutoff,
+                                                     plan.magnon_decls()))
         self._cache: dict[tuple, _ComponentRecord] = {}
 
     def record(self, occs: tuple) -> _ComponentRecord:

@@ -510,16 +510,20 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "second mode argument" in err
 
 
-def test_circuit_with_infinite_occupation_exits_2(tmp_path, capsys):
-    # the circuit language reads 1e999 as inf
+def test_circuit_with_non_finite_occupation_exits_3(tmp_path, capsys):
+    # the circuit language reads 1e999 as inf; like a negative occupation,
+    # a non-finite one is refused at its `set` line
     source = (CIRCUITS / "teleport.omx").read_text()
-    assert "set n_bar = 0.2\n" in source
+    row = source.splitlines().index("set n_bar = 0.2") + 1
     bad = tmp_path / "hot.omx"
-    bad.write_text(source.replace("set n_bar = 0.2\n", "set n_bar = 1e999\n"))
-    code, out, err = run_cli(capsys, "run", str(bad))
-    assert code == 2
-    assert out == ""
-    assert "must be finite" in err
+    for value in ("1e999", "nan", "-1"):
+        bad.write_text(source.replace("set n_bar = 0.2\n", f"set n_bar = {value}\n"))
+        for command in ("validate", "run"):
+            code, out, err = run_cli(capsys, command, str(bad))
+            assert code == 3
+            assert out == ""
+            assert err == (f"omxsim: circuit error: line {row}, column 1: bad value "
+                           f"'{value}' for n_bar (expected a number >= 0)\n")
 
 
 @pytest.mark.parametrize("element, argument", [("hwp(A, {})", "1e400"),
@@ -562,14 +566,41 @@ def test_circuit_whose_element_overflows_exits_2(tmp_path, capsys, element, sett
     assert err == f"omxsim: simulation error: {message}\n"
 
 
-def test_circuit_with_non_finite_amplitude_exits_2(tmp_path, capsys):
+def test_circuit_with_non_finite_amplitude_exits_3(tmp_path, capsys):
     source = (CIRCUITS / "teleport.omx").read_text()
     bad = tmp_path / "nan.omx"
-    bad.write_text(source.replace("set alpha = 0.6\n", "set alpha = nan\n"))
-    code, out, err = run_cli(capsys, "run", str(bad))
-    assert code == 2
-    assert out == ""
-    assert "must be finite" in err
+    for key, value in (("alpha", "nan"), ("beta", "nan"), ("beta", "inf+0j")):
+        line = next(line for line in source.splitlines() if line.startswith(f"set {key} ="))
+        row = source.splitlines().index(line) + 1
+        bad.write_text(source.replace(line, f"set {key} = {value}"))
+        for command in ("validate", "run"):
+            code, out, err = run_cli(capsys, command, str(bad))
+            assert code == 3
+            assert out == ""
+            assert err == (f"omxsim: circuit error: line {row}, column 1: bad value "
+                           f"'{value}' for {key} (expected a complex number)\n")
+
+
+@pytest.mark.parametrize("name", ["teleport.omx", "swap.omx"])
+def test_validate_refuses_a_side_past_the_limit_exactly_when_run_does(tmp_path, capsys,
+                                                                      name):
+    # the compiler counts each side's registry as the executor builds it:
+    # at thermal cutoff 254 or photon cutoff 12 the largest side fits within
+    # MAX_DIMENSION, and one level past it (or photon cutoff 40) it does not
+    source = (CIRCUITS / name).read_text()
+    circuit = tmp_path / name
+    for setting, refused in (("thermal_cutoff = 254", False), ("thermal_cutoff = 255", True),
+                             ("photon_cutoff = 12", False), ("photon_cutoff = 40", True)):
+        circuit.write_text(f"{source}set {setting}\n")
+        codes = []
+        for command in ("validate", "run"):
+            code, out, err = run_cli(capsys, command, str(circuit))
+            codes.append(code)
+            if code == 3:
+                assert out == ""
+                assert err == ("omxsim: circuit error: line 1, column 1: registry "
+                               f"dimension exceeds hard limit {MAX_DIMENSION}\n")
+        assert codes == ([3, 3] if refused else [0, 0]), setting
 
 
 def test_circuit_with_unnormalized_qubit_exits_2(tmp_path, capsys):

@@ -152,8 +152,11 @@ def test_interleaved_magnon_declarations_match_dense_oracle():
     assert [[d.path for d in side.magnons] for side in circuit.sides] == [
         ["mA", "mB"], ["mC", "mD"]]
     # the sector pairs (mA, mC) and (mB, mD): state q1 + 2 q2 puts q1 on mA,
-    # 1 - q1 on mC, and so on, so each side's row counts both qubits
-    assert [r.tolist() for r in circuit.rows] == [[0, 1, 3, 4], [4, 3, 1, 0]]
+    # 1 - q1 on mC, and so on, so each side's occupations hold both qubits,
+    # and the sector states sit on the second side in reverse
+    occupations = ((0, 0), (1, 0), (0, 1), (1, 1))
+    assert [side.sector for side in plans.sides(plan)] == [occupations, occupations]
+    assert circuit.positions == ((0, 1, 2, 3), (3, 2, 1, 0))
     assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
 
 
@@ -212,8 +215,8 @@ def test_side_weights_are_each_sides_component_weights_bit_for_bit(cutoff):
     magnons = plan.magnon_decls()
     w1, w2 = protocols._Circuit(plan).weights(grid)
     assert w1.shape == w2.shape == (len(grid), (cutoff + 1) ** 2)
-    assert w1.tobytes() == plans.component_weight(plan, grid, magnons[:2]).tobytes()
-    assert w2.tobytes() == plans.component_weight(plan, grid, magnons[2:]).tobytes()
+    assert w1.tobytes() == plans.component_weight(plan.settings, grid, magnons[:2]).tobytes()
+    assert w2.tobytes() == plans.component_weight(plan.settings, grid, magnons[2:]).tobytes()
     # a report weights every component, as the one-point grid of its sweep
     for point, n_bar in enumerate(grid):
         report_plan = protocols.swap_plan(ThermalConfig(n_bar, cutoff),
@@ -238,10 +241,10 @@ def test_sweep_rows_equal_their_reports_bit_for_bit(protocol, cutoff, steps):
         assert row.abs_diff == report.closed_form["abs_diff"]
 
 
-def side_output(plan, decls, steps):
-    """The thermal components and output batch of the side of `decls` (on a
-    registry in their order) and `steps`, rebuilt from the plans."""
-    _, components, batch, ops = side_start(plan, decls, steps)
+def side_output(plan, side):
+    """The thermal components and output batch of the `side` spec, rebuilt
+    from the plans."""
+    _, components, batch, ops = side_start(plan, side)
     for op in ops:
         batch = fock.apply(op, batch)
     return components, batch
@@ -269,8 +272,8 @@ def test_the_circuit_does_not_depend_on_the_occupation(monkeypatch, make_plan):
         assert a.factors.tobytes() == b.factors.tobytes()
         assert [c.tobytes() for c in a.columns] == [c.tobytes() for c in b.columns]
     # so do the batches they reduce, rebuilt from the plans
-    for sides in zip(*(plans.split_sides(c.plan) for c in built), strict=True):
-        (ca, a), (cb, b) = (side_output(c.plan, *side) for c, side in zip(built, sides))
+    for sides in zip(*(plans.sides(c.plan) for c in built), strict=True):
+        (ca, a), (cb, b) = (side_output(c.plan, side) for c, side in zip(built, sides))
         assert ca == cb
         for field in ("component", "index", "amplitudes"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
@@ -283,9 +286,9 @@ def test_each_side_is_weighted_once_per_command(monkeypatch, capsys, command):
     weighted = []
     real_weight = plans.component_weight
 
-    def spy(plan, n_bars, magnons=None):
+    def spy(settings, n_bars, magnons):
         weighted.append(tuple(d.path for d in magnons))
-        return real_weight(plan, n_bars, magnons)
+        return real_weight(settings, n_bars, magnons)
 
     monkeypatch.setattr(plans, "component_weight", spy)
     assert cli.main([command, "--n-bar", "0.2"]) == 0
@@ -327,9 +330,9 @@ def test_pdc_leaves_as_many_entries_as_the_dense_states_hold():
     pdc = plans.ElementStep("pdc", (plans.ModeRef("photon", "A", "H"),
                                     plans.ModeRef("magnon", "A"), 0.5))
     plan = replace(plan, steps=plan.steps + (pdc,))
-    (decls, steps), _ = plans.split_sides(plan)
-    registry, components, batch, ops = side_start(plan, decls, steps)
-    dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, decls),
+    side, _ = plans.sides(plan)
+    registry, components, batch, ops = side_start(plan, side)
+    dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, side.decls),
                               normalized=False) for occ in components]
     for op in ops:
         batch = fock.apply(op, batch)
@@ -351,8 +354,8 @@ def test_gathers_are_refused_above_the_array_limit(monkeypatch):
     step = plans.ElementStep("pdc", (plans.ModeRef("photon", "A", "H"),
                                      plans.ModeRef("magnon", "A"), 0.5))
     plan = replace(plan, steps=plan.steps + (step,))
-    (decls, steps), _ = plans.split_sides(plan)
-    registry, _, batch, (*ops, pdc) = side_start(plan, decls, steps)
+    side, _ = plans.sides(plan)
+    registry, _, batch, (*ops, pdc) = side_start(plan, side)
     for op in ops:
         batch = fock.apply(op, batch)
     digits = np.unravel_index(batch.index, registry.dims, order="F")
@@ -413,11 +416,11 @@ def test_concurrences_copy_only_the_sector_rows():
         ((1 - s) / (1 - s ** 13)) ** 4, abs=TOL)
 
 
-def dense_side(plan, decls, steps, side):
-    """The output of `side`, the side of `decls` and `steps`, rebuilt on its
+def dense_side(plan, spec, side):
+    """The output of `side`, the side of the `spec`, rebuilt on its
     registry's layout as the dense (component, analyzer, magnon row, other)
     tensor."""
-    components, b = side_output(plan, [d for _, d in protocols._rank(plan, decls)], steps)
+    components, b = side_output(plan, spec)
     shape = (side.da, side.dm, side.span // side.dm)
     out = np.zeros((len(components),) + shape, dtype=complex)
     out[(b.component, *np.unravel_index(b.index, shape, order="F"))] = b.amplitudes
@@ -428,13 +431,18 @@ def dense_side(plan, decls, steps, side):
 def test_side_factors_are_the_grams_of_the_dense_side_outputs(reorder):
     source = (CIRCUITS / "swap.omx").read_text().replace("set n_bar = 0.2", "set n_bar = 0.3")
     plan = dsl.compile_source(second_side_first(source) if reorder else source)
-    n_bar = plan.settings.n_bar
+    n_bar, levels = plan.settings.n_bar, plan.settings.thermal_cutoff + 2
+    magnons = plan.magnon_decls()
     circuit = protocols._Circuit(plan)
-    for side, (decls, steps), states, rows, (w,) in zip(
-            circuit.sides, plans.split_sides(plan), circuit.states, circuit.rows,
-            circuit.weights([n_bar]), strict=True):
-        out, f = dense_side(plan, decls, steps, side), side.factors
-        n, ns, rows = len(out), len(states), np.unique(rows)
+    for side, spec, states, (w,) in zip(circuit.sides, plans.sides(plan), circuit.states,
+                                        circuit.weights([n_bar]), strict=True):
+        out, f = dense_side(plan, spec, side), side.factors
+        # the magnon rows of the side's occupations in the sector states,
+        # little-endian over its own magnons, ascending
+        rows = np.unique([np.ravel_multi_index([state[magnons.index(d)] for d in side.magnons],
+                                               [levels] * len(side.magnons), order="F")
+                          for state in plans.dual_rail_sector(len(magnons))])
+        n, ns = len(out), len(states)
         x = out[:, states]
         gram = np.einsum("kimo,kjmo->kij", x, x.conj()).reshape(n, -1)
         sub = x[:, :, rows]
@@ -465,9 +473,9 @@ def test_no_registry_spans_both_interferometers(monkeypatch, capsys):
     calls = []
     real_build = plans.build_registry
 
-    def spy(plan, decls=None):
-        calls.append(None if decls is None else {d.path for d in decls})
-        return real_build(plan, decls)
+    def spy(settings, decls):
+        calls.append({d.path for d in decls})
+        return real_build(settings, decls)
 
     monkeypatch.setattr(plans, "build_registry", spy)
     monkeypatch.setattr(dsl, "build_registry", spy)
@@ -477,7 +485,6 @@ def test_no_registry_spans_both_interferometers(monkeypatch, capsys):
     # one registry per side for the swap command, the compile and the run
     assert len(calls) == 6
     for paths in calls:
-        assert paths is not None
         assert any(paths <= side for side in sides), paths
 
 

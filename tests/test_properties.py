@@ -264,9 +264,9 @@ def test_generated_circuits_match_the_dense_oracle(plan):
 @PROPERTY
 @given(plan=circuits(magnon_steps=True))
 def test_each_sides_batch_matches_dense_propagation_element_by_element(plan):
-    for decls, steps in plans.split_sides(plan):
-        registry, components, batch, ops = side_start(plan, decls, steps)
-        dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, decls),
+    for side in plans.sides(plan):
+        registry, components, batch, ops = side_start(plan, side)
+        dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, side.decls),
                                   normalized=False) for occ in components]
         for op in ops:
             batch = fock.apply(op, batch)
@@ -300,9 +300,9 @@ sources = st.one_of(
     st.builds(lambda extra, at: SWAP_LINES[:at] + extra + SWAP_LINES[at:],
               st.lists(source_lines, max_size=3), st.integers(0, len(SWAP_LINES))),
 ).map("\n".join)
-# settings that PlanSettings refuses are simulation errors (exit 2), not
-# circuit errors
-SETTINGS_REFUSAL = re.compile(r"must be finite|deviates from 1")
+# a qubit that PlanSettings refuses is a simulation error (exit 2), not a
+# circuit error; a non-finite setting is refused by its `set` line
+SETTINGS_REFUSAL = re.compile(r"deviates from 1")
 
 
 @PROPERTY
@@ -316,9 +316,9 @@ def test_compiling_any_text_raises_only_circuit_errors(source):
         assert SETTINGS_REFUSAL.search(str(exc)), exc
         return
     # a compiled plan's sides hold every declaration and step once
-    sides = plans.split_sides(plan)
-    assert sorted(map(repr, sides[0][0] + sides[1][0])) == sorted(map(repr, plan.decls))
-    assert len(sides[0][1]) + len(sides[1][1]) == len(plan.steps)
+    sides = plans.sides(plan)
+    assert sorted(map(repr, sides[0].decls + sides[1].decls)) == sorted(map(repr, plan.decls))
+    assert len(sides[0].elements) + len(sides[1].elements) == len(plan.steps)
 
 
 @PROPERTY

@@ -1,22 +1,27 @@
 """The memo of built sides (`protocols._sides`).
 
-A side depends only on its declarations, steps, cutoffs, scattering model
+A side depends only on its spec (`plans.sides`: declarations, measured
+paths, sector occupations and resolved elements), cutoffs, scattering model
 and the limits its build is checked against, so a process keeps it for later
 commands.  These checks pin that a warm command prints what a cold one
-prints, that a warm interferometer side propagates nothing, that kept sides
-cannot be changed, that a side reading the input qubit is rebuilt, that
-the kept sides stay within MAX_ARRAY_ENTRIES, and that a hit keeps its side
-from being the next to leave.
+prints, that a warm interferometer side propagates nothing, that sides over
+different sector occupations are not shared, that kept sides cannot be
+changed, that a side reading the input qubit is rebuilt, that the kept sides
+stay within MAX_ARRAY_ENTRIES, and that a hit keeps its side from being the
+next to leave.
 """
 
 import contextlib
 import io
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from omxsim import cli, constants, plans, protocols
 from omxsim.protocols import InputQubit, ThermalConfig
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 
 def run(argv) -> str:
@@ -80,6 +85,32 @@ def test_a_warm_interferometer_side_propagates_nothing(monkeypatch):
     assert seen == []
 
 
+def test_sides_over_other_sector_occupations_are_not_shared(tmp_path):
+    # with its magnons declared (mA, mC, mB, mD) the dual-rail pairs are
+    # (mA, mC) and (mB, mD), so the (A, B) side holds the same declarations
+    # and elements as in the shipped swap but reads four sector occupations,
+    # not two; a kept side reduced on two of them must not serve it
+    lines = (CIRCUITS / "swap.omx").read_text().splitlines(keepends=True)
+    b, c = (lines.index(f"mode magnon {m} init=thermal\n") for m in ("mB", "mC"))
+    assert lines.index("mode magnon mA init=thermal\n") < b < c
+    lines[b], lines[c] = lines[c], lines[b]
+    interleaved = tmp_path / "interleaved.omx"
+    interleaved.write_text("".join(lines))
+    commands = [["run", str(CIRCUITS / "swap.omx")], ["run", str(interleaved)]]
+    cold = []
+    for argv in commands:
+        protocols._sides.cache_clear()
+        cold.append(run(argv))
+    assert cold[0] != cold[1]
+    protocols._sides.cache_clear()
+    assert [run(argv) for argv in commands] == cold
+    ab = [spec for spec, *_ in protocols._sides
+          if {d.path for d in spec.decls} == {"A", "B", "mA", "mB"}]
+    assert len(ab) == 2 and ab[0].decls == ab[1].decls and ab[0].elements == ab[1].elements
+    assert sorted(len(spec.sector) for spec in ab) == [2, 4]
+    assert tuple(protocols._sides.cache_info())[:3] == (0, 4, 4)
+
+
 def test_kept_sides_are_read_only():
     run(["readout", "--n-bar", "0.2"])
     run(["swap", "--n-bar", "0.2"])
@@ -115,7 +146,7 @@ def test_a_side_reading_the_input_qubit_is_rebuilt(monkeypatch):
     assert len(initial) == 1 + len(qubits)
     info = protocols._sides.cache_info()
     assert (info.hits, info.misses, info.sides) == (2, 1, 1)
-    assert all(d.init != "qubit" for ranked, *_ in protocols._sides for _, d in ranked)
+    assert all(d.init != "qubit" for spec, *_ in protocols._sides for d in spec.decls)
 
 
 @pytest.mark.parametrize("name", [name for name, (_, kinds, _) in plans.ELEMENTS.items()
@@ -125,17 +156,21 @@ def test_an_argument_of_minus_zero_builds_the_element_of_zero(name):
     # so a step at -0.0 is served the side built at 0.0: exact only while
     # every element builds the same matrix, bit for bit, at both
     plan = protocols.teleport_plan(InputQubit(1, 0), ThermalConfig(0.2))
-    registry = plans.build_registry(plan)
     _, kinds, _ = plans.ELEMENTS[name]
 
-    def matrix(zero: float) -> bytes:
+    def side(zero: float) -> plans.Side:
         modes = iter([plans.ModeRef("photon", "A", "H"), plans.ModeRef("magnon", "A")])
         args = tuple(zero if kind in ("angle", "number") else "A" if kind == "path"
                      else next(modes) for kind in kinds)
-        (op,) = plans.build_elements(plan, registry, [plans.ElementStep(name, args)])
+        return plans.sides(replace(plan, steps=plan.steps + (plans.ElementStep(name, args),)))[0]
+
+    def matrix(spec: plans.Side) -> bytes:
+        registry = plans.build_registry(plan.settings, spec.decls)
+        *_, op = plans.build_elements(plan.settings, registry, spec.elements)
         return op.matrix.tobytes()
 
-    assert matrix(-0.0) == matrix(0.0)
+    assert side(-0.0) == side(0.0)
+    assert matrix(side(-0.0)) == matrix(side(0.0))
 
 
 def test_the_kept_sides_stay_within_the_array_limit(monkeypatch):
