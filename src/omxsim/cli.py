@@ -268,18 +268,32 @@ def _run_readout(args) -> int:
     return 0
 
 
+class _Linspace:
+    """`steps` occupations evenly spaced from `start` to `stop`, formed only
+    when read: `sweep_fidelity` checks the sweep's size on its length first.
+    Its ends are checked before they are spaced, as `np.linspace` warns on
+    a non-finite one."""
+
+    def __init__(self, start: float, stop: float, steps: int):
+        self.start, self.stop, self.steps = start, stop, steps
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __iter__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise protocols.ProtocolError("sweep grid values must be finite and >= 0")
+        return iter(np.linspace(self.start, self.stop, self.steps))
+
+
 def _run_sweep(args) -> int:
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
     if args.stop < args.start:
         raise _UsageError("--to must be >= --from")
     cfg = ThermalConfig(0.0, args.cutoff, args.renormalize)
-    protocols.check_sweep_size(args.protocol, args.steps, args.cutoff)
-    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
-        raise protocols.ProtocolError("sweep grid values must be finite and >= 0")
-    grid = np.linspace(args.start, args.stop, args.steps)
-    rows = protocols.sweep_fidelity(args.protocol, grid, cfg,
-                                    ScatterModel(args.model))
+    rows = protocols.sweep_fidelity(args.protocol, _Linspace(args.start, args.stop, args.steps),
+                                    cfg, ScatterModel(args.model))
     # each value as _fmt writes it (%.12g), the whole table in one format call
     flat = tuple(itertools.chain.from_iterable(rows))
     if args.format == "json":

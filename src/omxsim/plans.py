@@ -349,31 +349,29 @@ def component_weight(settings: PlanSettings, n_bars: Sequence[float],
     return w
 
 
-def initial_vector(settings: PlanSettings, registry: ModeRegistry,
-                   components: Sequence[Sequence[int]], decls: Sequence) -> Batch:
-    """Initial states of the thermal `components` as one batch, component k
-    the state of occupations `components[k]`.
+def initial_vector(registry: ModeRegistry, components: Sequence[Sequence[int]],
+                   decls: Sequence) -> Batch:
+    """Initial states of the thermal `components` as one batch.
 
     `decls` are the declarations `registry` holds, in its order; each
-    occupation tuple belongs to their magnons.
+    occupation tuple belongs to their magnons.  A qubit photon enters as
+    its basis, |H> then |V>, each of amplitude 1, so the batch reads no
+    amplitude of the input qubit: with q qubit photons, component
+    k 2^q + a is the state of occupations `components[k]` on basis state a,
+    the first qubit's bit most significant.
     """
-    occupations = np.array(components, dtype=np.int64).reshape(len(components), -1)
-    component = np.arange(len(components))
-    index = np.zeros(len(components), dtype=np.int64)
-    amplitudes = np.ones(len(components), dtype=complex)
     strides = iter(registry.strides)
-    magnon = 0
+    magnons, photons = [], []              # each magnon's stride; each photon's (init, H, V)
     for decl in decls:
         if isinstance(decl, MagnonDecl):
-            index = index + occupations[component, magnon] * next(strides)
-            magnon += 1
-            continue
-        h, v = next(strides), next(strides)
-        local = {"vacuum": {0: 1.0}, "single_h": {h: 1.0}, "single_v": {v: 1.0},
-                 "qubit": {h: settings.alpha, v: settings.beta}}[decl.init]
-        offsets = np.array([o for o, a in local.items() if a != 0], dtype=np.int64)
-        values = np.array([a for a in local.values() if a != 0], dtype=complex)
-        component = np.repeat(component, len(offsets))
+            magnons.append(next(strides))
+        else:
+            photons.append((decl.init, next(strides), next(strides)))
+    index = np.array(components, dtype=np.int64).reshape(len(components), -1) @ np.array(
+        magnons, dtype=np.int64)
+    component = np.arange(len(components))
+    for init, h, v in photons:
+        offsets = {"vacuum": [0], "single_h": [h], "single_v": [v], "qubit": [h, v]}[init]
+        component = (component[:, None] * len(offsets) + np.arange(len(offsets))).ravel()
         index = (index[:, None] + offsets).ravel()
-        amplitudes = (amplitudes[:, None] * values).ravel()
-    return Batch(registry, component, index, amplitudes)
+    return Batch(registry, component, index, np.ones(len(index), dtype=complex))

@@ -29,9 +29,12 @@ component reduces to its squared norm and two small Gram matrices
 side's factors with its own thermal weights (`plans.component_weight`) over
 a grid of occupations at once, and join the sides through the Bell vectors.
 A report is the one-point grid of the same path, so a sweep row equals the
-report at its occupation to the last bit.  No side reads the occupation:
-`_sides` keeps each built side for later commands, keyed on its spec and
-the settings its build reads, unless it holds the input qubit.
+report at its occupation to the last bit.  A side holding the input qubit
+runs the qubit's basis states |H> and |V> and keeps the cross terms of its
+factors, which each command weights with the qubit's amplitudes the way
+the occupation weights the components.  So no side reads the occupation or
+the qubit: `_sides` keeps each built side for later commands, keyed on its
+spec and the settings its build reads.
 
 Reports are scored on the dual-rail sector, one excitation per magnon pair:
 the join forms each herald's block over the sector states, whose overlaps
@@ -48,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -300,59 +303,94 @@ class _Side:
 
     The registry holds the spec's declarations in their order.  All of its
     thermal components, whatever their weight, go through the elements as
-    one sparse `fock.Batch`, one `fock.apply` per element.  An entry's
+    one sparse `fock.Batch`, one `fock.apply` per element, each component
+    once per basis state a of the side's `qubits` input-qubit photons
+    (`plans.initial_vector`; one state where it holds none).  An entry's
     registry index is, little-endian, its analyzer state (of `da`), its
     magnon row (of `dm`) and its other-mode index.  `states`, the analyzer
     states that the Bell vectors use, follow from the spec's measured paths
-    and the photon cutoff; the sector rows hold its sector occupations.  Per
-    component k, the
-    `factors` row holds |x_k|^2, G[i, j] = sum x_k[states[i], m, o]
-    conj(x_k[states[j], m, o]) over magnon rows m and other modes o, and
-    H[(r, i), (r', j)], over o alone at sector rows r, r', row-major;
-    `columns` holds G's columns, one per (k, m, o).  The batch is dropped.
+    and the photon cutoff; the sector rows hold its sector occupations.
+    With x_ka the output of component k on basis state a, the `factors` row
+    of component k and pair (a, b), pair-major, holds sum x_ka conj(x_kb),
+    G[i, j] = sum x_ka[states[i], m, o] conj(x_kb[states[j], m, o]) over
+    magnon rows m and other modes o, and H[(r, i), (r', j)], over o alone
+    at sector rows r, r', row-major; `columns` holds G's terms per column
+    (k, m, o), as the keys and a (pairs, columns, states^2) array.  `weigh`
+    sums the pairs at a qubit.  The batch is dropped.
     """
 
     def __init__(self, spec: plans.Side, settings: PlanSettings, states: np.ndarray):
         reg = plans.build_registry(settings, spec.decls)
         self.magnons = spec.magnons
+        self.qubits = sum(isinstance(d, PhotonDecl) and d.init == "qubit" for d in spec.decls)
         components = list(plans.iter_components(settings.thermal_cutoff, self.magnons))
         a, m = 2 * len(spec.measured), len(self.magnons)    # H and V of each analyzer path
         self.da, self.dm = math.prod(reg.dims[:a]), math.prod(reg.dims[a:a + m])
         self.span = reg.dimension // self.da          # magnon rows x other modes
         rows = np.array(spec.sector, np.int64) @ (settings.thermal_cutoff + 2) ** np.arange(m)
-        b = plans.initial_vector(settings, reg, components, spec.decls)
+        b = plans.initial_vector(reg, components, spec.decls)
         for op in plans.build_elements(settings, reg, spec.elements):
             b = apply(op, b)
-        n, ns, width = len(components), len(states), len(states) * len(rows)
-        _check_entries(n * (1 + ns * ns + width * width),
-                       f"the herald factors of {n} thermal components need")
-        f = np.zeros((n, 1 + ns * ns + width * width), dtype=complex)
-        f[:, 0] = np.bincount(b.component, b.amplitudes.real ** 2 + b.amplitudes.imag ** 2,
-                              minlength=n)
+        n, nb, ns, width = len(components), 2 ** self.qubits, len(states), len(states) * len(rows)
+        size = 1 + ns * ns + width * width
+        _check_entries(nb * nb * n * size, f"the herald factors of {n} thermal components need")
+        f = np.zeros((nb * nb, n, size), dtype=complex)
+        k, basis = np.divmod(b.component, nb)
+        if nb == 1:
+            f[0, :, 0] = np.bincount(b.component, b.amplitudes.real ** 2 + b.amplitudes.imag ** 2,
+                                     minlength=n)
+        else:                                       # one column per (component, entry)
+            keys, grams = _column_grams(k * reg.dimension + b.index, basis, 0, b.amplitudes,
+                                        nb, 1)
+            np.add.at(f[:, :, :1], (slice(None), keys // reg.dimension), grams)
         rest, analyzer = np.divmod(b.index, self.da)
         hit = analyzer[:, None] == states
         use = hit.any(axis=1)
-        k, rest, slot, amplitudes = (b.component[use], rest[use], hit[use].argmax(axis=1),
-                                     b.amplitudes[use])
+        k, basis, rest, slot, amplitudes = (k[use], basis[use], rest[use],
+                                            hit[use].argmax(axis=1), b.amplitudes[use])
         # one column per (component, magnon row, other modes)
-        self.columns = keys, grams = _column_grams(k * self.span + rest, slot, amplitudes, ns)
-        np.add.at(f[:, 1:1 + ns * ns], keys // self.span, grams)
+        self.columns = keys, grams = _column_grams(k * self.span + rest, basis, slot,
+                                                   amplitudes, nb, ns)
+        np.add.at(f[:, :, 1:1 + ns * ns], (slice(None), keys // self.span), grams)
         # one column per (component, other modes), over the sector rows
         other, row = np.divmod(rest, self.dm)
         hit = row[:, None] == rows
         use = hit.any(axis=1)
         span = self.span // self.dm
-        keys, grams = _column_grams(k[use] * span + other[use],
+        keys, grams = _column_grams(k[use] * span + other[use], basis[use],
                                     hit[use].argmax(axis=1) * ns + slot[use], amplitudes[use],
-                                    width)
-        np.add.at(f[:, 1 + ns * ns:], keys // span, grams)
-        self.factors = f
+                                    nb, width)
+        np.add.at(f[:, :, 1 + ns * ns:], (slice(None), keys // span), grams)
+        self.factors = f.reshape(nb * nb * n, size)
 
-    def row_grams(self, w: np.ndarray) -> np.ndarray:
-        """The G of `factors` per magnon row, summed from its `columns` over
-        the components with their weights `w`, (dm, states^2)."""
+    def factors_at(self, qubit: np.ndarray) -> np.ndarray:
+        """`factors` at the input qubit's amplitudes `qubit` (H, V), one row
+        per component."""
+        return self.weigh(qubit, self.factors.reshape(4 ** self.qubits, -1,
+                                                      self.factors.shape[1]))
+
+    def weigh(self, qubit: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """The sum over basis pairs (a, b), a-major, of c_a conj(c_b)
+        terms[pair], added onto zeros in turn, where c_a is the amplitude of
+        basis state a at the input qubit's amplitudes `qubit` (H, V); on a
+        side without the qubit, terms[0] itself."""
+        if not self.qubits:
+            return terms[0]
+        c = np.ones(1, dtype=complex)
+        for _ in range(self.qubits):                # as the qubit's amplitudes once entered
+            c = (c[:, None] * qubit).ravel()
+        out = np.zeros(terms.shape[1:], dtype=complex)
+        for w, term in zip((c[:, None] * c.conj()).ravel(), terms):
+            out += w * term
+        return out
+
+    def row_grams(self, w: np.ndarray, qubit: np.ndarray) -> np.ndarray:
+        """The G of `factors` per magnon row at `qubit`, summed from its
+        `columns` over the components with their weights `w`,
+        (dm, states^2)."""
         keys, grams = self.columns
-        out = np.zeros((self.dm, grams.shape[1]), dtype=complex)
+        out = np.zeros((self.dm, grams.shape[2]), dtype=complex)
+        grams = self.weigh(qubit, grams)
         np.add.at(out, keys % self.span % self.dm, w[keys // self.span, None] * grams)
         return out
 
@@ -362,8 +400,8 @@ class _SideMemo(dict):
     limits its build checks (a lowered limit refuses as cold), least
     recently used first.  A hit moves its side to most recent; a new side is
     kept read-only while the kept sides' entries stay within
-    MAX_ARRAY_ENTRIES, unless it holds the input qubit.  Angles -0.0 and 0.0
-    build equal elements."""
+    MAX_ARRAY_ENTRIES.  No side reads the occupation or the input qubit.
+    Angles -0.0 and 0.0 build equal elements."""
 
     Info = NamedTuple("Info", [("hits", int), ("misses", int), ("sides", int), ("entries", int)])
     hits = misses = 0
@@ -376,17 +414,17 @@ class _SideMemo(dict):
         return self.Info(self.hits, self.misses, len(self), sum(n for _, n in self.values()))
 
     def side(self, spec: plans.Side, s: PlanSettings, states: np.ndarray) -> _Side:
-        key = None if any(d.init == "qubit" for d in spec.decls) else (
-            spec, s.thermal_cutoff, s.photon_cutoff, s.model, constants.MAX_DIMENSION,
-            constants.MAX_ARRAY_ENTRIES)
-        if key in self:
+        key = (spec, s.thermal_cutoff, s.photon_cutoff, s.model, constants.MAX_DIMENSION,
+               constants.MAX_ARRAY_ENTRIES)
+        kept = self.pop(key, None)
+        if kept is not None:
             self.hits += 1
-            self[key] = self.pop(key)               # most recently used last
-            return self[key][0]
-        self.misses += key is not None
+            self[key] = kept                        # most recently used last
+            return kept[0]
+        self.misses += 1
         side = _Side(spec, s, states)
         arrays = (side.factors, *side.columns)
-        if key is not None and (n := sum(a.size for a in arrays)) <= constants.MAX_ARRAY_ENTRIES:
+        if (n := sum(a.size for a in arrays)) <= constants.MAX_ARRAY_ENTRIES:
             for array in arrays:
                 array.setflags(write=False)
             self[key] = side, n
@@ -398,16 +436,20 @@ class _SideMemo(dict):
 _sides = _SideMemo()
 
 
-def _column_grams(key: np.ndarray, slot: np.ndarray, amplitudes: np.ndarray,
+def _column_grams(key: np.ndarray, basis: np.ndarray, slot: np.ndarray,
+                  amplitudes: np.ndarray, nb: int,
                   width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct column keys, ascending, and each column's v v^H, where
-    entry e puts amplitudes[e] at slot[e] of the vector v of column key[e]."""
+    """The distinct column keys, ascending, and each column's v_a v_b^H per
+    pair (a, b) of its `nb` basis states, a-major, (nb^2, keys, width^2),
+    where entry e puts amplitudes[e] at slot[e] of the vector v_basis[e] of
+    column key[e]."""
     keys, column = np.unique(key, return_inverse=True)
-    _check_entries(len(keys) * width * width,
+    _check_entries(len(keys) * (nb * width) ** 2,
                    f"the Gram matrices of {len(keys)} output columns need")
-    v = np.zeros((len(keys), width), dtype=complex)
-    v[column, slot] = amplitudes
-    return keys, (v[:, :, None] * v[:, None, :].conj()).reshape(len(keys), -1)
+    v = np.zeros((nb, len(keys), width), dtype=complex)
+    v[basis, column, slot] = amplitudes
+    grams = v[:, None, :, :, None] * v[None, :, :, None, :].conj()
+    return keys, grams.reshape(nb * nb, len(keys), width * width)
 
 
 @cache
@@ -450,10 +492,12 @@ class _Circuit:
     joint state of a component pair is the product of the two sides'
     outputs, and every herald quantity (`join`) is a sum, over pairs (t, u)
     of a Bell vector's terms c_t |a_t>|b_t>, of conj(c_t) c_u times one
-    entry of each side's factors (`_Side.factors`) weighted by that side's
-    own thermal weights (`weights`).  The join is laid out from the side
-    specs before any side is asked for.  Nothing in it depends on the
-    occupation, so a report is the sweep over the one-point grid.
+    entry of each side's factors weighted by that side's own thermal
+    weights (`weights`).  A side's `factors` are its `_Side.factors` at the
+    plan's input qubit (`_Side.factors_at`), formed here, as the qubit
+    weights a side the way the occupation does.  The join is laid out from the side
+    specs before any side is asked for.  Nothing in the sides depends on the
+    occupation or the qubit, so a report is the sweep over the one-point grid.
     """
 
     def __init__(self, plan: CircuitPlan):
@@ -474,6 +518,8 @@ class _Circuit:
         self.states, self.index, self.coefficients = _join_layout(
             s.photon_cutoff, tuple(len(spec.measured) for spec in specs), self.positions)
         self.sides = tuple(_sides.side(spec, s, st) for spec, st in zip(specs, self.states))
+        self.qubit = np.array([s.alpha, s.beta], dtype=complex)
+        self.factors = [side.factors_at(self.qubit) for side in self.sides]
         self.overlap = _overlaps(s)
 
     def weights(self, grid) -> list[np.ndarray]:
@@ -492,7 +538,7 @@ class _Circuit:
         so a point's results do not depend on the other points, to the last
         bit."""
         x, y = (np.einsum("pk,kf->pf", w, f.view(float)).view(complex)
-                for w, f in zip((w1, w2), (side.factors for side in self.sides)))
+                for w, f in zip((w1, w2), self.factors))
         (ix, iy), c = self.index, self.coefficients
         q = 0.0
         for tu in range(ix.shape[-1]):      # added elementwise, one pair at a time
@@ -519,7 +565,7 @@ class _Circuit:
         _check_entries(d + sum(side.dm * len(st) ** 2
                                for side, st in zip(self.sides, self.states)),
                        f"the populations of a herald over {d} magnon levels need")
-        return [side.row_grams(w) for side, w in zip(self.sides, (w1, w2))]
+        return [side.row_grams(w, self.qubit) for side, w in zip(self.sides, (w1, w2))]
 
     def populations(self, k: int, grams: list[np.ndarray]) -> np.ndarray:
         """Unnormalized populations of the herald `BELL_IDS[k]` over the
@@ -728,16 +774,27 @@ def _port_transfer(upper: str, lower: str, apply_correction: bool) -> np.ndarray
     port's H and V modes, run through the retrieval elements on a cutoff-1
     registry.  The 2 x 2 transfer matrix (rows port H, V; columns magnon
     upper, lower) must be diagonal and unitary for `readout` to be exact.
+    Read-only, and kept for the process by all that its build calls and
+    checks, looked up now: a replaced constructor or `apply`, or another
+    tolerance, builds and checks anew, and a refused transfer is not kept.
     """
+    return _transfer(upper, lower, apply_correction, elements.phase_shift,
+                     elements.antistokes_swap, elements.half_wave_plate, elements.pbs, apply,
+                     constants.UNITARITY_TOL)
+
+
+@lru_cache(maxsize=8)
+def _transfer(upper, lower, apply_correction, phase_shift, antistokes_swap, half_wave_plate,
+              pbs, apply, tol) -> np.ndarray:
     reg = ModeRegistry([optical(upper, "H"), optical(upper, "V"),
                         optical(lower, "H"), optical(lower, "V"),
                         magnon(upper), magnon(lower)], [1] * 6)
     mag_u, mag_l = reg.magnon_index(upper), reg.magnon_index(lower)
-    ops = [elements.phase_shift(reg, mag_u, np.pi)] if apply_correction else []
-    ops += [elements.antistokes_swap(reg, reg.optical_index(upper, "V"), mag_u),
-            elements.antistokes_swap(reg, reg.optical_index(lower, "V"), mag_l),
-            elements.half_wave_plate(reg, upper, np.pi / 4),
-            elements.pbs(reg, upper, lower)]
+    ops = [phase_shift(reg, mag_u, np.pi)] if apply_correction else []
+    ops += [antistokes_swap(reg, reg.optical_index(upper, "V"), mag_u),
+            antistokes_swap(reg, reg.optical_index(lower, "V"), mag_l),
+            half_wave_plate(reg, upper, np.pi / 4),
+            pbs(reg, upper, lower)]
     # component 0 excites the upper magnon, component 1 the lower
     out = Batch(reg, np.arange(2), np.array([reg.strides[mag_u], reg.strides[mag_l]]),
                 np.ones(2, dtype=complex))
@@ -747,11 +804,12 @@ def _port_transfer(upper: str, lower: str, apply_correction: bool) -> np.ndarray
     for row, pol in enumerate("HV"):                # one photon in a port mode
         hit = out.index == reg.strides[reg.optical_index(upper, pol)]
         transfer[row, out.component[hit]] = out.amplitudes[hit]
-    t = np.diag(transfer)
-    if not (np.abs(transfer - np.diag(t)).max() <= constants.UNITARITY_TOL
-            and np.abs(np.abs(t) - 1.0).max() <= constants.UNITARITY_TOL):
+    t = np.diag(transfer).copy()
+    if not (np.abs(transfer - np.diag(t)).max() <= tol
+            and np.abs(np.abs(t) - 1.0).max() <= tol):
         raise ProtocolError(f"readout network does not map the upper rail to H and "
                             f"the lower rail to V: transfer matrix {transfer.tolist()}")
+    t.setflags(write=False)
     return t
 
 
@@ -779,7 +837,8 @@ def readout(outcome: OutcomeReport, apply_correction: bool = False) -> ReadoutRe
     before the swap, completing the even-parity minus herald.  The passive
     network maps the upper magnon onto the port's H mode and the lower onto
     its V mode, so each sector state only picks up its magnon's phase
-    t_upper or t_lower of `_port_transfer`.
+    t_upper or t_lower of `_port_transfer`, which the process keeps: a
+    later readout over the same paths and correction propagates nothing.
     """
     sector = outcome.sector
     if sector is None or len(sector.paths) != 2:
@@ -819,6 +878,8 @@ DEFAULT_SWEEP_QUBIT = InputQubit(complex(1 / np.sqrt(2)), complex(1 / np.sqrt(2)
 def _sweep_plan(protocol: str, cfg: ThermalConfig,
                 model: ScatterModel = ScatterModel.PAPER_UNIFORM) -> CircuitPlan:
     """A sweep's circuit (it reads no occupation); a teleport sends DEFAULT_SWEEP_QUBIT."""
+    if protocol not in plans.PROTOCOLS:
+        raise ProtocolError(f"unknown sweep protocol {protocol!r}")
     return (teleport_plan(DEFAULT_SWEEP_QUBIT, cfg, model) if protocol == "teleport"
             else swap_plan(cfg, model))
 
@@ -826,10 +887,14 @@ def _sweep_plan(protocol: str, cfg: ThermalConfig,
 def check_sweep_size(protocol: str, points: int, cutoff: int) -> None:
     """Refuse a sweep that would form too many thermal weights: each side's
     thermal components at every grid point, counted before anything is formed."""
-    if protocol not in plans.PROTOCOLS:
-        raise ProtocolError(f"unknown sweep protocol {protocol!r}")
+    _check_sweep_size(_sweep_plan(protocol, ThermalConfig(0.0, cutoff)), points)
+
+
+def _check_sweep_size(plan: CircuitPlan, points: int) -> None:
+    """`check_sweep_size` on the sides of a sweep's own `plan`."""
+    cutoff = plan.settings.thermal_cutoff
     size = points * sum(math.prod(map(len, plans.occupation_ranges(cutoff, side.magnons)))
-                        for side in plans.sides(_sweep_plan(protocol, ThermalConfig())))
+                        for side in plans.sides(plan))
     if size > constants.MAX_SWEEP_WEIGHTS:
         raise ProtocolError(f"sweep of {points} points needs {size} thermal weights, "
                             f"above the limit {constants.MAX_SWEEP_WEIGHTS}")
@@ -839,20 +904,20 @@ def sweep_fidelity(protocol: str, grid, cfg: ThermalConfig | None = None,
                    model: ScatterModel = ScatterModel.PAPER_UNIFORM) -> list[SweepRow]:
     """Heralded fidelity against the closed form over a thermal-occupation grid.
 
-    `grid` is a sequence of occupations, its length checked by
-    `check_sweep_size` before anything is formed.  The circuit is propagated
-    at most once (its side outputs do not depend on n_bar); each side's
-    factors are then weighted and joined over a slice of the grid at a time,
-    whose largest array holds at most SWEEP_SLICE entries.
+    `grid` is a sized iterable of occupations.  Its length is checked as
+    `check_sweep_size` checks it, on the sweep's own plan, before any of its
+    values is read or anything is formed.  The circuit is propagated at
+    most once (its side outputs do not depend on n_bar); each side's
+    factors are then weighted and joined over a slice of the grid at a
+    time, whose largest array holds at most SWEEP_SLICE entries.
     """
-    cfg = cfg or ThermalConfig()
-    check_sweep_size(protocol, len(grid), cfg.cutoff)
+    plan = _sweep_plan(protocol, cfg or ThermalConfig(), model)
+    _check_sweep_size(plan, len(grid))
     grid = [float(g) for g in grid]
     if not all(math.isfinite(g) and g >= 0 for g in grid):
         raise ProtocolError("sweep grid values must be finite and >= 0")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ProtocolError("sweep grid must be monotone nondecreasing")
-    plan = _sweep_plan(protocol, cfg, model)
     closed = closed_form_f1 if protocol == "teleport" else closed_form_f2
     circuit = _Circuit(plan)
     included = _included(plan.settings)

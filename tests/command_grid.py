@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/command_grid.py > grid.txt
     PYTHONPATH=src python tests/command_grid.py --full > grid.jsonl
     PYTHONPATH=src python tests/command_grid.py --diff base.jsonl head.jsonl
+    PYTHONPATH=src python tests/command_grid.py --full --cold > cold.jsonl
 
 Each line holds the sha256 of a command's stdout, the sha256 of its stderr,
 its exit code and the command.  Running it on two checkouts and diffing the
@@ -26,9 +27,11 @@ cutoffs 9, 20, 43, 44, 60, 254 (the largest side under MAX_DIMENSION) and
 cutoffs 40, 254 and 255, `teleport --n-bar 0.2` at cutoff 254, and a
 cutoff-12 swap sweep just inside and just past MAX_SWEEP_WEIGHTS.  The
 commands run in this one process through `cli.main`, so most of them reuse
-a side that an earlier command built and `protocols._sides` kept: the
-digests of a checkout that builds every side cold, compared with those of
-one that keeps them, compare cold output against warm output.
+a side that an earlier command built and `protocols._sides` kept, a
+readout transfer that `protocols._transfer` kept and element matrices that
+`elements._lift` kept.  With `--cold` every command first clears all three,
+so `--diff` of a run with it against one without compares cold output
+against warm output on one checkout.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import json
 import sys
 from pathlib import Path
 
-from omxsim import cli
+from omxsim import cli, elements, protocols
 from omxsim.constants import MAX_SWEEP_WEIGHTS
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -152,6 +155,13 @@ if __name__ == "__main__":
         report = differences(base, head)
         print("\n".join(report) if report else "no record differs")
         sys.exit(1 if report else 0)
-    line = full if sys.argv[1:] == ["--full"] else digest
+    flags = set(sys.argv[1:])
+    if not flags <= {"--full", "--cold"}:
+        sys.exit(f"unknown options {sorted(flags - {'--full', '--cold'})}")
+    line = full if "--full" in flags else digest
     for argv in commands():
+        if "--cold" in flags:
+            protocols._sides.cache_clear()
+            protocols._transfer.cache_clear()
+            elements._lift.cache_clear()
         sys.stdout.write(line(argv) + "\n")

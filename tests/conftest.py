@@ -8,10 +8,12 @@ from omxsim.fock import ModeRegistry, StateVector
 
 @pytest.fixture(autouse=True)
 def cold_sides():
-    """Forget every built side after each test: a side built under a
-    monkeypatched constructor, `apply` or limit must not serve another."""
+    """Forget every built side and readout transfer after each test: one
+    built under a monkeypatched constructor, `apply` or limit must not
+    serve another."""
     yield
     protocols._sides.cache_clear()
+    protocols._transfer.cache_clear()
 
 
 @pytest.fixture

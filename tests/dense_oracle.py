@@ -101,7 +101,7 @@ def side_start(plan: CircuitPlan, side: plans.Side) -> tuple:
     s = plan.settings
     registry = plans.build_registry(s, side.decls)
     components = list(plans.iter_components(s.thermal_cutoff, side.magnons))
-    batch = plans.initial_vector(s, registry, components, side.decls)
+    batch = plans.initial_vector(registry, components, side.decls)
     return registry, components, batch, plans.build_elements(s, registry, side.elements)
 
 

@@ -279,6 +279,20 @@ def test_non_finite_sweep_end_is_one_line_simulation_error(capsys, start, stop):
     assert err == "omxsim: simulation error: sweep grid values must be finite and >= 0\n"
 
 
+@pytest.mark.parametrize("protocol", ["teleport", "swap"])
+def test_a_sweep_builds_its_plan_and_checks_its_size_once(monkeypatch, capsys, protocol):
+    built, checked = [], []
+    real_plan, real_check = protocols._sweep_plan, protocols._check_sweep_size
+    monkeypatch.setattr(protocols, "_sweep_plan",
+                        lambda *args: built.append(args[0]) or real_plan(*args))
+    monkeypatch.setattr(protocols, "_check_sweep_size",
+                        lambda plan, points: checked.append(points) or real_check(plan, points))
+    code, _, err = run_cli(capsys, "sweep", "--protocol", protocol, "--from", "0",
+                           "--to", "0.5", "--steps", "61", "--cutoff", "3")
+    assert (code, err) == (0, "")
+    assert built == [protocol] and checked == [61]
+
+
 def test_oversized_sweep_grid_exits_2_before_allocating(capsys):
     tracemalloc.start()
     try:

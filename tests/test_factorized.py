@@ -22,7 +22,7 @@ from dense_oracle import (
     side_start,
 )
 
-from omxsim import cli, dsl, fock, plans, protocols
+from omxsim import cli, constants, dsl, fock, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.protocols import InputQubit, ThermalConfig
 
@@ -388,7 +388,10 @@ def test_herald_tables_are_refused_above_the_array_limit(monkeypatch):
                               "entries, above the limit 188")
     monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 189)
     circuit = protocols._Circuit(plan)
-    assert [side.factors.shape for side in circuit.sides] == [(9, 21), (1, 9)]
+    # the input photon's side holds a row for each of its 4 pairs of basis
+    # states, which the circuit weights into its one row at the qubit
+    assert [side.factors.shape for side in circuit.sides] == [(9, 21), (4, 9)]
+    assert [f.shape for f in circuit.factors] == [(9, 21), (1, 9)]
 
 
 def test_concurrences_copy_only_the_sector_rows():
@@ -453,7 +456,64 @@ def test_side_factors_are_the_grams_of_the_dense_side_outputs(reorder):
         assert np.abs(f[:, 1:1 + ns * ns] - gram).max() < 1e-15
         assert np.abs(f[:, 1 + ns * ns:] - sector).max() < 1e-15
         by_row = np.einsum("k,kimo,kjmo->mij", w, x, x.conj()).reshape(side.dm, -1)
-        assert np.abs(side.row_grams(w) - by_row).max() < 1e-15
+        assert np.abs(side.row_grams(w, circuit.qubit) - by_row).max() < 1e-15
+
+
+def joined_teleport(cutoff: int) -> str:
+    """The shipped teleport circuit at `cutoff` with the input photon's V
+    mode mixed into arm A: one side holds the qubit and both thermal magnons."""
+    return ((CIRCUITS / "teleport.omx").read_text()
+            .replace("set thermal_cutoff = 2", f"set thermal_cutoff = {cutoff}")
+            .replace("measure bell(B, c)", "apply bs50(c.V, A.V)\nmeasure bell(B, c)"))
+
+
+def test_a_side_holding_the_qubit_and_thermal_magnons_matches_the_dense_oracle():
+    plan = dsl.compile_source(joined_teleport(1))
+    circuit = protocols._Circuit(plan)
+    # 4 components, each on the 4 pairs of basis states, weighed into one row
+    assert [side.qubits for side in circuit.sides] == [1, 0]
+    assert [side.factors.shape for side in circuit.sides] == [(16, 81), (1, 3)]
+    assert [f.shape for f in circuit.factors] == [(4, 81), (1, 3)]
+    assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+@pytest.mark.parametrize("steps, qubits", [
+    ("", [1, 1]), ("apply bs50(c.V, d.V)\n", [0, 2]),
+    ("apply bs50(c.V, d.V)\napply bs50(d.V, A.V)\n", [2, 0])])
+def test_sides_holding_two_qubit_photons_match_the_dense_oracle(steps, qubits):
+    # a second input photon d: untouched, it joins the interferometer's
+    # side; mixed with c, the two share a side of 4 basis states
+    source = joined_teleport(1).replace("apply bs50(c.V, A.V)\n", steps).replace(
+        "mode photon c init=qubit", "mode photon c init=qubit\nmode photon d init=qubit")
+    plan = dsl.compile_source(source)
+    circuit = protocols._Circuit(plan)
+    assert [side.qubits for side in circuit.sides] == qubits
+    assert [len(f) for f in circuit.factors] == [len(side.factors) // 4 ** side.qubits
+                                                 for side in circuit.sides]
+    assert_reports_equal(protocols.execute_plan(plan), dense_report(plan))
+
+
+def test_a_side_holding_the_qubit_refuses_its_factors_at_four_times_the_entries(
+        monkeypatch, tmp_path, capsys):
+    # such a side's factors hold a row per component and pair of basis
+    # states: 4 (c + 1)^2 rows of 81 entries
+    path = tmp_path / "joined.omx"
+
+    def run(cutoff: int) -> tuple[int, str, str]:
+        path.write_text(joined_teleport(cutoff))
+        code = cli.main(["run", str(path)])
+        return (code, *capsys.readouterr())
+
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 4 * 4 * 81 - 1)
+    assert run(1) == (2, "", "omxsim: simulation error: the herald factors of 4 thermal "
+                      "components need 1296 entries, above the limit 1295\n")
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", 4 * 4 * 81)
+    assert run(1)[0] == 0
+    # at the shipped limit, cutoff 113 is the first refused, one line, exit 2
+    monkeypatch.undo()
+    assert run(113) == (2, "", "omxsim: simulation error: the herald factors of 12996 "
+                        "thermal components need 4210704 entries, above the limit "
+                        f"{constants.MAX_ARRAY_ENTRIES}\n")
 
 
 @pytest.mark.parametrize("cutoff", [7, 8])

@@ -9,12 +9,16 @@ at its occupation, and overrides equal to the shared occupation change
 nothing.  Generated circuits, declared in any order and with extra elements
 on either side of the Bell analyzer, match the dense joint-registry oracle,
 and each side's sparse batch matches the oracle's dense per-component
-propagation element by element; compiling any text fails only with a
-circuit error, and pretty-printing what parses changes nothing it compiles
-to.
+propagation element by element.  A side kept from one input qubit serves
+any other as a cold build does, its factors weighed to the dense oracle's.
+Compiling any text fails only with a circuit error, and pretty-printing
+what parses changes nothing it compiles to.
 """
 
+import cmath
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -266,8 +270,15 @@ def test_generated_circuits_match_the_dense_oracle(plan):
 def test_each_sides_batch_matches_dense_propagation_element_by_element(plan):
     for side in plans.sides(plan):
         registry, components, batch, ops = side_start(plan, side)
-        dense = [fock.StateVector(registry, dense_initial_vector(plan, registry, occ, side.decls),
-                                  normalized=False) for occ in components]
+        # the batch runs each component on each basis state of an input
+        # qubit on the side, |H> then |V>: the dense states of the plan
+        # whose qubit is that basis state
+        basis = ([replace(plan, settings=replace(plan.settings, alpha=a, beta=b))
+                  for a, b in ((1, 0), (0, 1))]
+                 if any(d.init == "qubit" for d in side.decls if isinstance(d, PhotonDecl))
+                 else [plan])
+        dense = [fock.StateVector(registry, dense_initial_vector(p, registry, occ, side.decls),
+                                  normalized=False) for occ in components for p in basis]
         for op in ops:
             batch = fock.apply(op, batch)
             dense = [dense_apply(op, state) for state in dense]
@@ -278,6 +289,58 @@ def test_each_sides_batch_matches_dense_propagation_element_by_element(plan):
             # one entry per nonzero amplitude: pdc's dense columns multiply
             # the entries, and the count is what the dense states hold
             assert len(batch.amplitudes) == np.count_nonzero(want)
+
+
+# an input qubit r e^(ia) |H> + sqrt(1 - r^2) e^(ib) |V>, either amplitude
+# exactly zero among them
+basis_qubits = st.builds(
+    lambda r, a, b: InputQubit(r * cmath.exp(1j * a), math.sqrt(1 - r * r) * cmath.exp(1j * b)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), angles, angles)
+
+
+def dense_factors(plan: CircuitPlan, spec: plans.Side, side, states) -> np.ndarray:
+    """The herald factors of the `spec` side at the plan's input qubit from
+    dense propagation of each thermal component: its squared norm, its
+    analyzer Gram and its sector Gram, laid out as `_Side.factors` rows."""
+    s = plan.settings
+    registry = plans.build_registry(s, spec.decls)
+    ops = plans.build_elements(s, registry, spec.elements)
+    rows = np.array(spec.sector, np.int64) @ (s.thermal_cutoff + 2) ** np.arange(
+        len(spec.magnons))
+    out = []
+    for occ in plans.iter_components(s.thermal_cutoff, spec.magnons):
+        state = fock.StateVector(registry, dense_initial_vector(plan, registry, occ, spec.decls),
+                                 normalized=False)
+        for op in ops:
+            state = dense_apply(op, state)
+        x = state.amplitudes.reshape((side.da, side.dm, -1), order="F")[states]
+        sub = x[:, rows]
+        out.append(np.concatenate([[np.vdot(state.amplitudes, state.amplitudes)],
+                                   np.einsum("imo,jmo->ij", x, x.conj()).ravel(),
+                                   np.einsum("iro,jso->risj", sub, sub.conj()).ravel()]))
+    return np.array(out)
+
+
+@PROPERTY
+@given(qubit=basis_qubits, other=qubits, cfg=thermal, model=models,
+       wave_plate=st.one_of(st.none(), angles))
+def test_a_kept_qubit_side_weighs_any_qubit_as_a_cold_one_and_the_dense_oracle_do(
+        qubit, other, cfg, model, wave_plate):
+    plan = protocols.teleport_plan(qubit, cfg, model)
+    if wave_plate is not None:
+        plan = replace(plan, steps=plan.steps + (ElementStep("hwp", ("c", wave_plate)),))
+    protocols._sides.cache_clear()
+    cold = protocols.execute_plan(plan).to_json()
+    # the sides kept from another qubit's run serve this one
+    protocols._sides.cache_clear()
+    protocols.execute_plan(replace(plan, settings=replace(
+        plan.settings, alpha=complex(other.alpha), beta=complex(other.beta))))
+    assert protocols.execute_plan(plan).to_json() == cold
+    assert tuple(protocols._sides.cache_info())[:3] == (2, 2, 2)
+    circuit = protocols._Circuit(plan)
+    for spec, side, states, f in zip(plans.sides(plan), circuit.sides, circuit.states,
+                                     circuit.factors, strict=True):
+        assert np.abs(f - dense_factors(plan, spec, side, states)).max() < TOL
 
 
 # ---------------------------------------------------------------------------

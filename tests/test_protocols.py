@@ -1,10 +1,12 @@
+import contextlib
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from dense_oracle import concurrence_dual_rail, dense_apply, dense_readout, dense_report
 
-from omxsim import constants, elements, plans, protocols
+from omxsim import cli, constants, elements, plans, protocols
 from omxsim.elements import ScatterModel
 from omxsim.fock import (
     ModeRegistry,
@@ -266,7 +268,7 @@ def _epr_side(plan):
 
 
 def _epr_component(plan, side, registry, occs):
-    state = plans.initial_vector(plan.settings, registry, [occs], side.decls)
+    state = plans.initial_vector(registry, [occs], side.decls)
     for op in plans.build_elements(plan.settings, registry, side.elements):
         state = apply(op, state)
     amplitudes = np.zeros(registry.dimension, dtype=complex)
@@ -625,6 +627,29 @@ def test_readout_refuses_a_nan_transfer(monkeypatch):
         readout(outcome)
 
 
+def test_two_readouts_build_each_transfer_once(monkeypatch):
+    # a readout reads the transfer of paths (A, B) without and with the
+    # correction; the process keeps both, so a second readout builds neither
+    swaps = []
+    real_swap = elements.antistokes_swap
+    monkeypatch.setattr(elements, "antistokes_swap",
+                        lambda *args: swaps.append(args[1:]) or real_swap(*args))
+    outputs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["readout", "--n-bar", "0.2"]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    # two transfers, each swapping both magnons onto their photons once
+    assert len(swaps) == 4
+    info = protocols._transfer.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+    t = protocols._port_transfer("A", "B", True)
+    with pytest.raises(ValueError, match="read-only"):
+        t[0] = 0
+
+
 def test_readout_rejects_a_swap_herald():
     # a swap herald spans four magnons, not one dual-rail qubit
     rep = entanglement_swap(ThermalConfig(0.0))
@@ -729,11 +754,12 @@ def test_sweep_size_is_checked_before_the_grid_is_read():
 def test_the_sweep_size_counts_the_components_of_the_sides_built(monkeypatch, protocol,
                                                                  cutoff):
     # the check counts on the plan's sides, unpropagated, what the sweep's
-    # circuit then weights: one factor row per thermal component of a side
+    # circuit then weights: one factor row per thermal component of a side,
+    # once the circuit has weighted its input qubit's basis terms
     cfg = ThermalConfig(0.0, cutoff)
     plan = (protocols.teleport_plan(protocols.DEFAULT_SWEEP_QUBIT, cfg)
             if protocol == "teleport" else protocols.swap_plan(cfg))
-    components = sum(len(side.factors) for side in protocols._Circuit(plan).sides)
+    components = sum(len(f) for f in protocols._Circuit(plan).factors)
     points = 7
     monkeypatch.setattr("omxsim.constants.MAX_SWEEP_WEIGHTS", points * components)
     check_sweep_size(protocol, points, cutoff)

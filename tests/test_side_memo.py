@@ -3,12 +3,14 @@
 A side depends only on its spec (`plans.sides`: declarations, measured
 paths, sector occupations and resolved elements), cutoffs, scattering model
 and the limits its build is checked against, so a process keeps it for later
-commands.  These checks pin that a warm command prints what a cold one
-prints, that a warm interferometer side propagates nothing, that sides over
-different sector occupations are not shared, that kept sides cannot be
-changed, that a side reading the input qubit is rebuilt, that the kept sides
-stay within MAX_ARRAY_ENTRIES, and that a hit keeps its side from being the
-next to leave.
+commands.  A side holding the input qubit is built over the qubit's basis
+and weighted per command, so it is kept like any other.  These checks pin
+that a warm command prints what a cold one prints, that a warm
+interferometer side propagates nothing, that sides over different sector
+occupations are not shared, that kept sides cannot be changed, that one
+kept qubit side serves every qubit, that the kept sides stay within
+MAX_ARRAY_ENTRIES, and that a hit keeps its side from being the next to
+leave.
 """
 
 import contextlib
@@ -52,10 +54,11 @@ def test_a_warm_command_prints_what_a_cold_one_prints(cutoff, model, renormalize
     protocols._sides.cache_clear()
     for argv, want in [*zip(commands, cold), *zip(commands[::-1], cold[::-1])]:
         assert run(argv) == want
-    # teleport, readout and the teleport sweep look up the (A, B) side, swap
-    # and the swap sweep both interferometers: 14 lookups over the two warm
-    # passes, of which only the first of each side misses
-    assert tuple(protocols._sides.cache_info())[:3] == (12, 2, 2)
+    # teleport, readout and the teleport sweep look up the (A, B) side and
+    # the input photon's, swap and the swap sweep both interferometers: 20
+    # lookups over the two warm passes, of which only the first of each of
+    # the three sides misses
+    assert tuple(protocols._sides.cache_info())[:3] == (17, 3, 3)
 
 
 def interferometer_applies(monkeypatch):
@@ -115,7 +118,7 @@ def test_kept_sides_are_read_only():
     run(["readout", "--n-bar", "0.2"])
     run(["swap", "--n-bar", "0.2"])
     kept = [side for side, _ in protocols._sides.values()]
-    assert len(kept) == 2
+    assert len(kept) == 3                       # (A, B), the input photon's and (C, D)
     for side in kept:
         for array in (side.factors, *side.columns):
             assert not array.flags.writeable
@@ -123,16 +126,21 @@ def test_kept_sides_are_read_only():
                 array[...] = 0
 
 
-def test_a_side_reading_the_input_qubit_is_rebuilt(monkeypatch):
-    # a wave plate on the input photon makes its side's output depend on the
-    # qubit; that side is never kept, so each qubit gets its own
+QUBITS = [InputQubit(1, 0), InputQubit(0, 1), InputQubit(0.6, 0.8j),
+          InputQubit.from_angles(1.1, 0.4)]
+
+
+@pytest.mark.parametrize("steps", [(), (plans.ElementStep("hwp", ("c", 0.3)),)],
+                         ids=["builtin", "hwp-on-c"])
+def test_one_kept_qubit_side_serves_every_qubit(monkeypatch, steps):
+    # the input photon's side is built for |H> and |V> once and weighted per
+    # command, also where a wave plate on the photon mixes the two
     def plan(qubit):
         plan = protocols.teleport_plan(qubit, ThermalConfig(0.2))
-        return replace(plan, steps=plan.steps + (plans.ElementStep("hwp", ("c", 0.3)),))
+        return replace(plan, steps=plan.steps + steps)
 
-    qubits = [InputQubit(1, 0), InputQubit(0.6, 0.8j), InputQubit(0, 1)]
     cold = []
-    for q in qubits:
+    for q in QUBITS:
         protocols._sides.cache_clear()
         cold.append(protocols.execute_plan(plan(q)).to_json())
     protocols._sides.cache_clear()
@@ -140,13 +148,13 @@ def test_a_side_reading_the_input_qubit_is_rebuilt(monkeypatch):
     real_initial = plans.initial_vector
     monkeypatch.setattr(plans, "initial_vector",
                         lambda *args: initial.append(args) or real_initial(*args))
-    assert [protocols.execute_plan(plan(q)).to_json() for q in qubits] == cold
-    assert len(set(cold)) == len(qubits)
-    # the interferometer side once, the input photon's side every time
-    assert len(initial) == 1 + len(qubits)
+    assert [protocols.execute_plan(plan(q)).to_json() for q in QUBITS] == cold
+    assert len(set(cold)) == len(QUBITS)
+    # each of the two sides once, for every qubit
+    assert len(initial) == 2
     info = protocols._sides.cache_info()
-    assert (info.hits, info.misses, info.sides) == (2, 1, 1)
-    assert all(d.init != "qubit" for spec, *_ in protocols._sides for d in spec.decls)
+    assert (info.hits, info.misses, info.sides) == (2 * len(QUBITS) - 2, 2, 2)
+    assert any(d.init == "qubit" for spec, *_ in protocols._sides for d in spec.decls)
 
 
 @pytest.mark.parametrize("name", [name for name, (_, kinds, _) in plans.ELEMENTS.items()
@@ -174,9 +182,11 @@ def test_an_argument_of_minus_zero_builds_the_element_of_zero(name):
 
 
 def test_the_kept_sides_stay_within_the_array_limit(monkeypatch):
-    # a cutoff-c interferometer side holds 31 (c + 1)^2 entries, so under
-    # this limit a cutoff-5 side pushes out every other and a cutoff-6 side
-    # is not kept at all, nor does it push out the cutoff-5 one
+    # a cutoff-c interferometer side holds 31 (c + 1)^2 entries and the
+    # input photon's side 53 at any cutoff, so under this limit a cutoff-5
+    # interferometer side pushes out every other but one input photon's side,
+    # and a cutoff-6 one is not kept at all, nor does it push out the
+    # cutoff-5 one
     limit = 1500
     monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", limit)
     sides = []
@@ -188,23 +198,29 @@ def test_the_kept_sides_stay_within_the_array_limit(monkeypatch):
             assert info.entries == sum(n for _, n in protocols._sides.values())
             sides.append(info.sides)
     assert max(sides) >= 4                        # cutoffs 1 and 2 fit together
-    assert sides[-4:] == [1, 1, 1, 1]
-    assert protocols._sides.cache_info().entries == 31 * 6 ** 2
+    # the cutoff-5 teleport's two sides, then the cutoff-5 swap's (C, D) side
+    # alone; each cutoff-6 command keeps at most its input photon's side
+    assert sides[-4:] == [2, 1, 2, 2]
+    assert protocols._sides.cache_info().entries == 31 * 6 ** 2 + 53
     # a side's count covers every array it holds: its herald factors, 21
     # entries per component, and its row-Gram columns, two per component,
-    # each a key and 2 x 2 Gram entries
+    # each a key and 2 x 2 Gram entries; the input photon's side holds its
+    # factors for each of the 4 pairs of basis states, 9 entries each, and
+    # one column of a key and 4 x 4 Gram entries
     monkeypatch.undo()
     protocols._sides.cache_clear()
     run(["teleport", "--n-bar", "0.2"])
-    (side, entries), = protocols._sides.values()
+    (side, entries), (photon, photon_entries) = protocols._sides.values()
     assert entries == 279 == 31 * 3 ** 2
-    assert entries == side.factors.size + sum(array.size for array in side.columns)
+    assert photon_entries == 53 == 4 * 9 + 1 + 4 * 4
+    for kept, n in ((side, entries), (photon, photon_entries)):
+        assert n == kept.factors.size + sum(array.size for array in kept.columns)
 
 
 def test_a_hit_makes_its_side_the_most_recently_used(monkeypatch):
-    # under a limit that holds any two of sides A, B and C but not all
-    # three, the side that leaves for C is the one least recently used:
-    # B, once A has been hit after B was built
+    # under a limit that holds the sides of any two of teleports A, B and C
+    # but not of all three, the sides that leave for C's are those least
+    # recently used: B's, once A's have been hit after B's were built
     a, b, c = (["teleport", "--cutoff", cutoff, "--model", model]
                for cutoff, model in (("1", "paper"), ("1", "bosonic"), ("2", "paper")))
     sizes = []
@@ -213,11 +229,12 @@ def test_a_hit_makes_its_side_the_most_recently_used(monkeypatch):
         run(argv)
         sizes.append(protocols._sides.cache_info().entries)
     protocols._sides.cache_clear()
-    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", sum(sizes) - 1)
+    monkeypatch.setattr("omxsim.constants.MAX_ARRAY_ENTRIES", sizes[0] + sizes[2])
+    assert sizes[0] + sizes[1] <= sizes[0] + sizes[2] < sum(sizes)
     for argv in (a, b, a, c):
         run(argv)
-    assert tuple(protocols._sides.cache_info())[:3] == (1, 3, 2)
-    run(a)                                        # A is still kept
-    assert tuple(protocols._sides.cache_info())[:3] == (2, 3, 2)
-    run(b)                                        # B left and is built again
-    assert tuple(protocols._sides.cache_info())[:3] == (2, 4, 2)
+    assert tuple(protocols._sides.cache_info())[:3] == (2, 6, 4)
+    run(a)                                        # A's sides are still kept
+    assert tuple(protocols._sides.cache_info())[:3] == (4, 6, 4)
+    run(b)                                        # B's left and are built again
+    assert tuple(protocols._sides.cache_info())[:2] == (4, 8)
