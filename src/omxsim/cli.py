@@ -271,8 +271,10 @@ def _run_readout(args) -> int:
 class _Linspace:
     """`steps` occupations evenly spaced from `start` to `stop`, formed only
     when read: `sweep_fidelity` checks the sweep's size on its length first.
-    Its ends are checked before they are spaced, as `np.linspace` warns on
-    a non-finite one."""
+    Its ends are checked before they are spaced: `np.linspace` warns on a
+    non-finite end, and on a span that overflows, which needs a negative
+    end.  Either puts a value outside the grid's range, so both are refused
+    with `sweep_fidelity`'s message."""
 
     def __init__(self, start: float, stop: float, steps: int):
         self.start, self.stop, self.steps = start, stop, steps
@@ -281,12 +283,43 @@ class _Linspace:
         return self.steps
 
     def __iter__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start >= 0):
             raise protocols.ProtocolError("sweep grid values must be finite and >= 0")
         return iter(np.linspace(self.start, self.stop, self.steps))
 
 
+# the 16 layouts of a JSON sweep row: bit k of the index marks value k as
+# text already written (%s), and the other values are written with %.12g
+_JSON_ROW = ('    {\n      "n_bar": %s,\n      "simulated": %s,\n'
+             '      "closed_form": %s,\n      "abs_diff": %s\n    },\n')
+_JSON_ROWS = tuple(_JSON_ROW % tuple("%s" if mask >> k & 1 else "%.12g" for k in range(4))
+                   for mask in range(16))
+
+
+def _json_rows(flat) -> str:
+    """The rows of a JSON sweep from its finite values, four to a row, as
+    `json.dumps` writes `float(_fmt(v))`.  That text is `_fmt`'s `%.12g`
+    except for three kinds of value, and only those are parsed back and
+    written by `repr`: integers below 1e12 (`%.12g` drops the ".0"), values
+    from 1e12 to 1e16 (`%.12g` takes an exponent first) and subnormals
+    (fewer digits name the same float).  A value that `%.12g` rounds to an
+    integer lies within a relative 5e-12 of it, so the mask takes every
+    value within a relative 1e-11 of an integer; the few it takes beyond
+    those print the same either way."""
+    v = np.fromiter(flat, float, len(flat))
+    a = np.abs(v)
+    text = (a < sys.float_info.min) | ((a < 1e16) & (np.abs(v - np.rint(v)) <= 1e-11 * a))
+    values = list(flat)
+    for i in np.flatnonzero(text).tolist():
+        values[i] = repr(float(_fmt(values[i])))
+    masks = text.reshape(-1, 4) @ (1, 2, 4, 8)
+    return ("".join(map(_JSON_ROWS.__getitem__, masks.tolist())) % tuple(values))[:-2]
+
+
 def _run_sweep(args) -> int:
+    """Print a sweep's table as CSV or JSON.  Its values come from one
+    `protocols.sweep_fidelity` call over a `_Linspace` grid and are written
+    with one format call over all of them; JSON rows take `_json_rows`."""
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
     if args.stop < args.start:
@@ -301,12 +334,7 @@ def _run_sweep(args) -> int:
                   "model": args.model, "from": float(_fmt(args.start)),
                   "to": float(_fmt(args.stop)), "steps": args.steps}
         head = json.dumps({"protocol": args.protocol, "config": config}, indent=2)
-        # json (its C encoder, used without indent) writes each float's text
-        values = json.dumps(list(map(float, ("%.12g " * len(flat) % flat).split())))
-        row = ('    {\n      "n_bar": %s,\n      "simulated": %s,\n'
-               '      "closed_form": %s,\n      "abs_diff": %s\n    },\n')
-        body = (row * len(rows))[:-2] % tuple(values[1:-1].split(", "))
-        text = f'{head[:-2]},\n  "rows": [\n{body}\n  ]\n}}\n'
+        text = f'{head[:-2]},\n  "rows": [\n{_json_rows(flat)}\n  ]\n}}\n'
     else:
         text = "\n".join([
             "# omxsim sweep",

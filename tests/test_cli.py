@@ -270,13 +270,48 @@ def test_sweep_prints_the_text_built_one_value_at_a_time(
     assert path.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("start, stop", [("0", "inf"), ("nan", "1"), ("0", "nan")])
-def test_non_finite_sweep_end_is_one_line_simulation_error(capsys, start, stop):
+def _signed(values):
+    return st.tuples(values, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+# finite values where %.12g and JSON's float text differ, and values just
+# beside them: zeros, integers around 1e11, 1e12 and 1e16, values that
+# %.12g rounds to an integer (1 - 4e-12 prints as 1), [1e12, 1e16) and
+# beyond, subnormals, values around 1e-4 and 1e-5, where both texts take
+# an exponent, and any finite float
+JSON_VALUES = _signed(st.one_of(
+    st.sampled_from([0.0, 1 - 4e-12, 999999999999.5, 9999999999999998.0, 5e-324,
+                     2.2250738585072014e-308, 1e-4, 1e-5]),
+    st.sampled_from([10 ** 11, 10 ** 12, 10 ** 16]).flatmap(
+        lambda p: st.integers(p - 3, p + 3)).map(float),
+    st.integers(0, 10 ** 17).map(float),
+    st.builds(lambda n, r: n * (1 + r), st.integers(1, 10 ** 12), st.floats(-2e-11, 2e-11)),
+    st.floats(1e12, 1e16), st.floats(1e16, 1e300),
+    st.floats(0.0, 2.3e-308),
+    st.floats(9.9e-5, 1.01e-4), st.floats(9.9e-6, 1.01e-5),
+    st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(*[JSON_VALUES] * 4), min_size=1, max_size=6))
+def test_json_rows_write_each_value_as_json_writes_it(rows):
+    keys = protocols.SweepRow._fields
+    payload = json.dumps({"rows": [{key: float(cli._fmt(v)) for key, v in zip(keys, row)}
+                                   for row in rows]}, indent=2)
+    expected = payload[len('{\n  "rows": [\n'):-len('\n  ]\n}')]
+    assert cli._json_rows([v for row in rows for v in row]) == expected
+
+
+# the last span overflows, which np.linspace would warn of
+@pytest.mark.parametrize("start, stop", [("0", "inf"), ("nan", "1"), ("0", "nan"),
+                                         ("-1e308", "1.7e308")])
+def test_non_finite_sweep_end_is_one_line_simulation_error(capsys, recwarn, start, stop):
     code, out, err = run_cli(capsys, "sweep", "--protocol", "teleport",
-                             "--from", start, "--to", stop, "--steps", "3")
+                             f"--from={start}", f"--to={stop}", "--steps", "3")
     assert code == 2
     assert out == ""
     assert err == "omxsim: simulation error: sweep grid values must be finite and >= 0\n"
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("protocol", ["teleport", "swap"])

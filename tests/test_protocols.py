@@ -708,6 +708,15 @@ def test_sweep_single_point_grid():
     assert rows[0].closed_form == 1.0
 
 
+def test_sweep_closed_form_column_is_the_python_closed_form_bit_for_bit():
+    # the closed forms stay Python calls: a numpy form of the same
+    # expression, whose x ** 2 is x * x, gives 0.4912880275862796 here and
+    # an abs_diff of 2.7755575615628914e-16
+    (row,) = sweep_fidelity("swap", [0.2])
+    assert row.closed_form == closed_form_f2(0.2) == 0.49128802758627954
+    assert row.abs_diff == 2.220446049250313e-16
+
+
 def test_sweep_teleport_matches_closed_form_pointwise():
     rows = sweep_fidelity("teleport", GRID)
     assert [r.n_bar for r in rows] == list(GRID)
