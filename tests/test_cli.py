@@ -495,8 +495,8 @@ def test_sweep_at_the_size_limit_stays_small(capsys):
 
 
 def test_json_sweep_at_the_size_limit_stays_small(capsys):
-    # the same 12,409 points as JSON: one float list for json's C encoder
-    # and one row template, not a dict per row (9.9 MiB measured)
+    # the same 12,409 points as JSON: the rows in one %.12g format call
+    # over the table, not a dict per row (7.7 MiB measured)
     argv = ["sweep", "--protocol", "swap", "--from", "0", "--to", "0.3", "--cutoff", "12",
             "--steps", str(MAX_SWEEP_WEIGHTS // 338), "--format", "json"]
     assert _traced_peak(capsys, *argv) < 32 << 20
